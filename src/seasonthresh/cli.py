@@ -99,9 +99,10 @@ def run_sweep(scenario: Scenario, with_simulation: bool = False) -> list[SweepRo
     for th in scenario.grid_array():
         th = float(th)
         try:
-            value, _ = floquet.rho(lin, th, tol=tol)
-            prime = floquet.rho_prime(lin, th, tol=tol)
-            second = floquet.rho_second(lin, th, tol=tol)
+            profile = floquet.rho_profile(lin, [th], tol=tol, second=True)
+            value = float(profile.rho[0])
+            prime = float(profile.rho_prime[0])
+            second = float(profile.rho_second[0])
             classification = "persistent" if value > 1.0 else "extinct"
             lam = None
             if with_simulation:

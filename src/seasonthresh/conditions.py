@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDiagonalizationError, InvalidInputError
-from .floquet import TwoSeasonLinearization, metzler_perron, monodromy, rho
+from .floquet import TwoSeasonLinearization, metzler_perron, monodromy, rho_profile
 from .insect import InsectParams, jacobian, r0
 from .linalg import as_square_matrix
 
@@ -43,15 +43,10 @@ def _theta_grid(theta_grid):
     return grid
 
 
-def _pairs_on_grid(lin, grid, tol, max_iter):
-    return [rho(lin, float(th), tol=tol, max_iter=max_iter)[1] for th in grid]
-
-
 def check_shared_eigenvector(
     lin: TwoSeasonLinearization,
     tol: float = 1e-8,
     perron_tol: float = 1e-12,
-    max_iter: int = 10000,
 ) -> ConditionCertificate:
     """Do the two season linearizations share a principal eigenvector?
 
@@ -59,8 +54,8 @@ def check_shared_eigenvector(
     tol) certifies the condition, so `holds` is true when the best of the
     two margins is positive.
     """
-    _, v1, v1s = metzler_perron(lin.m1, tol=perron_tol, max_iter=max_iter)
-    _, v2, v2s = metzler_perron(lin.m2, tol=perron_tol, max_iter=max_iter)
+    _, v1, v1s = metzler_perron(lin.m1, tol=perron_tol)
+    _, v2, v2s = metzler_perron(lin.m2, tol=perron_tol)
 
     def angle(x, y):
         cx = x / np.linalg.norm(x)
@@ -85,7 +80,6 @@ def check_decrease_left(
     p=None,
     strictness: float = STRICTNESS,
     perron_tol: float = 1e-12,
-    max_iter: int = 10000,
 ) -> ConditionCertificate:
     """Certify rho' < 0 through the left Perron vectors of the monodromy.
 
@@ -93,7 +87,7 @@ def check_decrease_left(
     form). With p: checks p S < 0 entrywise and (p^{-1})^T V*(theta) > 0.
     """
     grid = _theta_grid(theta_grid)
-    pairs = _pairs_on_grid(lin, grid, perron_tol, max_iter)
+    pairs = rho_profile(lin, grid, tol=perron_tol).perron_pairs
     s = lin.s
     details = {}
     if p is None:
@@ -139,12 +133,11 @@ def check_decrease_right(
     p=None,
     strictness: float = STRICTNESS,
     perron_tol: float = 1e-12,
-    max_iter: int = 10000,
 ) -> ConditionCertificate:
     """Mirror of check_decrease_left using the right Perron vectors:
     S V(theta) < 0 without p, or S p < 0 and p^{-1} V(theta) > 0 with p."""
     grid = _theta_grid(theta_grid)
-    pairs = _pairs_on_grid(lin, grid, perron_tol, max_iter)
+    pairs = rho_profile(lin, grid, tol=perron_tol).perron_pairs
     s = lin.s
     details = {}
     if p is None:
@@ -177,7 +170,6 @@ def check_decrease_bilinear(
     eq_tol: float = 1e-8,
     strictness: float = STRICTNESS,
     perron_tol: float = 1e-12,
-    max_iter: int = 10000,
 ) -> ConditionCertificate:
     """Certify rho' <= 0 from S < p^T q entrywise plus p V* = -q V on the grid.
 
@@ -190,7 +182,7 @@ def check_decrease_bilinear(
     if p.shape != q.shape or p.shape[0] != lin.dimension:
         raise InvalidInputError("p and q must match the system dimension")
     grid = _theta_grid(theta_grid)
-    pairs = _pairs_on_grid(lin, grid, perron_tol, max_iter)
+    pairs = rho_profile(lin, grid, tol=perron_tol).perron_pairs
     entry_margin = float(np.min(p.T @ q - lin.s))
     eq_errors = np.array(
         [float(np.linalg.norm(p @ pair.v_star + q @ pair.v)) for pair in pairs]
@@ -271,9 +263,11 @@ def left_eigenvector_order(s) -> LeftOrderResult:
         raise InvalidInputError("left_eigenvector_order expects a 2x2 matrix")
     if np.any(m <= 0.0):
         raise InvalidInputError("matrix must be entrywise positive")
-    disc = (m[0, 0] - m[1, 1]) ** 2 + 4.0 * m[0, 1] * m[1, 0]
-    top = 0.5 * (m[0, 0] + m[1, 1] + math.sqrt(disc))
-    ratio = float((top - m[0, 0]) / m[1, 0])
+    # the ratio is scale-free; dividing by the largest entry keeps the squares finite
+    k = m / m.max()
+    disc = (k[0, 0] - k[1, 1]) ** 2 + 4.0 * k[0, 1] * k[1, 0]
+    top = 0.5 * (k[0, 0] + k[1, 1] + math.sqrt(disc))
+    ratio = float((top - k[0, 0]) / k[1, 0])
     gap = float((m[0, 1] + m[1, 1]) - (m[0, 0] + m[1, 0]))
     scale = max(1.0, abs(m[0, 1] + m[1, 1]) + abs(m[0, 0] + m[1, 0]))
     return LeftOrderResult(
@@ -289,7 +283,6 @@ def left_order_certificate(
     lin: TwoSeasonLinearization,
     theta_grid=None,
     perron_tol: float = 1e-12,
-    max_iter: int = 10000,
 ) -> ConditionCertificate:
     """Left-vector ordering of the 2x2 cycle matrix across the grid.
 
@@ -343,7 +336,11 @@ class DiagonalizationData:
         return math.exp(self.lambda_plus * duration), math.exp(self.lambda_minus * duration)
 
     def weight_ratio(self, duration: float) -> float:
-        return math.exp((self.lambda_plus - self.lambda_minus) * duration)
+        """exp((lambda_plus - lambda_minus) d), or inf past the double range."""
+        try:
+            return math.exp((self.lambda_plus - self.lambda_minus) * duration)
+        except OverflowError:
+            return math.inf
 
 
 def diagonalize_season(pi: InsectParams) -> DiagonalizationData:
@@ -372,13 +369,19 @@ def ordering_form(
     column-sum ordering of the two-season cycle matrix.
 
     Vanishes identically at (1, 1); both partial derivatives are negative on
-    beta, gamma > 1 whenever the slope inequalities hold.
+    beta, gamma > 1 whenever the slope inequalities hold. Where the value
+    passes the double range it is returned as an infinity of its sign.
     """
     a = (df.x_minus - du.x_plus) * (1.0 + df.x_plus) * (1.0 + du.x_minus)
     b = (du.x_minus - df.x_minus) * (1.0 + df.x_plus) * (1.0 + du.x_plus)
     c = (du.x_plus - df.x_plus) * (1.0 + du.x_minus) * (1.0 + df.x_minus)
     d = (df.x_plus - du.x_minus) * (1.0 + df.x_minus) * (1.0 + du.x_plus)
-    return a * beta * gamma + b * beta + c * gamma + d
+    value = a * beta * gamma + b * beta + c * gamma + d
+    if math.isfinite(value):
+        return value
+    # a weight ratio, or their product, passed the double range: the form then
+    # has the sign of form / (beta gamma), which stays finite
+    return math.copysign(math.inf, a + b / gamma + c / beta + d / (beta * gamma))
 
 
 @dataclass(frozen=True)
@@ -400,7 +403,6 @@ def insect_threshold_certificate(
     theta_grid=None,
     strictness: float = STRICTNESS,
     perron_tol: float = 1e-12,
-    max_iter: int = 10000,
 ) -> ConditionCertificate:
     """End-to-end certificate that the seasonal insect model has an interior
     extinction threshold.

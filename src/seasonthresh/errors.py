@@ -10,7 +10,8 @@ class StructureError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration did not converge within its budget."""
+    """A solve missed its accuracy bound or its answer is not isolated;
+    ``residual`` is the failed residual or relative spectral gap."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -28,6 +28,7 @@ from .linalg import (
     PerronPair,
     as_square_matrix,
     as_vector,
+    exp_product,
     is_irreducible,
     is_metzler,
     mat_exp,
@@ -38,7 +39,6 @@ from .linalg import (
 from .seasonal import SeasonalSystem
 
 DEFAULT_PERRON_TOL = 1e-12
-DEFAULT_MAX_ITER = 10000
 DEFAULT_BISECT_TOL = 1e-10
 DEFAULT_MAX_BISECT = 200
 DEFAULT_GRID_POINTS = 101
@@ -89,62 +89,58 @@ def monodromy(lin: TwoSeasonLinearization, theta: float) -> np.ndarray:
     if not (0.0 <= theta <= 1.0):
         raise InvalidInputError(f"theta must lie in [0, 1], got {theta}")
     t = lin.period_T
-    return mat_exp((1.0 - theta) * t * lin.m2) @ mat_exp(theta * t * lin.m1)
+    return exp_product([(lin.m1, theta * t), (lin.m2, (1.0 - theta) * t)])
 
 
 def monodromy_general(system: SeasonalSystem) -> np.ndarray:
     """Ordered product of per-season exponentials; rightmost factor is season 1."""
-    durations = system.schedule.durations()
-    n = system.dimension
-    result = np.eye(n)
-    for piece, dt in zip(system.pieces, durations):
-        if dt == 0.0:
-            continue
-        result = mat_exp(dt * piece.linearization_at_zero) @ result
-    return result
+    return exp_product(
+        (piece.linearization_at_zero, dt)
+        for piece, dt in zip(system.pieces, system.schedule.durations())
+    )
 
 
-def rho(
-    lin: TwoSeasonLinearization,
-    theta: float,
-    tol: float = DEFAULT_PERRON_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[float, PerronPair]:
-    """Dominant Floquet multiplier of the linearization with its Perron pair."""
-    pair = perron_pair(monodromy(lin, theta), tol=tol, max_iter=max_iter)
-    return pair.rho, pair
-
-
-def rho_prime(
-    lin: TwoSeasonLinearization,
-    theta: float,
-    tol: float = DEFAULT_PERRON_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """d rho / d theta, from the Perron pair of the monodromy matrix."""
-    value, pair = rho(lin, theta, tol=tol, max_iter=max_iter)
-    return lin.period_T * value * float((lin.s @ pair.v) @ pair.v_star)
-
-
-def rho_second(
-    lin: TwoSeasonLinearization,
-    theta: float,
-    tol: float = DEFAULT_PERRON_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """d^2 rho / d theta^2 via the constrained resolvent on the Perron complement."""
+def _evaluate(
+    lin: TwoSeasonLinearization, theta: float, tol: float, second: bool = False
+) -> tuple[PerronPair, float, float | None]:
+    """Perron pair, rho' and (when asked) rho'' at one theta, from one
+    monodromy and one Perron pair."""
     m = monodromy(lin, theta)
-    pair = perron_pair(m, tol=tol, max_iter=max_iter)
+    pair = perron_pair(m, tol=tol)
     value, v, v_star = pair.rho, pair.v, pair.v_star
+    t = lin.period_T
     s = lin.s
     sv = s @ v
     r = float(sv @ v_star)
+    prime = t * value * r
+    if not second:
+        return pair, prime, None
     mixed = float(((lin.m2 @ s - s @ lin.m1) @ v) @ v_star)
     # (Pi - I) S^T V*, with Pi the projection x -> <x, V> V*
     b = r * v_star - s.T @ v_star
-    x = constrained_resolvent(m, value, v, v_star, b, side="adjoint")
-    t = lin.period_T
-    return t * t * value * (2.0 * r * r + mixed + 2.0 * value * float(x @ sv))
+    # rho <x, SV> does not change when M and rho are divided by one number:
+    # solving on M / max(M) keeps x finite for huge and tiny monodromies
+    peak = float(m.max())
+    x = constrained_resolvent(m / peak, value / peak, v, v_star, b, side="adjoint")
+    return pair, prime, t * t * value * (2.0 * r * r + mixed + 2.0 * value / peak * float(x @ sv))
+
+
+def rho(
+    lin: TwoSeasonLinearization, theta: float, tol: float = DEFAULT_PERRON_TOL
+) -> tuple[float, PerronPair]:
+    """Dominant Floquet multiplier of the linearization with its Perron pair."""
+    pair = _evaluate(lin, theta, tol)[0]
+    return pair.rho, pair
+
+
+def rho_prime(lin: TwoSeasonLinearization, theta: float, tol: float = DEFAULT_PERRON_TOL) -> float:
+    """d rho / d theta = T rho <S V, V*>, from the Perron pair of the monodromy matrix."""
+    return _evaluate(lin, theta, tol)[1]
+
+
+def rho_second(lin: TwoSeasonLinearization, theta: float, tol: float = DEFAULT_PERRON_TOL) -> float:
+    """d^2 rho / d theta^2 via the constrained resolvent on the Perron complement."""
+    return _evaluate(lin, theta, tol, second=True)[2]
 
 
 def constrained_resolvent(
@@ -238,30 +234,19 @@ def rho_profile(
     lin: TwoSeasonLinearization,
     thetas=None,
     tol: float = DEFAULT_PERRON_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     second: bool = False,
 ) -> RhoProfile:
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     thetas = np.asarray(thetas, dtype=float)
-    values = np.empty_like(thetas)
-    primes = np.empty_like(thetas)
-    seconds = np.empty_like(thetas) if second else None
-    pairs = []
-    t = lin.period_T
-    for i, th in enumerate(thetas):
-        value, pair = rho(lin, float(th), tol=tol, max_iter=max_iter)
-        values[i] = value
-        primes[i] = t * value * float((lin.s @ pair.v) @ pair.v_star)
-        if second:
-            seconds[i] = rho_second(lin, float(th), tol=tol, max_iter=max_iter)
-        pairs.append(pair)
+    points = [_evaluate(lin, float(th), tol, second) for th in thetas]
+    pairs = tuple(pair for pair, _, _ in points)
     return RhoProfile(
         thetas=thetas,
-        rho=values,
-        rho_prime=primes,
-        rho_second=seconds,
-        perron_pairs=tuple(pairs),
+        rho=np.array([pair.rho for pair in pairs]),
+        rho_prime=np.array([prime for _, prime, _ in points]),
+        rho_second=np.array([value for _, _, value in points]) if second else None,
+        perron_pairs=pairs,
     )
 
 
@@ -289,7 +274,6 @@ def find_threshold(
     grid_points: int = DEFAULT_GRID_POINTS,
     override_monotonic: bool = False,
     perron_tol: float = DEFAULT_PERRON_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     max_bisect: int = DEFAULT_MAX_BISECT,
 ) -> ThresholdReport:
     """Solve rho(theta) = 1 by bisection after certifying monotonicity.
@@ -298,14 +282,12 @@ def find_threshold(
     all-above-one and all-below-one cases; an interior crossing with a failed
     certificate raises CertificateError unless override_monotonic is set.
     """
-    profile = rho_profile(
-        lin, np.linspace(0.0, 1.0, grid_points), tol=perron_tol, max_iter=max_iter
-    )
+    profile = rho_profile(lin, np.linspace(0.0, 1.0, grid_points), tol=perron_tol)
     certificate = profile.strictly_decreasing
     values = profile.rho
 
     def rho_at(th: float) -> float:
-        return rho(lin, th, tol=perron_tol, max_iter=max_iter)[0]
+        return rho(lin, th, tol=perron_tol)[0]
 
     def report(theta_star, regime, bracket, rho_star):
         return ThresholdReport(
@@ -372,7 +354,6 @@ def log_convexity_probe(
     lin: TwoSeasonLinearization,
     thetas=None,
     tol: float = DEFAULT_PERRON_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> LogConvexityReport:
     """Numeric convexity check of log rho plus the endpoint-slope product.
 
@@ -382,12 +363,10 @@ def log_convexity_probe(
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     thetas = np.asarray(thetas, dtype=float)
-    log_rho = np.array(
-        [np.log(rho(lin, float(th), tol=tol, max_iter=max_iter)[0]) for th in thetas]
-    )
+    log_rho = np.log(rho_profile(lin, thetas, tol=tol).rho)
     second = log_rho[2:] - 2.0 * log_rho[1:-1] + log_rho[:-2]
-    mu1, v1, v1s = metzler_perron(lin.m1, tol=tol, max_iter=max_iter)
-    mu2, v2, v2s = metzler_perron(lin.m2, tol=tol, max_iter=max_iter)
+    mu1, v1, v1s = metzler_perron(lin.m1, tol=tol)
+    mu2, v2, v2s = metzler_perron(lin.m2, tol=tol)
     product = (mu2 - float((lin.m1 @ v2) @ v2s)) * (float((lin.m2 @ v1) @ v1s) - mu1)
     return LogConvexityReport(
         thetas=thetas,
@@ -401,9 +380,7 @@ def log_convexity_probe(
     )
 
 
-def metzler_perron(
-    a, tol: float = DEFAULT_PERRON_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> tuple[float, np.ndarray, np.ndarray]:
+def metzler_perron(a, tol: float = DEFAULT_PERRON_TOL) -> tuple[float, np.ndarray, np.ndarray]:
     """Spectral abscissa and Perron vectors of an irreducible Metzler matrix.
 
     Works through the (entrywise positive) exponential, which shares the
@@ -415,7 +392,7 @@ def metzler_perron(
         raise InvalidInputError("matrix is not Metzler")
     if not is_irreducible(m):
         raise InvalidInputError("matrix is not irreducible")
-    pair = perron_pair(mat_exp(m), tol=tol, max_iter=max_iter)
+    pair = perron_pair(mat_exp(m), tol=tol)
     mu = float((m @ pair.v) @ pair.v_star)
     return mu, pair.v, pair.v_star
 
@@ -446,7 +423,6 @@ def timescale_asymptotics(
     theta: float = 0.5,
     t_small: float = 1e-6,
     tol: float = DEFAULT_PERRON_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> TimescaleReport:
     t_values = np.asarray(t_values, dtype=float)
     if np.any(t_values <= 0.0) or np.any(np.diff(t_values) <= 0.0):
@@ -455,17 +431,18 @@ def timescale_asymptotics(
     mu2 = spectral_abscissa(lin.m2)
     linear_rate = theta * mu1 + (1.0 - theta) * mu2
 
+    shifted1 = lin.m1 - mu1 * np.eye(lin.dimension)
+    shifted2 = lin.m2 - mu2 * np.eye(lin.dimension)
+
     def correction(t: float) -> float:
-        scaled = mat_exp((1.0 - theta) * t * (lin.m2 - mu2 * np.eye(lin.dimension))) @ mat_exp(
-            theta * t * (lin.m1 - mu1 * np.eye(lin.dimension))
-        )
+        scaled = exp_product([(shifted1, theta * t), (shifted2, (1.0 - theta) * t)])
         return float(np.log(spectral_radius(scaled)))
 
     corrections = np.array([correction(t) for t in t_values])
     log_rho_over_t = linear_rate + corrections / t_values
 
-    _, v1, v1s = metzler_perron(lin.m1, tol=tol, max_iter=max_iter)
-    _, v2, v2s = metzler_perron(lin.m2, tol=tol, max_iter=max_iter)
+    _, v1, v1s = metzler_perron(lin.m1, tol=tol)
+    _, v2, v2s = metzler_perron(lin.m2, tol=tol)
     limit = float(np.log((v2s @ v1) * (v1s @ v2)))
 
     rho_small = float(np.exp(t_small * linear_rate + correction(t_small)))

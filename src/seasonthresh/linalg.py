@@ -11,6 +11,8 @@ import numpy as np
 from .errors import ConvergenceError, InvalidInputError, StructureError
 
 _SERIES_MAX_TERMS = 64
+# a relative gap 1 - |lambda_2| / rho at roundoff level: the dominant root is not isolated
+_SEPARATION_FLOOR = 1e-12
 
 
 def as_square_matrix(a) -> np.ndarray:
@@ -96,55 +98,62 @@ class PerronPair:
         return right, left
 
 
-def perron_pair(m, tol: float = 1e-12, max_iter: int = 10000) -> PerronPair:
-    """Perron eigenvalue and eigenvectors by simultaneous power iteration.
+def perron_pair(m, tol: float = 1e-12) -> PerronPair:
+    """Perron eigenvalue and eigenvectors by dense eigen-solves of M and M^T.
 
     Requires an entrywise positive matrix, or a nonnegative irreducible and
-    primitive one. Deterministic: iteration starts from the all-ones vector.
-    Residuals are measured relative to max(1, rho).
+    primitive one. The solves run on M divided by its largest entry, so huge
+    entries cannot overflow. ConvergenceError is raised when the two-sided
+    residual there, relative to max(1, its Perron root), exceeds tol, or when
+    no other eigenvalue modulus is strictly below rho.
     """
     a = as_square_matrix(m)
     if not (0.0 < tol <= 1e-6):
         raise InvalidInputError(f"tol must lie in (0, 1e-6], got {tol}")
-    if max_iter < 1:
-        raise InvalidInputError("max_iter must be positive")
     if np.any(a < 0.0):
         raise StructureError("matrix has negative entries")
     if np.any(a == 0.0) and not is_irreducible(a):
         raise StructureError("matrix is reducible; Perron pair is not unique")
-
-    n = a.shape[0]
-    at = a.T
-    v = np.full(n, 1.0 / np.sqrt(n))
-    w = v.copy()
-    rho = 0.0
-    res = np.inf
-    for _ in range(max_iter):
-        av = a @ v
-        aw = at @ w
-        nv = np.linalg.norm(av)
-        nw = np.linalg.norm(aw)
-        if nv == 0.0 or nw == 0.0:
-            raise StructureError("power iteration collapsed to zero")
-        v = av / nv
-        w = aw / nw
-        # two-sided Rayleigh quotient: quadratically accurate in the residuals
-        rho = float(w @ a @ v / (w @ v))
-        res = max(
-            float(np.linalg.norm(a @ v - rho * v)),
-            float(np.linalg.norm(at @ w - rho * w)),
-        ) / max(1.0, abs(rho))
-        if res <= tol:
-            break
-    else:
+    peak = float(a.max()) or 1.0  # a zero matrix meets the non-positive root check
+    b = a / peak
+    values, vectors = np.linalg.eig(b)
+    moduli = np.sort(np.abs(values))
+    separation = 1.0 - moduli[-2] / moduli[-1] if moduli.size > 1 else 1.0
+    if separation <= _SEPARATION_FLOOR:
         raise ConvergenceError(
-            f"Perron iteration did not reach residual {tol} in {max_iter} steps",
-            residual=res,
+            f"dominant eigenvalue modulus is not separated (1 - |l2|/rho = {separation:.3e})",
+            residual=separation,
         )
+    v = _dominant_vector(values, vectors)
+    w = _dominant_vector(*np.linalg.eig(b.T))
+    # two-sided Rayleigh quotient: quadratically accurate in the residuals
+    rho = float(w @ b @ v / (w @ v))
     if rho <= 0.0:
-        raise StructureError(f"dominant eigenvalue is not positive: {rho}")
-    v_star = w / float(v @ w)
-    return PerronPair(rho=rho, v=v, v_star=v_star)
+        raise StructureError(f"dominant eigenvalue is not positive: {rho * peak}")
+    res = max(np.linalg.norm(b @ v - rho * v), np.linalg.norm(w @ b - rho * w)) / max(1.0, rho)
+    if res > tol:
+        raise ConvergenceError(f"Perron eigen-solve residual {res:.3e} exceeds {tol}", residual=res)
+    return PerronPair(rho=rho * peak, v=v, v_star=w / float(v @ w))
+
+
+def _dominant_vector(values, vectors) -> np.ndarray:
+    """Positively oriented unit eigenvector of the largest-modulus eigenvalue,
+    which is real and simple once its modulus is separated."""
+    x = vectors[:, np.argmax(np.abs(values))].real
+    return x / (np.linalg.norm(x) * np.sign(x.sum()))
+
+
+def exp_product(blocks) -> np.ndarray:
+    """Ordered product of exp(duration * matrix) over (matrix, duration) blocks.
+
+    The first block is the rightmost factor; zero-duration blocks are skipped.
+    """
+    blocks = list(blocks)
+    result = np.eye(np.shape(blocks[0][0])[0])
+    for matrix, duration in blocks:
+        if duration != 0.0:
+            result = mat_exp(duration * matrix) @ result
+    return result
 
 
 def is_metzler(a) -> bool:

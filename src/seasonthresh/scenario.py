@@ -16,7 +16,8 @@ Schema (all keys optional unless noted):
 
 Exactly one of "insect" / "matrices" must be populated and must agree with
 "mode". Defaults: period 1, a 101-point uniform theta grid, and the module
-tolerances.
+tolerances. "perron_tol" bounds the two-sided residual of every Perron
+eigen-solve, measured on the monodromy divided by its largest entry.
 """
 
 import json

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_square_matrix, mat_exp, spectral_abscissa, spectral_radius
+from .linalg import as_square_matrix, exp_product, spectral_abscissa, spectral_radius
 
 _MEMBERSHIP_TOL = 1e-12
 _GRID_CELL_CAP = 5_000_000
@@ -77,13 +77,11 @@ def split_monodromy(m1, m2, schedule: SplitSchedule) -> np.ndarray:
     b = as_square_matrix(m2)
     if a.shape != b.shape:
         raise InvalidInputError("m1 and m2 must share a shape")
-    result = np.eye(a.shape[0])
-    for frac_u, frac_f in zip(schedule.sigma, schedule.sigma_prime):
-        if frac_u > 0.0:
-            result = mat_exp(frac_u * a) @ result
-        if frac_f > 0.0:
-            result = mat_exp(frac_f * b) @ result
-    return result
+    return exp_product(
+        block
+        for frac_u, frac_f in zip(schedule.sigma, schedule.sigma_prime)
+        for block in ((a, frac_u), (b, frac_f))
+    )
 
 
 def _compositions(total: int, parts: int):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from seasonthresh import floquet
 from seasonthresh.cli import main, run_sweep
 from seasonthresh.errors import ScenarioError
 from seasonthresh.scenario import (
@@ -126,6 +127,20 @@ class TestRunSweep:
         rows = run_sweep(scenario)
         assert rows[0].rho == pytest.approx(np.exp(0.5), rel=1e-11)
         assert rows[1].rho == pytest.approx(np.exp(-0.5), rel=1e-11)
+
+    def test_one_perron_pair_per_row(self, tmp_path, monkeypatch):
+        calls = []
+        original = floquet.perron_pair
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(floquet, "perron_pair", counted)
+        scenario = load_scenario(write_scenario(tmp_path, {**INSECT, "theta_grid": 7}))
+        rows = run_sweep(scenario)
+        assert all(r.error == "" and r.rho_second is not None for r in rows)
+        assert len(calls) == 7
 
 
 class TestCommands:

@@ -19,6 +19,7 @@ from seasonthresh import (
     rho_second,
     timescale_asymptotics,
 )
+from seasonthresh import floquet
 from seasonthresh.errors import CertificateError, InvalidInputError
 from seasonthresh.linalg import mat_exp, perron_pair, spectral_abscissa
 
@@ -274,6 +275,19 @@ class TestRhoProfile:
         assert profile.strictly_decreasing
         assert profile.rho_second.shape == (21,)
         assert len(profile.perron_pairs) == 21
+
+    def test_one_monodromy_and_pair_per_theta(self, insect_linearization, monkeypatch):
+        calls = []
+        for name in ("monodromy", "perron_pair"):
+            original = getattr(floquet, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(floquet, name, counted)
+        rho_profile(insect_linearization, np.linspace(0.0, 1.0, 5), second=True)
+        assert sorted(calls) == ["monodromy"] * 5 + ["perron_pair"] * 5
 
     def test_continuity_no_jumps(self, insect_linearization):
         thetas = np.linspace(0.0, 1.0, 201)
