@@ -25,8 +25,8 @@ import numpy as np
 from . import conditions, floquet, simulate, splitting
 from .errors import InvalidInputError, ScenarioError
 from .linalg import spectral_radius
-from .scenario import Scenario, load_scenario
-from .verify_suite import linearization_from_scenario, run_verification, system_from_scenario
+from .scenario import Scenario, linearization_from_scenario, load_scenario, system_from_scenario
+from .verify_suite import run_verification
 
 COMMANDS = ("floquet", "threshold", "check", "simulate", "poincare", "split", "verify")
 SIMULATE_PERIODS = 10
@@ -164,16 +164,12 @@ def _cmd_check(scenario, args, out: Path):
         conditions.check_decrease_bilinear(lin, grid, p=zeros, q=zeros, perron_tol=tol),
     ]
     if lin.dimension == 2:
-        certs.append(conditions.left_order_certificate(lin, grid, perron_tol=tol))
+        certs.append(conditions.left_order_certificate(lin, grid))
     if scenario.mode == "insect":
         u, f = scenario.pi_unfavorable, scenario.pi_favorable
         certs.append(conditions.check_hyp_parameters(u, f))
         certs.append(conditions.check_hyp_alternative(u, f))
-        certs.append(
-            conditions.insect_threshold_certificate(
-                u, f, scenario.period_T, grid, perron_tol=tol
-            )
-        )
+        certs.append(conditions.insect_threshold_certificate(u, f, scenario.period_T, grid))
     _write_json(out / "certificates.json", certs)
     for cert in certs:
         print(f"check: {cert.condition}: {'holds' if cert.holds else 'fails'} "

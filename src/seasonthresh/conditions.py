@@ -19,6 +19,8 @@ from .linalg import as_square_matrix
 
 STRICTNESS = 1e-9
 _DEFAULT_GRID = 101
+_SHARED_ANGLE_TOL = 1e-8  # largest Perron-vector angle that counts as shared
+_EQ_TOL = 1e-8  # residual allowed in the bilinear identity p V* = -q V
 
 
 @dataclass(frozen=True)
@@ -45,13 +47,12 @@ def _theta_grid(theta_grid):
 
 def check_shared_eigenvector(
     lin: TwoSeasonLinearization,
-    tol: float = 1e-8,
     perron_tol: float = 1e-12,
 ) -> ConditionCertificate:
     """Do the two season linearizations share a principal eigenvector?
 
     Agreement of either the right or the left Perron vectors (angle within
-    tol) certifies the condition, so `holds` is true when the best of the
+    _SHARED_ANGLE_TOL) certifies the condition, so `holds` is true when the best of the
     two margins is positive.
     """
     _, v1, v1s = metzler_perron(lin.m1, tol=perron_tol)
@@ -65,12 +66,13 @@ def check_shared_eigenvector(
 
     angle_right = angle(v1, v2)
     angle_left = angle(v1s, v2s)
-    margins = np.array([tol - angle_right, tol - angle_left])
+    margins = np.array([_SHARED_ANGLE_TOL - angle_right, _SHARED_ANGLE_TOL - angle_left])
     return ConditionCertificate(
         condition="shared_eigenvector",
         holds=bool(margins.max() > 0.0),
         margins=margins,
-        details={"angle_right": angle_right, "angle_left": angle_left, "tol": tol},
+        details={"angle_right": angle_right, "angle_left": angle_left,
+                 "tol": _SHARED_ANGLE_TOL},
     )
 
 
@@ -78,7 +80,6 @@ def check_decrease_left(
     lin: TwoSeasonLinearization,
     theta_grid=None,
     p=None,
-    strictness: float = STRICTNESS,
     perron_tol: float = 1e-12,
 ) -> ConditionCertificate:
     """Certify rho' < 0 through the left Perron vectors of the monodromy.
@@ -86,80 +87,67 @@ def check_decrease_left(
     Without p: checks S^T V*(theta) < 0 componentwise on the grid (the sharp
     form). With p: checks p S < 0 entrywise and (p^{-1})^T V*(theta) > 0.
     """
-    grid = _theta_grid(theta_grid)
-    pairs = rho_profile(lin, grid, tol=perron_tol).perron_pairs
-    s = lin.s
-    details = {}
-    if p is None:
-        margins = np.array([-float(np.max(s.T @ pair.v_star)) for pair in pairs])
-        details["certified_by"] = _sufficient_candidate_left(s, pairs, strictness)
-    else:
-        p = as_square_matrix(p)
-        try:
-            p_inv_t = np.linalg.inv(p).T
-        except np.linalg.LinAlgError as exc:
-            raise InvalidInputError("p must be invertible") from exc
-        static = -float(np.max(p @ s))
-        margins = np.array(
-            [min(static, float(np.min(p_inv_t @ pair.v_star))) for pair in pairs]
-        )
-        details["static_margin"] = static
-    return ConditionCertificate(
-        condition="decrease_left",
-        holds=bool(np.all(margins > strictness)),
-        margins=margins,
-        theta_grid=grid,
-        details=details,
-    )
-
-
-def _sufficient_candidate_left(s, pairs, strictness) -> str | None:
-    if float(np.max(s)) < -strictness:
-        return "identity"
-    if s.shape[0] == 2:
-        p = np.array([[1.0, 1.0], [0.0, 1.0]])
-        if float(np.max(p @ s)) < -strictness and all(
-            pair.v_star[1] - pair.v_star[0] > strictness for pair in pairs
-        ):
-            return "triangular"
-    if all(float(np.max(s.T @ pair.v_star)) < -strictness for pair in pairs):
-        return "eigenvector_form"
-    return None
+    return _check_decrease(lin, theta_grid, p, perron_tol, "left")
 
 
 def check_decrease_right(
     lin: TwoSeasonLinearization,
     theta_grid=None,
     p=None,
-    strictness: float = STRICTNESS,
     perron_tol: float = 1e-12,
 ) -> ConditionCertificate:
     """Mirror of check_decrease_left using the right Perron vectors:
     S V(theta) < 0 without p, or S p < 0 and p^{-1} V(theta) > 0 with p."""
+    return _check_decrease(lin, theta_grid, p, perron_tol, "right")
+
+
+def _check_decrease(lin, theta_grid, p, perron_tol, side) -> ConditionCertificate:
+    """The right form on (S, V); the left form is the same on (S^T, V*)."""
     grid = _theta_grid(theta_grid)
     pairs = rho_profile(lin, grid, tol=perron_tol).perron_pairs
-    s = lin.s
+    left = side == "left"
+    s = lin.s.T if left else lin.s
+    vectors = [pair.v_star if left else pair.v for pair in pairs]
     details = {}
     if p is None:
-        margins = np.array([-float(np.max(s @ pair.v)) for pair in pairs])
+        margins = np.array([-float(np.max(s @ v)) for v in vectors])
+        if left:
+            details["certified_by"] = _sufficient_candidate_left(lin.s, pairs)
     else:
         p = as_square_matrix(p)
         try:
             p_inv = np.linalg.inv(p)
         except np.linalg.LinAlgError as exc:
             raise InvalidInputError("p must be invertible") from exc
-        static = -float(np.max(s @ p))
-        margins = np.array(
-            [min(static, float(np.min(p_inv @ pair.v))) for pair in pairs]
-        )
+        if left:
+            # S^T p^T = (p S)^T: same entries, formed as p S
+            static = -float(np.max(p @ lin.s))
+            p_inv = p_inv.T
+        else:
+            static = -float(np.max(s @ p))
+        margins = np.array([min(static, float(np.min(p_inv @ v))) for v in vectors])
         details["static_margin"] = static
     return ConditionCertificate(
-        condition="decrease_right",
-        holds=bool(np.all(margins > strictness)),
+        condition=f"decrease_{side}",
+        holds=bool(np.all(margins > STRICTNESS)),
         margins=margins,
         theta_grid=grid,
         details=details,
     )
+
+
+def _sufficient_candidate_left(s, pairs) -> str | None:
+    if float(np.max(s)) < -STRICTNESS:
+        return "identity"
+    if s.shape[0] == 2:
+        p = np.array([[1.0, 1.0], [0.0, 1.0]])
+        if float(np.max(p @ s)) < -STRICTNESS and all(
+            pair.v_star[1] - pair.v_star[0] > STRICTNESS for pair in pairs
+        ):
+            return "triangular"
+    if all(float(np.max(s.T @ pair.v_star)) < -STRICTNESS for pair in pairs):
+        return "eigenvector_form"
+    return None
 
 
 def check_decrease_bilinear(
@@ -167,8 +155,6 @@ def check_decrease_bilinear(
     theta_grid=None,
     p=None,
     q=None,
-    eq_tol: float = 1e-8,
-    strictness: float = STRICTNESS,
     perron_tol: float = 1e-12,
 ) -> ConditionCertificate:
     """Certify rho' <= 0 from S < p^T q entrywise plus p V* = -q V on the grid.
@@ -187,8 +173,8 @@ def check_decrease_bilinear(
     eq_errors = np.array(
         [float(np.linalg.norm(p @ pair.v_star + q @ pair.v)) for pair in pairs]
     )
-    margins = np.minimum(entry_margin, eq_tol - eq_errors)
-    holds = entry_margin > strictness and bool(np.all(eq_errors <= eq_tol))
+    margins = np.minimum(entry_margin, _EQ_TOL - eq_errors)
+    holds = entry_margin > STRICTNESS and bool(np.all(eq_errors <= _EQ_TOL))
     return ConditionCertificate(
         condition="decrease_bilinear",
         holds=holds,
@@ -199,7 +185,7 @@ def check_decrease_bilinear(
 
 
 def check_hyp_parameters(
-    pi_unfavorable: InsectParams, pi_favorable: InsectParams, strictness: float = STRICTNESS
+    pi_unfavorable: InsectParams, pi_favorable: InsectParams
 ) -> ConditionCertificate:
     """Seasonal contrast hypothesis: the favorable season must beat the
     unfavorable one entrywise in the season-difference matrix."""
@@ -214,13 +200,13 @@ def check_hyp_parameters(
     )
     return ConditionCertificate(
         condition="hyp_parameters",
-        holds=bool(np.all(margins > strictness)),
+        holds=bool(np.all(margins > STRICTNESS)),
         margins=margins,
     )
 
 
 def check_hyp_alternative(
-    pi_unfavorable: InsectParams, pi_favorable: InsectParams, strictness: float = STRICTNESS
+    pi_unfavorable: InsectParams, pi_favorable: InsectParams
 ) -> ConditionCertificate:
     """Stronger contrast hypothesis under which the identity transform already
     certifies the decrease of rho (hatching gain must beat the juvenile
@@ -236,7 +222,7 @@ def check_hyp_alternative(
     )
     return ConditionCertificate(
         condition="hyp_alternative",
-        holds=bool(np.all(margins > strictness)),
+        holds=bool(np.all(margins > STRICTNESS)),
         margins=margins,
     )
 
@@ -282,7 +268,6 @@ def left_eigenvector_order(s) -> LeftOrderResult:
 def left_order_certificate(
     lin: TwoSeasonLinearization,
     theta_grid=None,
-    perron_tol: float = 1e-12,
 ) -> ConditionCertificate:
     """Left-vector ordering of the 2x2 cycle matrix across the grid.
 
@@ -401,8 +386,6 @@ def insect_threshold_certificate(
     pi_favorable: InsectParams,
     period_T: float = 1.0,
     theta_grid=None,
-    strictness: float = STRICTNESS,
-    perron_tol: float = 1e-12,
 ) -> ConditionCertificate:
     """End-to-end certificate that the seasonal insect model has an interior
     extinction threshold.
@@ -420,19 +403,19 @@ def insect_threshold_certificate(
     grid = _theta_grid(theta_grid)
     stages: list[StageResult] = []
 
-    hyp = check_hyp_parameters(u, f, strictness=strictness)
+    hyp = check_hyp_parameters(u, f)
     stages.append(StageResult("season_contrast", hyp.holds, hyp.margins))
 
     r0_u = r0(u)
     r0_f = r0(f)
     margins_r0 = np.array([1.0 - r0_u, r0_f - 1.0])
     stages.append(
-        StageResult("offspring_numbers", bool(np.all(margins_r0 > strictness)), margins_r0)
+        StageResult("offspring_numbers", bool(np.all(margins_r0 > STRICTNESS)), margins_r0)
     )
 
     growth_margin = np.array([u.b + u.dJ - u.dA])
     stages.append(
-        StageResult("unfavorable_growth", bool(growth_margin[0] > strictness), growth_margin)
+        StageResult("unfavorable_growth", bool(growth_margin[0] > STRICTNESS), growth_margin)
     )
 
     details: dict = {"r0_unfavorable": r0_u, "r0_favorable": r0_f}
@@ -457,7 +440,7 @@ def insect_threshold_certificate(
     )
     stages.append(
         StageResult(
-            "slope_inequalities", bool(np.all(slope_margins > strictness)), slope_margins
+            "slope_inequalities", bool(np.all(slope_margins > STRICTNESS)), slope_margins
         )
     )
 
@@ -473,7 +456,7 @@ def insect_threshold_certificate(
     stages.append(
         StageResult(
             "form_partials_negative",
-            bool(np.all(partial_margins > strictness)),
+            bool(np.all(partial_margins > STRICTNESS)),
             partial_margins,
         )
     )
@@ -492,7 +475,7 @@ def insect_threshold_certificate(
     stages.append(
         StageResult(
             "form_negative_on_grid",
-            bool(np.all(-form_values > strictness)),
+            bool(np.all(-form_values > STRICTNESS)),
             -form_values,
         )
     )

@@ -41,6 +41,7 @@ from .seasonal import SeasonalSystem
 DEFAULT_PERRON_TOL = 1e-12
 DEFAULT_BISECT_TOL = 1e-10
 DEFAULT_MAX_BISECT = 200
+_ORTHO_TOL = 1e-9  # relative size of <b, v_star> that counts as orthogonal
 DEFAULT_GRID_POINTS = 101
 
 
@@ -150,7 +151,6 @@ def constrained_resolvent(
     v_star,
     b,
     side: str = "right",
-    ortho_tol: float = 1e-9,
 ) -> np.ndarray:
     """Solve (M - rho I) x = b on the complement of the Perron direction.
 
@@ -168,12 +168,12 @@ def constrained_resolvent(
     b = as_vector(b, n)
     scale = max(1.0, float(np.linalg.norm(b)))
     if side == "right":
-        if abs(float(b @ v_star)) > ortho_tol * scale:
+        if abs(float(b @ v_star)) > _ORTHO_TOL * scale:
             raise InvalidInputError("right-side b is not orthogonal to v_star")
         core = m - rho_value * np.eye(n)
         column = v_star
     elif side == "adjoint":
-        if abs(float(b @ v)) > ortho_tol * scale:
+        if abs(float(b @ v)) > _ORTHO_TOL * scale:
             raise InvalidInputError("adjoint-side b is not orthogonal to v")
         core = m.T - rho_value * np.eye(n)
         column = v
@@ -274,7 +274,6 @@ def find_threshold(
     grid_points: int = DEFAULT_GRID_POINTS,
     override_monotonic: bool = False,
     perron_tol: float = DEFAULT_PERRON_TOL,
-    max_bisect: int = DEFAULT_MAX_BISECT,
 ) -> ThresholdReport:
     """Solve rho(theta) = 1 by bisection after certifying monotonicity.
 
@@ -325,7 +324,7 @@ def find_threshold(
     flo = float(values[idx]) - 1.0
     theta_star = lo
     f_star = flo
-    for _ in range(max_bisect):
+    for _ in range(DEFAULT_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         fmid = rho_at(mid) - 1.0
         theta_star, f_star = mid, fmid

@@ -39,9 +39,6 @@ class InsectParams:
             if not (np.isfinite(value) and value >= 0.0):
                 raise InvalidInputError(f"parameter {name} must be >= 0, got {value}")
 
-    def as_tuple(self) -> tuple:
-        return (self.b, self.h, self.dJ, self.cJ, self.dA)
-
 
 def vector_field(pi: InsectParams, x) -> np.ndarray:
     j, a = float(x[0]), float(x[1])
@@ -153,11 +150,6 @@ class InvariantBox:
                 f"box level {level} below the invariant minimum {self.min_level}"
             )
         return np.array([level, self.tau_star * level])
-
-    def contains(self, x, level: float, slack: float = 0.0) -> bool:
-        corner = self.upper_corner(level)
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= -slack) and np.all(x <= corner + slack))
 
 
 def invariant_box(params_over_time) -> InvariantBox:

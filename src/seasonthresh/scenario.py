@@ -18,6 +18,10 @@ Exactly one of "insect" / "matrices" must be populated and must agree with
 "mode". Defaults: period 1, a 101-point uniform theta grid, and the module
 tolerances. "perron_tol" bounds the two-sided residual of every Perron
 eigen-solve, measured on the monodromy divided by its largest entry.
+
+`linearization_from_scenario` and `system_from_scenario` build the models a
+scenario describes: the two-season linearization at zero and the seasonal
+system at a given theta.
 """
 
 import json
@@ -27,7 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioError
-from .insect import InsectParams
+from .floquet import TwoSeasonLinearization
+from .insect import InsectParams, as_seasonal_system, jacobian
+from .seasonal import AutonomousPiece, SeasonalSchedule, SeasonalSystem
 
 _PARAM_KEYS = ("b", "h", "dJ", "cJ", "dA")
 _TOP_KEYS = {"mode", "period_T", "insect", "matrices", "theta", "theta_grid", "tolerances", "split"}
@@ -235,3 +241,26 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "mode": scenario.split.mode,
     }
     return out
+
+
+def linearization_from_scenario(scenario: Scenario) -> TwoSeasonLinearization:
+    if scenario.mode == "insect":
+        return TwoSeasonLinearization(
+            jacobian(scenario.pi_unfavorable, np.zeros(2)),
+            jacobian(scenario.pi_favorable, np.zeros(2)),
+            scenario.period_T,
+        )
+    m1, m2 = scenario.matrix_pair()
+    return TwoSeasonLinearization(m1, m2, scenario.period_T)
+
+
+def system_from_scenario(scenario: Scenario, theta: float) -> SeasonalSystem:
+    if scenario.mode == "insect":
+        return as_seasonal_system(
+            scenario.pi_unfavorable, scenario.pi_favorable, theta, scenario.period_T
+        )
+    m1, m2 = scenario.matrix_pair()
+    return SeasonalSystem(
+        schedule=SeasonalSchedule(scenario.period_T, (0.0, theta, 1.0)),
+        pieces=(AutonomousPiece.linear(m1), AutonomousPiece.linear(m2)),
+    )

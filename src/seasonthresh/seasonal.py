@@ -15,6 +15,10 @@ from .errors import InvalidInputError
 from .linalg import as_square_matrix, is_irreducible
 
 _ZERO_FIELD_TOL = 1e-12
+_SAMPLE_COUNT = 50
+_SAMPLE_SEED = 2718
+_STRUCTURE_TOL = 1e-9  # violation allowed before a sampled hypothesis fails
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -151,10 +155,10 @@ class ValidationReport:
         )
 
 
-def default_sample_states(dimension: int, count: int = 50, seed: int = 2718):
+def default_sample_states(dimension: int):
     """Random nonnegative states in [0, 10]^N plus axis boundary points."""
-    rng = np.random.default_rng(seed)
-    states = [rng.uniform(0.0, 10.0, dimension) for _ in range(count)]
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    states = [rng.uniform(0.0, 10.0, dimension) for _ in range(_SAMPLE_COUNT)]
     for i in range(dimension):
         for r in (0.5, 2.0):
             e = np.zeros(dimension)
@@ -167,7 +171,6 @@ def default_sample_states(dimension: int, count: int = 50, seed: int = 2718):
 def validate_structure(
     system: SeasonalSystem,
     sample_states: Sequence[np.ndarray] | None = None,
-    tol: float = 1e-9,
 ) -> ValidationReport:
     """Check Metzler / positivity / concavity / irreducibility on samples."""
     n = system.dimension
@@ -213,9 +216,9 @@ def validate_structure(
         "ordered_pairs": len(pairs),
     }
     return ValidationReport(
-        metzler_at_samples=metzler_margin >= -tol,
-        positive=positive_margin >= -tol,
-        concave_at_samples=concave_margin >= -tol,
+        metzler_at_samples=metzler_margin >= -_STRUCTURE_TOL,
+        positive=positive_margin >= -_STRUCTURE_TOL,
+        concave_at_samples=concave_margin >= -_STRUCTURE_TOL,
         irreducible_at_zero=irreducible,
         margins=margins,
     )
@@ -231,9 +234,7 @@ def ordered_pairs(samples) -> list:
     return pairs
 
 
-def jacobian_consistency(
-    piece: AutonomousPiece, states, h: float = 1e-6
-) -> float:
+def jacobian_consistency(piece: AutonomousPiece, states) -> float:
     """Worst entrywise gap between the Jacobian and a central finite difference."""
     worst = 0.0
     for s in states:
@@ -244,10 +245,10 @@ def jacobian_consistency(
         for k in range(n):
             dp = s.copy()
             dm = s.copy()
-            dp[k] += h
-            dm[k] -= h
+            dp[k] += _FD_STEP
+            dm[k] -= _FD_STEP
             fd[:, k] = (
                 np.asarray(piece.vector_field(dp)) - np.asarray(piece.vector_field(dm))
-            ) / (2.0 * h)
+            ) / (2.0 * _FD_STEP)
         worst = max(worst, float(np.max(np.abs(j - fd))))
     return worst

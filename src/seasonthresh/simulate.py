@@ -8,6 +8,7 @@ resolved once, at the chunk midpoint.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -19,12 +20,40 @@ DEFAULT_STEPS_PER_PERIOD = 2000
 DEFAULT_EXTINCTION_THRESHOLD = 1e-9
 DEFAULT_DIVERGENCE_BOUND = 1e9
 _EXTINCT_PERIODS = 3
+_MAX_PERIODS = 2000  # Picard budget of find_periodic_orbit
+# invasion probe: start amplitude, period budget, periods before the growth
+# rate may count as settled, and the relative change that counts as settled
+_PROBE_SCALE = 1e-8
+_PROBE_PERIODS = 400
+_PROBE_SETTLE = 6
+_PROBE_REL_TOL = 0.02
+_FLOW_SAMPLE_SEED = 99
+_FLOW_STRICTNESS = 1e-9
 
 
 @dataclass
-class _FlowDiagnostics:
+class _Clamp:
+    """Clamp diagnostics of the state flow. `settle` is the rule _rk4 runs
+    after each step: snap negative components to zero and count them, stop at
+    the divergence bound, and hand the sample to record."""
+
+    bound: float
+    record: Callable | None = None
     clamp_count: int = 0
     min_component: float = np.inf
+
+    def settle(self, t: float, x: np.ndarray) -> np.ndarray:
+        low = float(x.min())
+        if low < self.min_component:
+            self.min_component = low
+        if low < 0.0:
+            self.clamp_count += int(np.count_nonzero(x < 0.0))
+            x = np.maximum(x, 0.0)
+        if float(np.linalg.norm(x)) > self.bound:
+            raise DivergenceError("trajectory norm exceeded divergence bound", time=t, state=x)
+        if self.record is not None:
+            self.record(t, x)
+        return x
 
 
 @dataclass(frozen=True)
@@ -64,44 +93,29 @@ def _chunks(system: SeasonalSystem, t0: float, t1: float):
             yield a, b, system.pieces[season_index(system.schedule, 0.5 * (a + b)) - 1]
 
 
-def _rk4_chunk(f, x, a, b, step, bound, diag, record=None):
-    nsteps = max(1, int(np.ceil((b - a) / step - 1e-12)))
-    h = (b - a) / nsteps
-    for i in range(nsteps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # land exactly on the chunk endpoint (season boundaries are knots)
-        t = b if i == nsteps - 1 else a + (i + 1) * h
-        low = float(x.min())
-        if low < diag.min_component:
-            diag.min_component = low
-        if low < 0.0:
-            diag.clamp_count += int(np.count_nonzero(x < 0.0))
-            x = np.maximum(x, 0.0)
-        if float(np.linalg.norm(x)) > bound:
-            raise DivergenceError("trajectory norm exceeded divergence bound", time=t, state=x)
-        if record is not None:
-            record(t, x)
-    return x
+def _rk4(system: SeasonalSystem, x, t0: float, t1: float, step: float, rhs, settle):
+    """Classical RK4 from t0 to t1 in equal steps that land on every season knot.
 
-
-def _flow(
-    system: SeasonalSystem,
-    x0,
-    t0: float,
-    t1: float,
-    step: float,
-    bound: float,
-    diag: _FlowDiagnostics,
-    record=None,
-) -> np.ndarray:
-    x = np.asarray(x0, dtype=float).copy()
+    rhs(piece) is the field used on that piece's chunks; settle(t, x) runs
+    after every step and returns the state the next step starts from.
+    """
     for a, b, piece in _chunks(system, t0, t1):
-        x = _rk4_chunk(piece.vector_field, x, a, b, step, bound, diag, record)
+        f = rhs(piece)
+        nsteps = max(1, int(np.ceil((b - a) / step - 1e-12)))
+        h = (b - a) / nsteps
+        for i in range(nsteps):
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # land exactly on the chunk endpoint (season boundaries are knots)
+            x = settle(b if i == nsteps - 1 else a + (i + 1) * h, x)
     return x
+
+
+def _state_field(piece):
+    return piece.vector_field
 
 
 def _default_step(system: SeasonalSystem, step) -> float:
@@ -140,10 +154,10 @@ def integrate(
         times.append(t)
         states.append(x.copy())
 
-    diag = _FlowDiagnostics(min_component=float(x0.min()))
+    clamp = _Clamp(divergence_bound, record, min_component=float(x0.min()))
     diverged = False
     try:
-        _flow(system, x0, t0, t1, step, divergence_bound, diag, record)
+        _rk4(system, x0, t0, t1, step, _state_field, clamp.settle)
     except DivergenceError:
         diverged = True
     times = np.asarray(times)
@@ -153,8 +167,8 @@ def integrate(
         times=times,
         states=states,
         season_tags=tags,
-        clamp_count=diag.clamp_count,
-        min_component=diag.min_component,
+        clamp_count=clamp.clamp_count,
+        min_component=clamp.min_component,
         diverged=diverged,
     )
 
@@ -170,8 +184,8 @@ def poincare_map(
     if np.any(x < 0.0):
         raise InvalidInputError("state must be nonnegative")
     step = _default_step(system, step)
-    diag = _FlowDiagnostics()
-    return _flow(system, x, 0.0, system.period_T, step, divergence_bound, diag)
+    settle = _Clamp(divergence_bound).settle
+    return _rk4(system, x, 0.0, system.period_T, step, _state_field, settle)
 
 
 def poincare_jacobian(
@@ -191,26 +205,23 @@ def poincare_jacobian(
         raise InvalidInputError(f"state shape {x.shape} does not match dimension")
     step = _default_step(system, step)
 
-    aug0 = np.concatenate([x, np.eye(n).ravel()])
-    aug = aug0
-    for a, b, piece in _chunks(system, 0.0, system.period_T):
+    def joint_field(piece):
         f, jac = piece.vector_field, piece.jacobian
 
-        def rhs(z, _f=f, _j=jac):
+        def rhs(z):
             base = z[:n]
             fund = z[n:].reshape(n, n)
-            return np.concatenate([_f(base), (_j(base) @ fund).ravel()])
+            return np.concatenate([f(base), (jac(base) @ fund).ravel()])
 
-        nsteps = max(1, int(np.ceil((b - a) / step - 1e-12)))
-        h = (b - a) / nsteps
-        for _ in range(nsteps):
-            k1 = rhs(aug)
-            k2 = rhs(aug + 0.5 * h * k1)
-            k3 = rhs(aug + 0.5 * h * k2)
-            k4 = rhs(aug + h * k3)
-            aug = aug + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if float(np.linalg.norm(aug[:n])) > divergence_bound:
-                raise DivergenceError("base trajectory diverged", state=aug[:n])
+        return rhs
+
+    def settle(t, z):
+        if float(np.linalg.norm(z[:n])) > divergence_bound:
+            raise DivergenceError("base trajectory diverged", time=t, state=z[:n])
+        return z
+
+    aug0 = np.concatenate([x, np.eye(n).ravel()])
+    aug = _rk4(system, aug0, 0.0, system.period_T, step, joint_field, settle)
     return aug[n:].reshape(n, n)
 
 
@@ -234,7 +245,6 @@ def find_periodic_orbit(
     system: SeasonalSystem,
     x0,
     tol: float = 1e-9,
-    max_periods: int = 2000,
     step: float | None = None,
     extinction_threshold: float = DEFAULT_EXTINCTION_THRESHOLD,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
@@ -254,7 +264,7 @@ def find_periodic_orbit(
     below = 0
     iterations = 0
     try:
-        while iterations < max_periods:
+        while iterations < _MAX_PERIODS:
             nxt = poincare_map(system, x, step=step, divergence_bound=divergence_bound)
             iterations += 1
             diff = float(np.linalg.norm(nxt - x))
@@ -277,38 +287,31 @@ def find_periodic_orbit(
     return PoincareResult(x, residual, iterations, "undecided", lam)
 
 
-def linear_growth_persistent(
-    system: SeasonalSystem,
-    step: float | None = None,
-    scale: float = 1e-8,
-    max_periods: int = 400,
-    settle: int = 6,
-    rel_tol: float = 0.02,
-) -> bool:
+def linear_growth_persistent(system: SeasonalSystem, step: float | None = None) -> bool:
     """Invasion probe: does a tiny population grow over the periods?
 
-    Simulates the full nonlinear system from scale * (1, ..., 1) and watches
+    Simulates the full nonlinear system from 1e-8 * (1, ..., 1) and watches
     the per-period log growth; at this amplitude the dynamics are effectively
     the linearization at zero, so the stabilized sign measures the dominant
     multiplier against 1.
     """
     step = _default_step(system, step)
-    x = np.full(system.dimension, scale)
+    x = np.full(system.dimension, _PROBE_SCALE)
     prev_norm = float(np.linalg.norm(x))
     prev_delta = None
     delta = 0.0
-    for i in range(max_periods):
+    for i in range(_PROBE_PERIODS):
         x = poincare_map(system, x, step=step)
         cur = float(np.linalg.norm(x))
-        if cur > scale * 1e6:
+        if cur > _PROBE_SCALE * 1e6:
             return True
-        if cur <= scale * 1e-6:
+        if cur <= _PROBE_SCALE * 1e-6:
             return False
         delta = float(np.log(cur / prev_norm))
         if (
             prev_delta is not None
-            and i >= settle
-            and abs(delta - prev_delta) <= rel_tol * max(abs(delta), 1e-10)
+            and i >= _PROBE_SETTLE
+            and abs(delta - prev_delta) <= _PROBE_REL_TOL * max(abs(delta), 1e-10)
         ):
             return delta > 0.0
         prev_delta = delta
@@ -321,8 +324,6 @@ def empirical_threshold(
     grid,
     tol: float = 0.005,
     step: float | None = None,
-    probe_scale: float = 1e-8,
-    probe_periods: int = 400,
 ) -> float:
     """Simulated extinction/persistence boundary over a family theta -> system.
 
@@ -336,9 +337,7 @@ def empirical_threshold(
         raise InvalidInputError("grid must contain at least 3 points")
 
     def probe(theta: float) -> bool:
-        return linear_growth_persistent(
-            family(theta), step=step, scale=probe_scale, max_periods=probe_periods
-        )
+        return linear_growth_persistent(family(theta), step=step)
 
     labels = [probe(th) for th in grid]
     for earlier, later in zip(labels, labels[1:]):
@@ -395,8 +394,8 @@ class FlowPropertyReport:
         )
 
 
-def default_flow_samples(dimension: int, seed: int = 99):
-    rng = np.random.default_rng(seed)
+def default_flow_samples(dimension: int):
+    rng = np.random.default_rng(_FLOW_SAMPLE_SEED)
     states = [np.zeros(dimension)]
     for i in range(dimension):
         e = np.zeros(dimension)
@@ -412,17 +411,12 @@ def default_flow_samples(dimension: int, seed: int = 99):
 
 
 def verify_flow_properties(
-    system: SeasonalSystem,
-    sample_states=None,
-    ordered_pairs=None,
-    step: float | None = None,
-    strictness: float = 1e-9,
+    system: SeasonalSystem, step: float | None = None
 ) -> FlowPropertyReport:
+    """Check the flow properties on the states and ordered pairs of
+    default_flow_samples."""
     step = _default_step(system, step)
-    if sample_states is None or ordered_pairs is None:
-        default_states, default_pairs = default_flow_samples(system.dimension)
-        sample_states = default_states if sample_states is None else sample_states
-        ordered_pairs = default_pairs if ordered_pairs is None else ordered_pairs
+    sample_states, ordered_pairs = default_flow_samples(system.dimension)
 
     positivity_margin = np.inf
     for s in sample_states:
@@ -454,13 +448,13 @@ def verify_flow_properties(
     return FlowPropertyReport(
         positivity=positivity_margin >= -1e-9,
         positivity_margin=positivity_margin,
-        order=order_margin > strictness,
+        order=order_margin > _FLOW_STRICTNESS,
         order_margin=order_margin,
-        derivative_positive=dp0_margin > strictness and nonneg_margin >= -1e-12,
+        derivative_positive=dp0_margin > _FLOW_STRICTNESS and nonneg_margin >= -1e-12,
         derivative_positive_margin=min(dp0_margin, nonneg_margin),
-        derivative_monotone=mono_entry >= -strictness and mono_strict > strictness,
+        derivative_monotone=mono_entry >= -_FLOW_STRICTNESS and mono_strict > _FLOW_STRICTNESS,
         derivative_monotone_margin=mono_strict,
-        derivative_boundary=abs(mono_strict) <= strictness,
+        derivative_boundary=abs(mono_strict) <= _FLOW_STRICTNESS,
         details={
             "dp0_min_entry": dp0_margin,
             "dp_nonneg_min_entry": nonneg_margin,

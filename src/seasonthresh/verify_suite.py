@@ -12,8 +12,7 @@ import numpy as np
 
 from . import conditions, floquet, insect, simulate, splitting
 from .linalg import is_irreducible, spectral_abscissa, spectral_radius
-from .scenario import Scenario
-from .seasonal import AutonomousPiece, SeasonalSchedule, SeasonalSystem
+from .scenario import Scenario, linearization_from_scenario, system_from_scenario
 
 
 @dataclass(frozen=True)
@@ -35,29 +34,6 @@ def random_metzler(rng, n: int, scale: float = 3.0) -> np.ndarray:
         a[off] = np.maximum(a[off], 0.0)
         if is_irreducible(a):
             return a
-
-
-def linearization_from_scenario(scenario: Scenario) -> floquet.TwoSeasonLinearization:
-    if scenario.mode == "insect":
-        return floquet.TwoSeasonLinearization(
-            insect.jacobian(scenario.pi_unfavorable, np.zeros(2)),
-            insect.jacobian(scenario.pi_favorable, np.zeros(2)),
-            scenario.period_T,
-        )
-    m1, m2 = scenario.matrix_pair()
-    return floquet.TwoSeasonLinearization(m1, m2, scenario.period_T)
-
-
-def system_from_scenario(scenario: Scenario, theta: float) -> SeasonalSystem:
-    if scenario.mode == "insect":
-        return insect.as_seasonal_system(
-            scenario.pi_unfavorable, scenario.pi_favorable, theta, scenario.period_T
-        )
-    m1, m2 = scenario.matrix_pair()
-    return SeasonalSystem(
-        schedule=SeasonalSchedule(scenario.period_T, (0.0, theta, 1.0)),
-        pieces=(AutonomousPiece.linear(m1), AutonomousPiece.linear(m2)),
-    )
 
 
 def run_verification(scenario: Scenario, seed: int = 0) -> list[VerifyRow]:

@@ -2,18 +2,7 @@ import numpy as np
 import pytest
 
 from seasonthresh import InsectParams, TwoSeasonLinearization, jacobian
-from seasonthresh.linalg import is_irreducible
-
-
-def random_metzler(rng, n, scale=3.0):
-    """Random irreducible Metzler matrix: entries in [-scale, scale],
-    off-diagonal clamped at zero, resampled until irreducible."""
-    while True:
-        a = rng.uniform(-scale, scale, (n, n))
-        off = ~np.eye(n, dtype=bool)
-        a[off] = np.maximum(a[off], 0.0)
-        if is_irreducible(a):
-            return a
+from seasonthresh.verify_suite import random_metzler
 
 
 def random_metzler_pair(rng, n, period=1.0, scale=3.0):

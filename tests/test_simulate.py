@@ -17,7 +17,7 @@ from seasonthresh import (
     rho,
     verify_flow_properties,
 )
-from seasonthresh.errors import InconsistencyError, InvalidInputError
+from seasonthresh.errors import DivergenceError, InconsistencyError, InvalidInputError
 from seasonthresh.linalg import spectral_radius
 
 
@@ -133,6 +133,13 @@ class TestPoincareJacobian:
             gap = poincare_jacobian(insect_system, x) - poincare_jacobian(insect_system, y)
             assert gap.min() >= -1e-12
             assert gap.max() > 1e-9
+
+    def test_divergence_reports_time_and_base_state(self):
+        system = linear_system(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(DivergenceError) as info:
+            poincare_jacobian(system, np.array([50.0, 50.0]), step=0.01, divergence_bound=1e2)
+        assert 0.0 < info.value.time <= 1.0
+        assert info.value.state.shape == (2,)
 
 
 class TestFindPeriodicOrbit:
