@@ -74,6 +74,14 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
+def spectral_radii(stack) -> np.ndarray:
+    """Largest eigenvalue modulus of each matrix in a (G, n, n) stack, from one
+    eigen-solve; entry g has the bits of spectral_radius(stack[g])."""
+    if not np.all(np.isfinite(stack)):
+        raise InvalidInputError("matrix has non-finite entries")
+    return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+
+
 def spectral_abscissa(a) -> float:
     """Largest eigenvalue real part."""
     m = as_square_matrix(a)
@@ -143,16 +151,19 @@ def _dominant_vector(values, vectors) -> np.ndarray:
     return x / (np.linalg.norm(x) * np.sign(x.sum()))
 
 
-def exp_product(blocks) -> np.ndarray:
+def exp_product(blocks, exp=None) -> np.ndarray:
     """Ordered product of exp(duration * matrix) over (matrix, duration) blocks.
 
     The first block is the rightmost factor; zero-duration blocks are skipped.
+    ``exp(matrix, duration)``, when given, supplies each factor in place of
+    ``mat_exp(duration * matrix)``, for instance from a table of them.
     """
     blocks = list(blocks)
     result = np.eye(np.shape(blocks[0][0])[0])
     for matrix, duration in blocks:
         if duration != 0.0:
-            result = mat_exp(duration * matrix) @ result
+            factor = mat_exp(duration * matrix) if exp is None else exp(matrix, duration)
+            result = factor @ result
     return result
 
 

@@ -8,11 +8,19 @@ m = T * (linearization at zero).
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_square_matrix, exp_product, spectral_abscissa, spectral_radius
+from .linalg import (
+    as_square_matrix,
+    exp_product,
+    mat_exp,
+    spectral_abscissa,
+    spectral_radii,
+    spectral_radius,
+)
 
 _MEMBERSHIP_TOL = 1e-12
 _GRID_CELL_CAP = 5_000_000
@@ -57,10 +65,16 @@ def random_schedule(theta: float, k: int, rng) -> SplitSchedule:
     """Uniform-ish random member of the split-schedule set for given theta."""
     sigma = _random_simplex(theta, k, rng)
     sigma_prime = _random_simplex(1.0 - theta, k, rng)
-    # renormalize the tiny float drift so the membership invariant is exact
+    return SplitSchedule(sigma=sigma, sigma_prime=_absorb_drift(sigma, sigma_prime))
+
+
+def _absorb_drift(sigma, sigma_prime) -> tuple:
+    """sigma_prime with the float drift of the total from 1 added to its last
+    fraction, clamped at 0: a zero last fraction and a negative drift would
+    otherwise leave the unit interval, and the clamp stays inside
+    _MEMBERSHIP_TOL of a total of 1."""
     drift = 1.0 - (sum(sigma) + sum(sigma_prime))
-    sigma_prime = sigma_prime[:-1] + (sigma_prime[-1] + drift,)
-    return SplitSchedule(sigma=sigma, sigma_prime=sigma_prime)
+    return sigma_prime[:-1] + (max(0.0, sigma_prime[-1] + drift),)
 
 
 def _random_simplex(total: float, k: int, rng) -> tuple:
@@ -73,15 +87,41 @@ def _random_simplex(total: float, k: int, rng) -> tuple:
 
 def split_monodromy(m1, m2, schedule: SplitSchedule) -> np.ndarray:
     """Ordered 2K-factor product of block exponentials, first block rightmost."""
+    a, b = _season_pair(m1, m2)
+    return _schedule_product(a, b, schedule.sigma, schedule.sigma_prime)
+
+
+def _season_pair(m1, m2):
     a = as_square_matrix(m1)
     b = as_square_matrix(m2)
     if a.shape != b.shape:
         raise InvalidInputError("m1 and m2 must share a shape")
-    return exp_product(
-        block
-        for frac_u, frac_f in zip(schedule.sigma, schedule.sigma_prime)
-        for block in ((a, frac_u), (b, frac_f))
+    return a, b
+
+
+def _schedule_product(a, b, sigma, sigma_prime, exp=None) -> np.ndarray:
+    blocks = (
+        block for frac_u, frac_f in zip(sigma, sigma_prime) for block in ((a, frac_u), (b, frac_f))
     )
+    return exp_product(blocks, exp)
+
+
+def _block_table():
+    """Per-block exponential for exp_product that computes each block once.
+
+    Keyed by (season, exact float duration), so a drift-corrected fraction
+    gets its own entry and every factor has the bits of a fresh mat_exp. One
+    table serves one optimize_split call, whose season matrices outlive it.
+    """
+    table = {}
+
+    def exp(season, duration):
+        key = (id(season), duration)
+        if key not in table:
+            table[key] = mat_exp(duration * season)
+        return table[key]
+
+    return exp
 
 
 def _compositions(total: int, parts: int):
@@ -113,6 +153,10 @@ def optimize_split(
     lower (max) or upper (min) estimate of the true optimum. method="descent"
     is a coordinate-descent heuristic with random restarts for larger K; it
     carries no optimality guarantee.
+
+    Both methods tabulate each distinct block exponential once per call, and
+    the grid scores each row (one unfavorable composition against every
+    favorable one) with one stacked eigen-solve.
     """
     if mode not in ("max", "min"):
         raise InvalidInputError(f"mode must be 'max' or 'min', got {mode!r}")
@@ -129,42 +173,44 @@ def optimize_split(
     raise InvalidInputError(f"unknown method {method!r}")
 
 
-def _schedule_from_weights(theta, wu, wf, resolution):
-    sigma = tuple(theta * c / resolution for c in wu)
-    sigma_prime = list((1.0 - theta) * c / resolution for c in wf)
-    drift = 1.0 - (sum(sigma) + sum(sigma_prime))
-    sigma_prime[-1] += drift
-    return SplitSchedule(sigma=sigma, sigma_prime=tuple(sigma_prime))
-
-
 def _optimize_grid(m1, m2, theta, k, mode, resolution):
-    from math import comb
-
     cells = comb(resolution + k - 1, k - 1) ** 2
     if cells > _GRID_CELL_CAP:
         raise InvalidInputError(
             f"simplex grid would have {cells} cells; lower the resolution or k"
         )
+    a, b = _season_pair(m1, m2)
+    exp = _block_table()
     sign = 1.0 if mode == "max" else -1.0
+    favorable = [
+        tuple((1.0 - theta) * c / resolution for c in wf) for wf in _compositions(resolution, k)
+    ]
     best = None
     best_value = -np.inf
-    u_grid = list(_compositions(resolution, k))
-    for wu in u_grid:
-        for wf in _compositions(resolution, k):
-            schedule = _schedule_from_weights(theta, wu, wf, resolution)
-            value = spectral_radius(split_monodromy(m1, m2, schedule))
-            if sign * value > best_value:
-                best_value = sign * value
-                best = schedule
-    return best, sign * best_value
+    for wu in _compositions(resolution, k):
+        sigma = tuple(theta * c / resolution for c in wu)
+        row = [_absorb_drift(sigma, sigma_prime) for sigma_prime in favorable]
+        values = sign * spectral_radii(
+            np.stack([_schedule_product(a, b, sigma, sigma_prime, exp) for sigma_prime in row])
+        )
+        # argmax takes the first maximum: the strict > of a cell-by-cell scan
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_value = float(values[i])
+            best = (sigma, row[i])
+    return SplitSchedule(*best), sign * best_value
 
 
 def _optimize_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
+    a, b = _season_pair(m1, m2)
+    exp = _block_table()
     sign = 1.0 if mode == "max" else -1.0
     rng = np.random.default_rng(seed)
 
     def score(schedule):
-        return sign * spectral_radius(split_monodromy(m1, m2, schedule))
+        return sign * spectral_radius(
+            _schedule_product(a, b, schedule.sigma, schedule.sigma_prime, exp)
+        )
 
     def polish(schedule):
         current = schedule

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ class TestCommands:
         assert payload["K"] == 2
         assert payload["rho"] > 0.0
         assert len(payload["sigma"]) == 2
+
+    def test_split_k3_at_a_drift_theta(self, tmp_path):
+        bundled = Path(__file__).resolve().parents[1] / "scenarios" / "insect_two_season.json"
+        payload = dict(json.loads(bundled.read_text()), split={"K": 3, "resolution": 6})
+        scenario_path = write_scenario(tmp_path, payload)
+        out = tmp_path / "out"
+        argv = ["split", "--scenario", str(scenario_path), "--out", str(out), "--theta", "0.2"]
+        assert main(argv) == 0
+        result = json.loads((out / "split.json").read_text())
+        assert all(0.0 <= f <= 1.0 for f in result["sigma"] + result["sigma_prime"])
 
     def test_row_errors_give_exit_code_one(self, tmp_path):
         # the exponential overflows at this period: rows record the failure

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from seasonthresh import linalg, splitting
 from seasonthresh import (
     TwoSeasonLinearization,
     find_threshold,
@@ -137,6 +139,124 @@ class TestOptimizeSplit:
     def test_grid_requires_small_k(self):
         with pytest.raises(InvalidInputError):
             optimize_split(SHARED_M1, SHARED_M2, 0.5, 5, resolution=5)
+
+
+def _grid_cells(theta, k, resolution):
+    """Every grid schedule in scan order, the drift absorbed by the last fraction."""
+    weights = sorted(
+        w for w in itertools.product(range(resolution + 1), repeat=k) if sum(w) == resolution
+    )
+    for wu in weights:
+        for wf in weights:
+            sigma = tuple(theta * c / resolution for c in wu)
+            sigma_prime = [(1.0 - theta) * c / resolution for c in wf]
+            drift = 1.0 - (sum(sigma) + sum(sigma_prime))
+            sigma_prime[-1] = max(0.0, sigma_prime[-1] + drift)
+            yield SplitSchedule(sigma=sigma, sigma_prime=tuple(sigma_prime))
+
+
+def _brute_force_grid(m1, m2, theta, k, mode, resolution):
+    """Score every grid cell with split_monodromy; the first strict best wins."""
+    sign = 1.0 if mode == "max" else -1.0
+    best, best_value = None, -np.inf
+    for schedule in _grid_cells(theta, k, resolution):
+        value = spectral_radius(split_monodromy(m1, m2, schedule))
+        if sign * value > best_value:
+            best, best_value = schedule, sign * value
+    return best, sign * best_value
+
+
+def _count_mat_exp(monkeypatch):
+    calls = []
+    original = linalg.mat_exp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (linalg, splitting):
+        monkeypatch.setattr(module, "mat_exp", counted)
+    return calls
+
+
+class TestSplitDrift:
+    @pytest.mark.parametrize("theta", [0.2, 0.65])
+    def test_k3_resolution6_fractions_stay_in_unit_interval(self, theta):
+        rng = np.random.default_rng(37)
+        m1 = random_metzler(rng, 3)
+        m2 = random_metzler(rng, 3)
+        for mode in ("max", "min"):
+            schedule, _ = optimize_split(m1, m2, theta, 3, mode=mode, resolution=6)
+            fractions = schedule.sigma + schedule.sigma_prime
+            assert all(0.0 <= f <= 1.0 for f in fractions)
+            assert abs(sum(schedule.sigma) - theta) <= 1e-12
+            assert abs(sum(schedule.sigma_prime) - (1.0 - theta)) <= 1e-12
+
+
+class TestBlockTable:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_grid_equals_brute_force(self, n, k):
+        rng = np.random.default_rng(100 + 10 * n + k)
+        m1 = random_metzler(rng, n)
+        m2 = random_metzler(rng, n)
+        resolution = 6 if k == 3 else 9
+        for theta in (0.65, float(rng.uniform(0.05, 0.95))):
+            for mode in ("max", "min"):
+                got = optimize_split(m1, m2, theta, k, mode=mode, resolution=resolution)
+                want = _brute_force_grid(m1, m2, theta, k, mode, resolution)
+                assert got == want
+
+    def test_descent_keeps_its_values(self):
+        rng = np.random.default_rng(31)
+        m1 = random_metzler(rng, 3)
+        m2 = random_metzler(rng, 3)
+        pinned = {"max": 31.836482593056534, "min": 31.12593834507515}
+        for mode, value in pinned.items():
+            _, got = optimize_split(
+                m1, m2, 0.4, 5, mode=mode, resolution=3, method="descent", restarts=3, seed=7
+            )
+            assert got == value
+
+    @pytest.mark.parametrize("theta", [0.2, 0.37, 0.65])
+    def test_grid_exponentiates_each_block_once(self, theta, monkeypatch):
+        rng = np.random.default_rng(41)
+        m1 = random_metzler(rng, 3)
+        m2 = random_metzler(rng, 3)
+        calls = _count_mat_exp(monkeypatch)
+        optimize_split(m1, m2, theta, 2, resolution=20)
+        keys = {
+            (season, d)
+            for cell in _grid_cells(theta, 2, 20)
+            for season, fractions in enumerate((cell.sigma, cell.sigma_prime))
+            for d in fractions
+            if d != 0.0
+        }
+        # 20 nonzero fractions a season, plus one key for each drift-corrected
+        # last fraction that differs from them (two at theta = 0.2)
+        assert len(calls) == len(keys)
+        if theta == 0.2:
+            assert len(calls) <= 2 * 21 + 2
+
+    def test_descent_exponentiates_each_visited_block_once(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        m1 = random_metzler(rng, 3)
+        m2 = random_metzler(rng, 3)
+        calls = _count_mat_exp(monkeypatch)
+        keys = set()
+        products = []
+        original = splitting.exp_product
+
+        def recorded(blocks, exp=None):
+            blocks = list(blocks)
+            keys.update((m.tobytes(), d) for m, d in blocks if d != 0.0)
+            products.append(1)
+            return original(blocks, exp)
+
+        monkeypatch.setattr(splitting, "exp_product", recorded)
+        optimize_split(m1, m2, 0.4, 5, resolution=3, method="descent", restarts=3, seed=7)
+        assert len(calls) == len(keys)
+        assert len(calls) < len(products)
 
 
 class TestGelfandProbe:
