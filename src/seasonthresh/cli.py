@@ -157,14 +157,15 @@ def _cmd_check(scenario, args, out: Path):
     grid = scenario.grid_array()
     tol = scenario.tolerances.perron_tol
     zeros = np.zeros_like(lin.m1)
-    certs = [
-        conditions.check_shared_eigenvector(lin, perron_tol=tol),
-        conditions.check_decrease_left(lin, grid, perron_tol=tol),
-        conditions.check_decrease_right(lin, grid, perron_tol=tol),
-        conditions.check_decrease_bilinear(lin, grid, p=zeros, q=zeros, perron_tol=tol),
+    certs = [conditions.check_shared_eigenvector(lin, perron_tol=tol)]
+    profile = floquet.rho_profile(lin, grid, tol=tol)
+    certs += [
+        conditions.check_decrease_left(profile),
+        conditions.check_decrease_right(profile),
+        conditions.check_decrease_bilinear(profile, p=zeros, q=zeros),
     ]
     if lin.dimension == 2:
-        certs.append(conditions.left_order_certificate(lin, grid))
+        certs.append(conditions.left_order_certificate(profile))
     if scenario.mode == "insect":
         u, f = scenario.pi_unfavorable, scenario.pi_favorable
         certs.append(conditions.check_hyp_parameters(u, f))

@@ -4,7 +4,8 @@ plus the parameter hypotheses and the full 2-D insect threshold chain.
 Each check returns a ConditionCertificate whose margins are the worst slack
 seen; a certificate only holds when every required margin clears the
 strictness floor (open conditions with hair-thin margins are reported but
-not certified).
+not certified). The grid certificates judge a floquet.RhoProfile: its
+Perron pairs and monodromies are computed once and read by all of them.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDiagonalizationError, InvalidInputError
-from .floquet import TwoSeasonLinearization, metzler_perron, monodromy, rho_profile
+from .floquet import RhoProfile, TwoSeasonLinearization, metzler_perron, monodromy
 from .insect import InsectParams, jacobian, r0
 from .linalg import as_square_matrix
 
@@ -76,35 +77,24 @@ def check_shared_eigenvector(
     )
 
 
-def check_decrease_left(
-    lin: TwoSeasonLinearization,
-    theta_grid=None,
-    p=None,
-    perron_tol: float = 1e-12,
-) -> ConditionCertificate:
-    """Certify rho' < 0 through the left Perron vectors of the monodromy.
+def check_decrease_left(profile: RhoProfile, p=None) -> ConditionCertificate:
+    """Certify rho' < 0 through the left Perron vectors of the profile.
 
     Without p: checks S^T V*(theta) < 0 componentwise on the grid (the sharp
     form). With p: checks p S < 0 entrywise and (p^{-1})^T V*(theta) > 0.
     """
-    return _check_decrease(lin, theta_grid, p, perron_tol, "left")
+    return _check_decrease(profile, p, "left")
 
 
-def check_decrease_right(
-    lin: TwoSeasonLinearization,
-    theta_grid=None,
-    p=None,
-    perron_tol: float = 1e-12,
-) -> ConditionCertificate:
+def check_decrease_right(profile: RhoProfile, p=None) -> ConditionCertificate:
     """Mirror of check_decrease_left using the right Perron vectors:
     S V(theta) < 0 without p, or S p < 0 and p^{-1} V(theta) > 0 with p."""
-    return _check_decrease(lin, theta_grid, p, perron_tol, "right")
+    return _check_decrease(profile, p, "right")
 
 
-def _check_decrease(lin, theta_grid, p, perron_tol, side) -> ConditionCertificate:
+def _check_decrease(profile, p, side) -> ConditionCertificate:
     """The right form on (S, V); the left form is the same on (S^T, V*)."""
-    grid = _theta_grid(theta_grid)
-    pairs = rho_profile(lin, grid, tol=perron_tol).perron_pairs
+    lin, pairs = profile.lin, profile.perron_pairs
     left = side == "left"
     s = lin.s.T if left else lin.s
     vectors = [pair.v_star if left else pair.v for pair in pairs]
@@ -131,7 +121,7 @@ def _check_decrease(lin, theta_grid, p, perron_tol, side) -> ConditionCertificat
         condition=f"decrease_{side}",
         holds=bool(np.all(margins > STRICTNESS)),
         margins=margins,
-        theta_grid=grid,
+        theta_grid=profile.thetas,
         details=details,
     )
 
@@ -150,13 +140,7 @@ def _sufficient_candidate_left(s, pairs) -> str | None:
     return None
 
 
-def check_decrease_bilinear(
-    lin: TwoSeasonLinearization,
-    theta_grid=None,
-    p=None,
-    q=None,
-    perron_tol: float = 1e-12,
-) -> ConditionCertificate:
+def check_decrease_bilinear(profile: RhoProfile, p=None, q=None) -> ConditionCertificate:
     """Certify rho' <= 0 from S < p^T q entrywise plus p V* = -q V on the grid.
 
     No search is performed; the caller supplies the candidate pair (p, q).
@@ -165,13 +149,11 @@ def check_decrease_bilinear(
         raise InvalidInputError("both p and q must be supplied")
     p = as_square_matrix(p)
     q = as_square_matrix(q)
-    if p.shape != q.shape or p.shape[0] != lin.dimension:
+    if p.shape != q.shape or p.shape[0] != profile.lin.dimension:
         raise InvalidInputError("p and q must match the system dimension")
-    grid = _theta_grid(theta_grid)
-    pairs = rho_profile(lin, grid, tol=perron_tol).perron_pairs
-    entry_margin = float(np.min(p.T @ q - lin.s))
+    entry_margin = float(np.min(p.T @ q - profile.lin.s))
     eq_errors = np.array(
-        [float(np.linalg.norm(p @ pair.v_star + q @ pair.v)) for pair in pairs]
+        [float(np.linalg.norm(p @ pair.v_star + q @ pair.v)) for pair in profile.perron_pairs]
     )
     margins = np.minimum(entry_margin, _EQ_TOL - eq_errors)
     holds = entry_margin > STRICTNESS and bool(np.all(eq_errors <= _EQ_TOL))
@@ -179,7 +161,7 @@ def check_decrease_bilinear(
         condition="decrease_bilinear",
         holds=holds,
         margins=margins,
-        theta_grid=grid,
+        theta_grid=profile.thetas,
         details={"entry_margin": entry_margin, "max_eq_error": float(eq_errors.max())},
     )
 
@@ -265,23 +247,19 @@ def left_eigenvector_order(s) -> LeftOrderResult:
     )
 
 
-def left_order_certificate(
-    lin: TwoSeasonLinearization,
-    theta_grid=None,
-) -> ConditionCertificate:
-    """Left-vector ordering of the 2x2 cycle matrix across the grid.
+def left_order_certificate(profile: RhoProfile) -> ConditionCertificate:
+    """Left-vector ordering of the profile's 2x2 cycle matrices across its grid.
 
     Margins are the column-sum gaps; holds when the eigenvector ordering
     (w2 > w1) is confirmed at every grid theta and the two oracles agree.
     """
-    if lin.dimension != 2:
+    if profile.lin.dimension != 2:
         raise InvalidInputError("left-order certificate is specific to 2x2 systems")
-    grid = _theta_grid(theta_grid)
-    margins = np.empty_like(grid)
+    margins = np.empty_like(profile.thetas)
     agree = True
     ordered = True
-    for i, th in enumerate(grid):
-        result = left_eigenvector_order(monodromy(lin, float(th)))
+    for i, m in enumerate(profile.monodromies):
+        result = left_eigenvector_order(m)
         margins[i] = result.column_gap
         ordered = ordered and result.eigen_order
         if not result.boundary and result.eigen_order != result.sum_order:
@@ -290,7 +268,7 @@ def left_order_certificate(
         condition="left_order",
         holds=ordered and agree,
         margins=margins,
-        theta_grid=grid,
+        theta_grid=profile.thetas,
         details={"oracles_agree": agree},
     )
 

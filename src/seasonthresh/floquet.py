@@ -103,9 +103,9 @@ def monodromy_general(system: SeasonalSystem) -> np.ndarray:
 
 def _evaluate(
     lin: TwoSeasonLinearization, theta: float, tol: float, second: bool = False
-) -> tuple[PerronPair, float, float | None]:
-    """Perron pair, rho' and (when asked) rho'' at one theta, from one
-    monodromy and one Perron pair."""
+) -> tuple[PerronPair, float, float | None, np.ndarray]:
+    """Perron pair, rho', (when asked) rho'' and the monodromy at one theta,
+    from one monodromy and one Perron pair."""
     m = monodromy(lin, theta)
     pair = perron_pair(m, tol=tol)
     value, v, v_star = pair.rho, pair.v, pair.v_star
@@ -115,7 +115,7 @@ def _evaluate(
     r = float(sv @ v_star)
     prime = t * value * r
     if not second:
-        return pair, prime, None
+        return pair, prime, None, m
     mixed = float(((lin.m2 @ s - s @ lin.m1) @ v) @ v_star)
     # (Pi - I) S^T V*, with Pi the projection x -> <x, V> V*
     b = r * v_star - s.T @ v_star
@@ -123,7 +123,7 @@ def _evaluate(
     # solving on M / max(M) keeps x finite for huge and tiny monodromies
     peak = float(m.max())
     x = constrained_resolvent(m / peak, value / peak, v, v_star, b, side="adjoint")
-    return pair, prime, t * t * value * (2.0 * r * r + mixed + 2.0 * value / peak * float(x @ sv))
+    return pair, prime, t * t * value * (2.0 * r * r + mixed + 2.0 * value / peak * float(x @ sv)), m
 
 
 def rho(
@@ -207,13 +207,16 @@ def constrained_resolvent(
 
 @dataclass(frozen=True)
 class RhoProfile:
-    """rho and its first two theta-derivatives on a grid, with Perron pairs."""
+    """rho and its first two theta-derivatives on a grid of lin, with the
+    Perron pairs and the monodromies (stacked as (G, n, n)) they come from."""
 
+    lin: TwoSeasonLinearization
     thetas: np.ndarray
     rho: np.ndarray
     rho_prime: np.ndarray
     rho_second: np.ndarray | None
     perron_pairs: tuple
+    monodromies: np.ndarray
 
     @property
     def strictly_decreasing(self) -> bool:
@@ -240,13 +243,15 @@ def rho_profile(
         thetas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     thetas = np.asarray(thetas, dtype=float)
     points = [_evaluate(lin, float(th), tol, second) for th in thetas]
-    pairs = tuple(pair for pair, _, _ in points)
+    pairs = tuple(point[0] for point in points)
     return RhoProfile(
+        lin=lin,
         thetas=thetas,
         rho=np.array([pair.rho for pair in pairs]),
-        rho_prime=np.array([prime for _, prime, _ in points]),
-        rho_second=np.array([value for _, _, value in points]) if second else None,
+        rho_prime=np.array([point[1] for point in points]),
+        rho_second=np.array([point[2] for point in points]) if second else None,
         perron_pairs=pairs,
+        monodromies=np.array([point[3] for point in points]),
     )
 
 
@@ -280,7 +285,10 @@ def find_threshold(
     Without a strict-decrease certificate the function still classifies the
     all-above-one and all-below-one cases; an interior crossing with a failed
     certificate raises CertificateError unless override_monotonic is set.
+    A grid needs both ends, so grid_points < 2 raises InvalidInputError.
     """
+    if grid_points < 2:
+        raise InvalidInputError(f"grid_points must be >= 2, got {grid_points}")
     profile = rho_profile(lin, np.linspace(0.0, 1.0, grid_points), tol=perron_tol)
     certificate = profile.strictly_decreasing
     values = profile.rho

@@ -156,7 +156,8 @@ def optimize_split(
 
     Both methods tabulate each distinct block exponential once per call, and
     the grid scores each row (one unfavorable composition against every
-    favorable one) with one stacked eigen-solve.
+    favorable one) with one stacked eigen-solve; descent scores each
+    distinct schedule once.
     """
     if mode not in ("max", "min"):
         raise InvalidInputError(f"mode must be 'max' or 'min', got {mode!r}")
@@ -206,11 +207,13 @@ def _optimize_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
     exp = _block_table()
     sign = 1.0 if mode == "max" else -1.0
     rng = np.random.default_rng(seed)
+    scores = {}  # each pair sweep revisits the schedule it starts from
 
     def score(schedule):
-        return sign * spectral_radius(
-            _schedule_product(a, b, schedule.sigma, schedule.sigma_prime, exp)
-        )
+        key = (schedule.sigma, schedule.sigma_prime)
+        if key not in scores:
+            scores[key] = sign * spectral_radius(_schedule_product(a, b, *key, exp))
+        return scores[key]
 
     def polish(schedule):
         current = schedule

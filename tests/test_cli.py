@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seasonthresh import floquet
+from seasonthresh import conditions, floquet
 from seasonthresh.cli import main, run_sweep
 from seasonthresh.errors import ScenarioError
 from seasonthresh.scenario import (
@@ -196,6 +196,27 @@ class TestCommands:
         assert certs["left_order"]["holds"] is False
         assert "hyp_parameters" not in certs
 
+    @pytest.mark.parametrize("payload, monodromies", [(MATRICES, 7), (INSECT, 14)])
+    def test_check_evaluates_its_grid_once(self, tmp_path, monkeypatch, payload, monodromies):
+        # one profile on the 7-point grid; the insect pair adds the 7 cycle
+        # matrices of its stage-8 column-sum cross-check
+        calls = []
+        for module, name in ((floquet, "monodromy"), (conditions, "monodromy"),
+                             (floquet, "perron_pair")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        scenario_path = write_scenario(tmp_path, payload)
+        assert main(["check", "--scenario", str(scenario_path), "--out", str(tmp_path),
+                     "--grid", "7"]) == 0
+        assert calls.count("monodromy") == monodromies
+        # one pair per grid point, plus one per season for shared_eigenvector
+        assert calls.count("perron_pair") == 7 + 2
+
     def test_simulate_command(self, tmp_path):
         scenario_path = write_scenario(tmp_path, INSECT)
         out = tmp_path / "out"
@@ -257,6 +278,13 @@ class TestCommands:
     def test_bad_grid_flag(self, tmp_path):
         scenario_path = write_scenario(tmp_path, INSECT)
         assert main(["floquet", "--scenario", str(scenario_path), "--grid", "1"]) == 2
+
+    def test_threshold_one_point_grid_is_usage_error(self, tmp_path, capsys):
+        scenario_path = write_scenario(tmp_path, {**INSECT, "theta_grid": [0.3]})
+        out = tmp_path / "out"
+        assert main(["threshold", "--scenario", str(scenario_path), "--out", str(out)]) == 2
+        assert "grid_points must be >= 2, got 1" in capsys.readouterr().err
+        assert not (out / "threshold.json").exists()
 
     def test_verify_command(self, tmp_path):
         scenario_path = write_scenario(tmp_path, MATRICES)

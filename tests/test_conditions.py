@@ -20,6 +20,7 @@ from seasonthresh import (
     r0,
     rho,
     rho_prime,
+    rho_profile,
 )
 from seasonthresh.conditions import ordering_form
 from seasonthresh.errors import DegenerateDiagonalizationError, InvalidInputError
@@ -86,38 +87,38 @@ class TestDecreaseLeft:
         # m2 > m1 entrywise so S < 0: the identity transform certifies
         m1 = np.array([[-2.0, 0.5], [0.5, -2.0]])
         m2 = m1 + np.array([[1.0, 0.5], [0.5, 1.0]])
-        cert = check_decrease_left(TwoSeasonLinearization(m1, m2, 1.0), GRID7)
+        cert = check_decrease_left(rho_profile(TwoSeasonLinearization(m1, m2, 1.0), GRID7))
         assert cert.holds
         assert cert.details["certified_by"] == "identity"
 
     def test_insect_pair_with_triangular_transform(self, insect_linearization):
         p = np.array([[1.0, 1.0], [0.0, 1.0]])
-        cert = check_decrease_left(insect_linearization, GRID7, p=p)
+        cert = check_decrease_left(rho_profile(insect_linearization, GRID7), p=p)
         assert cert.holds
         assert cert.details["static_margin"] > 0.0
 
     def test_insect_pair_without_transform(self, insect_linearization):
-        cert = check_decrease_left(insect_linearization, GRID7)
+        cert = check_decrease_left(rho_profile(insect_linearization, GRID7))
         assert cert.holds
         assert cert.details["certified_by"] in ("triangular", "eigenvector_form")
 
     def test_increasing_rho_fails(self):
         lin = TwoSeasonLinearization(K + np.eye(2), K - 2.0 * np.eye(2), 1.0)
-        cert = check_decrease_left(lin, GRID7)
+        cert = check_decrease_left(rho_profile(lin, GRID7))
         assert not cert.holds
         assert cert.margins.min() < 0.0
         assert rho_prime(lin, 0.5) > 0.0
 
     def test_singular_p_rejected(self, insect_linearization):
         with pytest.raises(InvalidInputError):
-            check_decrease_left(insect_linearization, GRID7, p=np.zeros((2, 2)))
+            check_decrease_left(rho_profile(insect_linearization, GRID7), p=np.zeros((2, 2)))
 
     def test_holds_implies_rho_decreasing(self):
         rng = np.random.default_rng(47)
         confirmed = 0
         for _ in range(500):
             lin = random_metzler_pair(rng, int(rng.integers(2, 4)))
-            cert = check_decrease_left(lin, GRID7)
+            cert = check_decrease_left(rho_profile(lin, GRID7))
             if not cert.holds:
                 continue
             confirmed += 1
@@ -130,20 +131,20 @@ class TestDecreaseRight:
     def test_entrywise_negative_difference(self):
         m1 = np.array([[-2.0, 0.5], [0.5, -2.0]])
         m2 = m1 + np.array([[1.0, 0.5], [0.5, 1.0]])
-        cert = check_decrease_right(TwoSeasonLinearization(m1, m2, 1.0), GRID7, p=np.eye(2))
+        cert = check_decrease_right(rho_profile(TwoSeasonLinearization(m1, m2, 1.0), GRID7), p=np.eye(2))
         assert cert.holds
 
     def test_symmetric_commuting_margins_match_left(self):
         # symmetric commuting pair: the cycle matrix is symmetric, so the
         # right and left Perron vectors coincide and both checks agree
         lin = TwoSeasonLinearization(K - 2.0 * np.eye(2), K + np.eye(2), 1.0)
-        left = check_decrease_left(lin, GRID7)
-        right = check_decrease_right(lin, GRID7)
+        left = check_decrease_left(rho_profile(lin, GRID7))
+        right = check_decrease_right(rho_profile(lin, GRID7))
         assert left.holds and right.holds
         assert np.allclose(left.margins, right.margins, atol=1e-9)
 
     def test_zero_difference_fails(self):
-        cert = check_decrease_right(TwoSeasonLinearization(K, K, 1.0), GRID7)
+        cert = check_decrease_right(rho_profile(TwoSeasonLinearization(K, K, 1.0), GRID7))
         assert not cert.holds
         assert np.allclose(cert.margins, 0.0, atol=1e-12)
 
@@ -152,7 +153,7 @@ class TestDecreaseRight:
         confirmed = 0
         for _ in range(500):
             lin = random_metzler_pair(rng, int(rng.integers(2, 4)))
-            cert = check_decrease_right(lin, GRID7)
+            cert = check_decrease_right(rho_profile(lin, GRID7))
             if not cert.holds:
                 continue
             confirmed += 1
@@ -166,13 +167,13 @@ class TestDecreaseBilinear:
         m1 = np.array([[-2.0, 0.5], [0.5, -2.0]])
         m2 = m1 + np.array([[1.0, 0.5], [0.5, 1.0]])
         lin = TwoSeasonLinearization(m1, m2, 1.0)
-        cert = check_decrease_bilinear(lin, GRID7, p=np.zeros((2, 2)), q=np.zeros((2, 2)))
+        cert = check_decrease_bilinear(rho_profile(lin, GRID7), p=np.zeros((2, 2)), q=np.zeros((2, 2)))
         assert cert.holds
 
     def test_zero_candidates_with_positive_entry(self, insect_linearization):
         # S of the running pair has a zero entry: strictness fails
         cert = check_decrease_bilinear(
-            insect_linearization, GRID7, p=np.zeros((2, 2)), q=np.zeros((2, 2))
+            rho_profile(insect_linearization, GRID7), p=np.zeros((2, 2)), q=np.zeros((2, 2))
         )
         assert not cert.holds
 
@@ -182,7 +183,7 @@ class TestDecreaseBilinear:
         _, pair0 = rho(lin, 0.0)
         q = np.eye(2)
         p = -np.diag(pair0.v / pair0.v_star)
-        cert = check_decrease_bilinear(lin, np.array([0.0, 1.0]), p=p, q=q)
+        cert = check_decrease_bilinear(rho_profile(lin, np.array([0.0, 1.0])), p=p, q=q)
         eq_errors = [float(np.linalg.norm(p @ pr.v_star + q @ pr.v))
                      for pr in (rho(lin, 0.0)[1], rho(lin, 1.0)[1])]
         assert eq_errors[0] <= 1e-10
@@ -191,7 +192,7 @@ class TestDecreaseBilinear:
 
     def test_requires_candidates(self, insect_linearization):
         with pytest.raises(InvalidInputError):
-            check_decrease_bilinear(insect_linearization, GRID7)
+            check_decrease_bilinear(rho_profile(insect_linearization, GRID7))
 
 
 class TestParameterHypotheses:
@@ -257,7 +258,7 @@ class TestLeftEigenvectorOrder:
             left_eigenvector_order(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
     def test_grid_certificate_on_insect_pair(self, insect_linearization):
-        cert = left_order_certificate(insect_linearization, GRID7)
+        cert = left_order_certificate(rho_profile(insect_linearization, GRID7))
         assert cert.holds
         assert cert.details["oracles_agree"]
         assert np.all(cert.margins > 0.0)
@@ -268,7 +269,7 @@ class TestLeftEigenvectorOrder:
         lin = TwoSeasonLinearization(
             np.array([[-1.0, 0.5], [2.0, -2.0]]), np.array([[0.5, 0.25], [2.5, -1.0]]), 1.0
         )
-        cert = left_order_certificate(lin, GRID7)
+        cert = left_order_certificate(rho_profile(lin, GRID7))
         assert not cert.holds
         assert cert.margins.min() < 0.0
 

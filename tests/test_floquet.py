@@ -254,6 +254,12 @@ class TestFindThreshold:
         # the running pair shares its Perron vectors: theta* = 0.5 exactly
         assert report.theta_star == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_grid_without_both_ends_rejected(self, insect_linearization, points):
+        # a one-point grid holds only theta = 0, whose rho would stand in for rho(1)
+        with pytest.raises(InvalidInputError, match="grid_points must be >= 2"):
+            find_threshold(insect_linearization, grid_points=points)
+
     def test_increasing_profile_raises(self):
         lin = TwoSeasonLinearization(K + 1.0 * np.eye(2), K - 2.0 * np.eye(2), 1.0)
         with pytest.raises(CertificateError) as excinfo:
@@ -288,6 +294,14 @@ class TestRhoProfile:
             monkeypatch.setattr(floquet, name, counted)
         rho_profile(insect_linearization, np.linspace(0.0, 1.0, 5), second=True)
         assert sorted(calls) == ["monodromy"] * 5 + ["perron_pair"] * 5
+
+    def test_carries_its_linearization_and_monodromies(self, insect_linearization):
+        grid = np.linspace(0.0, 1.0, 5)
+        profile = rho_profile(insect_linearization, grid)
+        assert profile.lin is insect_linearization
+        assert profile.monodromies.shape == (5, 2, 2)
+        for th, m in zip(grid, profile.monodromies):
+            assert np.array_equal(m, monodromy(insect_linearization, float(th)))
 
     def test_continuity_no_jumps(self, insect_linearization):
         thetas = np.linspace(0.0, 1.0, 201)

@@ -258,6 +258,22 @@ class TestBlockTable:
         assert len(calls) == len(keys)
         assert len(calls) < len(products)
 
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_descent_scores_each_distinct_schedule_once(self, k, monkeypatch):
+        rng = np.random.default_rng(53)
+        m1 = random_metzler(rng, 3)
+        m2 = random_metzler(rng, 3)
+        schedules = []
+        original = splitting._schedule_product
+
+        def recorded(a, b, sigma, sigma_prime, exp=None):
+            schedules.append((tuple(sigma), tuple(sigma_prime)))
+            return original(a, b, sigma, sigma_prime, exp)
+
+        monkeypatch.setattr(splitting, "_schedule_product", recorded)
+        optimize_split(m1, m2, 0.37, k, resolution=1, method="descent")
+        assert len(schedules) == len(set(schedules))
+
 
 class TestGelfandProbe:
     def test_commuting_pair_equality(self):
