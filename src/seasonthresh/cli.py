@@ -154,11 +154,10 @@ def _cmd_threshold(scenario, args, out: Path):
 
 def _cmd_check(scenario, args, out: Path):
     lin = linearization_from_scenario(scenario)
-    grid = scenario.grid_array()
     tol = scenario.tolerances.perron_tol
     zeros = np.zeros_like(lin.m1)
     certs = [conditions.check_shared_eigenvector(lin, perron_tol=tol)]
-    profile = floquet.rho_profile(lin, grid, tol=tol)
+    profile = floquet.rho_profile(lin, scenario.grid_array(), tol=tol)
     certs += [
         conditions.check_decrease_left(profile),
         conditions.check_decrease_right(profile),
@@ -170,7 +169,7 @@ def _cmd_check(scenario, args, out: Path):
         u, f = scenario.pi_unfavorable, scenario.pi_favorable
         certs.append(conditions.check_hyp_parameters(u, f))
         certs.append(conditions.check_hyp_alternative(u, f))
-        certs.append(conditions.insect_threshold_certificate(u, f, scenario.period_T, grid))
+        certs.append(conditions.insect_threshold_certificate(u, f, profile))
     _write_json(out / "certificates.json", certs)
     for cert in certs:
         print(f"check: {cert.condition}: {'holds' if cert.holds else 'fails'} "

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDiagonalizationError, InvalidInputError
-from .floquet import RhoProfile, TwoSeasonLinearization, metzler_perron, monodromy
+from .floquet import RhoProfile, TwoSeasonLinearization, metzler_perron
 from .insect import InsectParams, jacobian, r0
 from .linalg import as_square_matrix
 
 STRICTNESS = 1e-9
-_DEFAULT_GRID = 101
 _SHARED_ANGLE_TOL = 1e-8  # largest Perron-vector angle that counts as shared
 _EQ_TOL = 1e-8  # residual allowed in the bilinear identity p V* = -q V
 
@@ -35,15 +34,6 @@ class ConditionCertificate:
     @property
     def worst_margin(self) -> float:
         return float(np.min(self.margins)) if np.size(self.margins) else float("nan")
-
-
-def _theta_grid(theta_grid):
-    if theta_grid is None:
-        return np.linspace(0.0, 1.0, _DEFAULT_GRID)
-    grid = np.asarray(theta_grid, dtype=float)
-    if np.any(grid < 0.0) or np.any(grid > 1.0):
-        raise InvalidInputError("theta grid must lie in [0, 1]")
-    return grid
 
 
 def check_shared_eigenvector(
@@ -362,23 +352,28 @@ class StageResult:
 def insect_threshold_certificate(
     pi_unfavorable: InsectParams,
     pi_favorable: InsectParams,
-    period_T: float = 1.0,
-    theta_grid=None,
+    profile: RhoProfile,
 ) -> ConditionCertificate:
     """End-to-end certificate that the seasonal insect model has an interior
-    extinction threshold.
+    extinction threshold, judged on the grid, period and cycle matrices of
+    `profile`, which must be evaluated on the pair's linearization at zero.
 
     Stage chain: (1) seasonal contrast hypothesis; (2) offspring numbers
     straddling 1; (3) unfavorable growth-vs-death inequality; (4) eigenvector
     slope inequalities; (5) the ordering form vanishing at (1, 1);
     (6) analytic negativity of its partial derivatives past (1, 1);
     (7) negativity of the form at the seasonal weight ratios on the grid;
-    (8) sign agreement of stage 7 with the directly computed column-sum gap
-    of the cycle matrix. Failed preconditions skip only the stages they make
-    undefined.
+    (8) sign agreement of stage 7 with the column-sum gap of the profile's
+    cycle matrices.
     """
     u, f = pi_unfavorable, pi_favorable
-    grid = _theta_grid(theta_grid)
+    lin = profile.lin
+    if not (
+        np.array_equal(lin.m1, jacobian(u, np.zeros(2)))
+        and np.array_equal(lin.m2, jacobian(f, np.zeros(2)))
+    ):
+        raise InvalidInputError("profile is not evaluated on the insect pair's linearization")
+    grid, period_T = profile.thetas, lin.period_T
     stages: list[StageResult] = []
 
     hyp = check_hyp_parameters(u, f)
@@ -397,15 +392,9 @@ def insect_threshold_certificate(
     )
 
     details: dict = {"r0_unfavorable": r0_u, "r0_favorable": r0_f}
-    try:
-        du = diagonalize_season(u)
-        df = diagonalize_season(f)
-    except DegenerateDiagonalizationError as exc:
-        stages.append(
-            StageResult("slope_inequalities", False, np.array([]), note=str(exc))
-        )
-        return _assemble_certificate(stages, grid, details)
-
+    # the profile's seasons are irreducible, so b, h > 0 and both diagonalize
+    du = diagonalize_season(u)
+    df = diagonalize_season(f)
     slope_margins = np.array(
         [
             -du.x_minus,
@@ -458,13 +447,8 @@ def insect_threshold_certificate(
         )
     )
 
-    lin = TwoSeasonLinearization(
-        jacobian(u, np.zeros(2)), jacobian(f, np.zeros(2)), period_T
-    )
-    column_gaps = np.empty_like(form_values)
-    for i, th in enumerate(grid):
-        m = monodromy(lin, float(th))
-        column_gaps[i] = m[0, 1] + m[1, 1] - m[0, 0] - m[1, 0]
+    m = profile.monodromies
+    column_gaps = m[:, 0, 1] + m[:, 1, 1] - m[:, 0, 0] - m[:, 1, 0]
     agree = (column_gaps > 0.0) == (form_values < 0.0)
     stages.append(
         StageResult(
@@ -479,17 +463,11 @@ def insect_threshold_certificate(
     details["alpha"] = u.b * f.b / math.sqrt(denom_u * denom_f)
     details["form_values"] = form_values
     details["column_gaps"] = column_gaps
-    return _assemble_certificate(stages, grid, details)
-
-
-def _assemble_certificate(stages, grid, details) -> ConditionCertificate:
-    details = dict(details)
     details["stages"] = {stage.name: stage for stage in stages}
-    margins = np.array([stage.worst_margin for stage in stages])
     return ConditionCertificate(
         condition="insect_threshold",
         holds=all(stage.holds for stage in stages),
-        margins=margins,
+        margins=np.array([stage.worst_margin for stage in stages]),
         theta_grid=grid,
         details=details,
     )

@@ -21,12 +21,6 @@ DEFAULT_EXTINCTION_THRESHOLD = 1e-9
 DEFAULT_DIVERGENCE_BOUND = 1e9
 _EXTINCT_PERIODS = 3
 _MAX_PERIODS = 2000  # Picard budget of find_periodic_orbit
-# invasion probe: start amplitude, period budget, periods before the growth
-# rate may count as settled, and the relative change that counts as settled
-_PROBE_SCALE = 1e-8
-_PROBE_PERIODS = 400
-_PROBE_SETTLE = 6
-_PROBE_REL_TOL = 0.02
 _FLOW_SAMPLE_SEED = 99
 _FLOW_STRICTNESS = 1e-9
 
@@ -188,22 +182,19 @@ def poincare_map(
     return _rk4(system, x, 0.0, system.period_T, step, _state_field, settle)
 
 
-def poincare_jacobian(
+def _variational(
     system: SeasonalSystem,
-    x,
-    step: float | None = None,
+    x: np.ndarray,
+    step: float,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
-) -> np.ndarray:
-    """Derivative of the period map at x, by the joint variational system.
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(x) and DP(x) from one RK4 pass of the joint variational system.
 
-    The base state and the fundamental matrix share one augmented RK4 pass so
-    both see identical season boundaries.
+    The base state and the fundamental matrix share the augmented pass, so
+    both see identical season boundaries; the base part takes the steps
+    poincare_map takes, without its clamp.
     """
-    x = np.asarray(x, dtype=float)
     n = system.dimension
-    if x.shape != (n,):
-        raise InvalidInputError(f"state shape {x.shape} does not match dimension")
-    step = _default_step(system, step)
 
     def joint_field(piece):
         f, jac = piece.vector_field, piece.jacobian
@@ -222,7 +213,20 @@ def poincare_jacobian(
 
     aug0 = np.concatenate([x, np.eye(n).ravel()])
     aug = _rk4(system, aug0, 0.0, system.period_T, step, joint_field, settle)
-    return aug[n:].reshape(n, n)
+    return aug[:n], aug[n:].reshape(n, n)
+
+
+def poincare_jacobian(
+    system: SeasonalSystem,
+    x,
+    step: float | None = None,
+    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
+) -> np.ndarray:
+    """Derivative of the period map at x, by the joint variational system."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (system.dimension,):
+        raise InvalidInputError(f"state shape {x.shape} does not match dimension")
+    return _variational(system, x, _default_step(system, step), divergence_bound)[1]
 
 
 @dataclass(frozen=True)
@@ -287,38 +291,6 @@ def find_periodic_orbit(
     return PoincareResult(x, residual, iterations, "undecided", lam)
 
 
-def linear_growth_persistent(system: SeasonalSystem, step: float | None = None) -> bool:
-    """Invasion probe: does a tiny population grow over the periods?
-
-    Simulates the full nonlinear system from 1e-8 * (1, ..., 1) and watches
-    the per-period log growth; at this amplitude the dynamics are effectively
-    the linearization at zero, so the stabilized sign measures the dominant
-    multiplier against 1.
-    """
-    step = _default_step(system, step)
-    x = np.full(system.dimension, _PROBE_SCALE)
-    prev_norm = float(np.linalg.norm(x))
-    prev_delta = None
-    delta = 0.0
-    for i in range(_PROBE_PERIODS):
-        x = poincare_map(system, x, step=step)
-        cur = float(np.linalg.norm(x))
-        if cur > _PROBE_SCALE * 1e6:
-            return True
-        if cur <= _PROBE_SCALE * 1e-6:
-            return False
-        delta = float(np.log(cur / prev_norm))
-        if (
-            prev_delta is not None
-            and i >= _PROBE_SETTLE
-            and abs(delta - prev_delta) <= _PROBE_REL_TOL * max(abs(delta), 1e-10)
-        ):
-            return delta > 0.0
-        prev_delta = delta
-        prev_norm = cur
-    return delta > 0.0
-
-
 def empirical_threshold(
     family,
     grid,
@@ -327,19 +299,22 @@ def empirical_threshold(
 ) -> float:
     """Simulated extinction/persistence boundary over a family theta -> system.
 
-    Classifies every grid theta by the invasion probe, requires the labels to
-    be monotone (persistent below, extinct above), then bisects the boundary
-    cell down to tol. Returns 1.0 and 0.0 for the all-persistent and
-    all-extinct families.
+    Labels theta persistent when the simulated dominant multiplier at zero,
+    the spectral radius of poincare_jacobian(family(theta), 0), exceeds 1.
+    Requires the labels to be monotone (persistent below, extinct above),
+    then bisects the boundary cell down to tol. Returns 1.0 and 0.0 for the
+    all-persistent and all-extinct families.
     """
     grid = sorted(float(g) for g in grid)
     if len(grid) < 3:
         raise InvalidInputError("grid must contain at least 3 points")
 
-    def probe(theta: float) -> bool:
-        return linear_growth_persistent(family(theta), step=step)
+    def persistent(theta: float) -> bool:
+        system = family(theta)
+        zero = np.zeros(system.dimension)
+        return spectral_radius(poincare_jacobian(system, zero, step=step)) > 1.0
 
-    labels = [probe(th) for th in grid]
+    labels = [persistent(th) for th in grid]
     for earlier, later in zip(labels, labels[1:]):
         if later and not earlier:
             raise InconsistencyError(
@@ -354,7 +329,7 @@ def empirical_threshold(
     hi = min(th for th, lab in zip(grid, labels) if not lab)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if probe(mid):
+        if persistent(mid):
             lo = mid
         else:
             hi = mid
@@ -423,12 +398,6 @@ def verify_flow_properties(
         traj = integrate(system, s, 0.0, system.period_T, step=step)
         positivity_margin = min(positivity_margin, traj.min_component)
 
-    order_margin = np.inf
-    for x, y in ordered_pairs:
-        px = poincare_map(system, x, step=step)
-        py = poincare_map(system, y, step=step)
-        order_margin = min(order_margin, float((py - px).min()))
-
     dp0 = poincare_jacobian(system, np.zeros(system.dimension), step=step)
     dp0_margin = float(dp0.min())
     nonneg_margin = np.inf
@@ -438,10 +407,15 @@ def verify_flow_properties(
     if not np.isfinite(nonneg_margin):
         nonneg_margin = dp0_margin
 
+    # one variational pass per state gives both P, for the order margin, and DP
+    order_margin = np.inf
     mono_entry = np.inf
     mono_strict = np.inf
     for x, y in ordered_pairs:
-        gap = poincare_jacobian(system, x, step=step) - poincare_jacobian(system, y, step=step)
+        px, dpx = _variational(system, x, step)
+        py, dpy = _variational(system, y, step)
+        order_margin = min(order_margin, float((py - px).min()))
+        gap = dpx - dpy
         mono_entry = min(mono_entry, float(gap.min()))
         mono_strict = min(mono_strict, float(gap.max()))
 

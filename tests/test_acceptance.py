@@ -117,12 +117,12 @@ def test_criterion_3_insect_certificate_end_to_end():
         assert abs(r0(PI_U) - 1.0 / 3.0) <= 1e-12
         assert abs(r0(PI_F) - 8.0 / 3.0) <= 1e-12
 
-        cert = insect_threshold_certificate(PI_U, PI_F, 1.0)
+        lin = insect_lin()
+        profile = rho_profile(lin, np.linspace(0.0, 1.0, 101))
+        cert = insect_threshold_certificate(PI_U, PI_F, profile)
         assert cert.holds
         assert all(stage.holds for stage in cert.details["stages"].values())
 
-        lin = insect_lin()
-        profile = rho_profile(lin, np.linspace(0.0, 1.0, 101))
         assert profile.strictly_decreasing
 
         report = find_threshold(lin, tol=1e-10)

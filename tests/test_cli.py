@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seasonthresh import conditions, floquet
+from seasonthresh import floquet
 from seasonthresh.cli import main, run_sweep
 from seasonthresh.errors import ScenarioError
 from seasonthresh.scenario import (
@@ -33,6 +33,17 @@ MATRICES = {
     "theta": 0.5,
     "split": {"K": 2, "resolution": 20, "mode": "max"},
 }
+
+# one JSON true per numeric scenario key, each of which must be rejected
+BOOLEAN_VALUES = [
+    ("period_T", {"period_T": True}),
+    ("theta", {"theta": True}),
+    ("theta_grid", {"theta_grid": [0.0, True, 1.0]}),
+    *[(f"tolerances.{name}", {"tolerances": {name: True}}) for name in
+      ("perron_tol", "bisect_tol", "ode_step", "extinction_threshold", "divergence_bound")],
+    ("split.K", {"split": {"K": True}}),
+    ("split.resolution", {"split": {"resolution": True}}),
+]
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -83,6 +94,14 @@ class TestLoadScenario:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("where, patch", [
+        pytest.param(where, patch, id=where) for where, patch in BOOLEAN_VALUES
+    ])
+    def test_json_boolean_is_not_a_number(self, where, patch):
+        # bool subclasses int in Python, so a bare isinstance check reads true as 1
+        with pytest.raises(ScenarioError, match=where):
+            scenario_from_dict({**MATRICES, **patch})
 
     def test_explicit_grid_list(self, tmp_path):
         payload = dict(INSECT)
@@ -196,13 +215,12 @@ class TestCommands:
         assert certs["left_order"]["holds"] is False
         assert "hyp_parameters" not in certs
 
-    @pytest.mark.parametrize("payload, monodromies", [(MATRICES, 7), (INSECT, 14)])
+    @pytest.mark.parametrize("payload, monodromies", [(MATRICES, 7), (INSECT, 7)])
     def test_check_evaluates_its_grid_once(self, tmp_path, monkeypatch, payload, monodromies):
-        # one profile on the 7-point grid; the insect pair adds the 7 cycle
-        # matrices of its stage-8 column-sum cross-check
+        # one profile on the 7-point grid; the insect certificate's stage-8
+        # column-sum cross-check reads the profile's cycle matrices
         calls = []
-        for module, name in ((floquet, "monodromy"), (conditions, "monodromy"),
-                             (floquet, "perron_pair")):
+        for module, name in ((floquet, "monodromy"), (floquet, "perron_pair")):
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):

@@ -57,6 +57,10 @@ def random_contrast_pair(rng):
         return pi_u, pi_f
 
 
+def insect_pair_lin(pi_u, pi_f):
+    return TwoSeasonLinearization(jacobian(pi_u, np.zeros(2)), jacobian(pi_f, np.zeros(2)), 1.0)
+
+
 class TestSharedEigenvector:
     def test_shifts_share_eigenvectors(self):
         lin = TwoSeasonLinearization(K - 2.0 * np.eye(2), K + np.eye(2), 1.0)
@@ -320,8 +324,10 @@ class TestOrderingForm:
 
 
 class TestInsectThresholdCertificate:
-    def test_running_pair_all_stages(self, pi_unfavorable, pi_favorable):
-        cert = insect_threshold_certificate(pi_unfavorable, pi_favorable, 1.0)
+    def test_running_pair_all_stages(self, pi_unfavorable, pi_favorable, insect_linearization):
+        cert = insect_threshold_certificate(
+            pi_unfavorable, pi_favorable, rho_profile(insect_linearization)
+        )
         assert cert.holds
         stages = cert.details["stages"]
         assert set(stages) == {
@@ -337,16 +343,19 @@ class TestInsectThresholdCertificate:
         for stage in stages.values():
             assert stage.holds, stage.name
 
-    def test_endpoint_margins_continuous(self, pi_unfavorable, pi_favorable):
+    def test_endpoint_margins_continuous(self, pi_unfavorable, pi_favorable, insect_linearization):
         grid = np.array([0.0, 0.5, 1.0])
-        cert = insect_threshold_certificate(pi_unfavorable, pi_favorable, 1.0, grid)
+        cert = insect_threshold_certificate(
+            pi_unfavorable, pi_favorable, rho_profile(insect_linearization, grid)
+        )
         form_values = cert.details["form_values"]
         assert form_values[0] < -1.0
         assert form_values[-1] < -1.0
 
     def test_supercritical_unfavorable_fails_offspring_stage(self, pi_favorable):
         pi_u = InsectParams(b=5.0, h=1.0, dJ=0.5, cJ=1.0, dA=0.5)
-        cert = insect_threshold_certificate(pi_u, pi_favorable, 1.0)
+        profile = rho_profile(insect_pair_lin(pi_u, pi_favorable))
+        cert = insect_threshold_certificate(pi_u, pi_favorable, profile)
         assert not cert.holds
         assert not cert.details["stages"]["offspring_numbers"].holds
 
@@ -355,6 +364,14 @@ class TestInsectThresholdCertificate:
         grid = np.linspace(0.0, 1.0, 9)
         for _ in range(100):
             pi_u, pi_f = random_contrast_pair(rng)
-            cert = insect_threshold_certificate(pi_u, pi_f, 1.0, grid)
+            profile = rho_profile(insect_pair_lin(pi_u, pi_f), grid)
+            cert = insect_threshold_certificate(pi_u, pi_f, profile)
             assert cert.details["stages"]["column_sum_crosscheck"].holds
             assert cert.holds
+
+    def test_profile_of_another_pair_rejected(self, pi_unfavorable, pi_favorable):
+        perturbed = InsectParams(b=2.0, h=1.3, dJ=0.5, cJ=1.0, dA=0.5)
+        for lin in (insect_pair_lin(pi_unfavorable, perturbed),
+                    insect_pair_lin(pi_favorable, pi_unfavorable)):
+            with pytest.raises(InvalidInputError, match="linearization"):
+                insect_threshold_certificate(pi_unfavorable, pi_favorable, rho_profile(lin, GRID7))
