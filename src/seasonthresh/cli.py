@@ -91,7 +91,9 @@ class SweepRow:
 def run_sweep(scenario: Scenario, with_simulation: bool = False) -> list[SweepRow]:
     """Evaluate rho, derivatives, and the spectral classification per theta.
 
-    Per-row failures are recorded in the error column; the sweep continues.
+    With simulation, the rows' lambda_simulated come from one lane-batched
+    variational pass at zero. Per-row failures are recorded in the error
+    column; the sweep continues.
     """
     lin = linearization_from_scenario(scenario)
     tol = scenario.tolerances.perron_tol
@@ -101,20 +103,45 @@ def run_sweep(scenario: Scenario, with_simulation: bool = False) -> list[SweepRo
         try:
             profile = floquet.rho_profile(lin, [th], tol=tol, second=True)
             value = float(profile.rho[0])
-            prime = float(profile.rho_prime[0])
-            second = float(profile.rho_second[0])
             classification = "persistent" if value > 1.0 else "extinct"
-            lam = None
-            if with_simulation:
-                system = system_from_scenario(scenario, th)
-                lam = spectral_radius(
-                    simulate.poincare_jacobian(system, np.zeros(system.dimension),
-                                               step=scenario.tolerances.ode_step)
-                )
-            rows.append(SweepRow(th, value, prime, second, classification, lam, ""))
+            rows.append(SweepRow(th, value, float(profile.rho_prime[0]),
+                                 float(profile.rho_second[0]), classification, None, ""))
         except Exception as exc:
-            rows.append(SweepRow(th, None, None, None, "", None, repr(exc)))
+            rows.append(_error_row(th, exc))
+    if with_simulation:
+        _simulate_lambdas(scenario, rows)
     return rows
+
+
+def _error_row(theta: float, exc: Exception) -> SweepRow:
+    return SweepRow(theta, None, None, None, "", None, repr(exc))
+
+
+def _simulate_lambdas(scenario: Scenario, rows: list):
+    """Fill lambda_simulated of the rows without an error, in place; a row
+    whose system, pass or spectral radius fails becomes an error row."""
+    lanes, systems = [], []
+    for i, row in enumerate(rows):
+        if not row.error:
+            try:
+                systems.append(system_from_scenario(scenario, row.theta))
+                lanes.append(i)
+            except Exception as exc:
+                rows[i] = _error_row(row.theta, exc)
+    if not lanes:
+        return
+    try:
+        zeros = np.zeros((len(systems), systems[0].dimension))
+        dps = simulate.poincare_jacobian(systems, zeros, step=scenario.tolerances.ode_step)
+    except Exception as exc:
+        for i in lanes:
+            rows[i] = _error_row(rows[i].theta, exc)
+        return
+    for i, dp in zip(lanes, dps):
+        try:
+            rows[i] = dataclasses.replace(rows[i], lambda_simulated=spectral_radius(dp))
+        except Exception as exc:
+            rows[i] = _error_row(rows[i].theta, exc)
 
 
 def _cmd_floquet(scenario, args, out: Path):

@@ -14,6 +14,7 @@ R0 > 1.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import InvalidInputError
 from .seasonal import AutonomousPiece, SeasonalSchedule, SeasonalSystem
 
 _R0_DEGENERATE_BAND = 1e-12
+_PARAM_NAMES = ("b", "h", "dJ", "cJ", "dA")
 
 
 @dataclass(frozen=True)
@@ -34,30 +36,36 @@ class InsectParams:
     dA: float
 
     def __post_init__(self):
-        for name in ("b", "h", "dJ", "cJ", "dA"):
+        for name in _PARAM_NAMES:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0.0):
                 raise InvalidInputError(f"parameter {name} must be >= 0, got {value}")
 
 
+def _rates(pi: InsectParams, j, a):
+    return pi.b * a - j * (pi.h + pi.dJ + pi.cJ * j), pi.h * j - pi.dA * a
+
+
+def _jacobian_entries(pi: InsectParams, j):
+    return (-pi.h - pi.dJ - 2.0 * pi.cJ * j, pi.b), (pi.h, -pi.dA)
+
+
 def vector_field(pi: InsectParams, x) -> np.ndarray:
-    j, a = float(x[0]), float(x[1])
-    return np.array(
-        [
-            pi.b * a - j * (pi.h + pi.dJ + pi.cJ * j),
-            pi.h * j - pi.dA * a,
-        ]
-    )
+    """Rates at a state (J, A), or at each row of a (B, 2) stack of states."""
+    if getattr(x, "ndim", 1) == 2:
+        out = np.empty_like(x)
+        out[:, 0], out[:, 1] = _rates(pi, x[:, 0], x[:, 1])
+        return out
+    return np.array(_rates(pi, float(x[0]), float(x[1])))
 
 
 def jacobian(pi: InsectParams, x) -> np.ndarray:
-    j = float(x[0])
-    return np.array(
-        [
-            [-pi.h - pi.dJ - 2.0 * pi.cJ * j, pi.b],
-            [pi.h, -pi.dA],
-        ]
-    )
+    """2 x 2 Jacobian at a state, or the (B, 2, 2) stack at each row of x."""
+    if getattr(x, "ndim", 1) == 2:
+        out = np.empty((len(x), 2, 2))
+        (out[:, 0, 0], out[:, 0, 1]), (out[:, 1, 0], out[:, 1, 1]) = _jacobian_entries(pi, x[:, 0])
+        return out
+    return np.array(_jacobian_entries(pi, float(x[0])))
 
 
 def r0(pi: InsectParams) -> float:
@@ -184,7 +192,19 @@ def piece_from_params(pi: InsectParams) -> AutonomousPiece:
         vector_field=lambda x, _p=pi: vector_field(_p, x),
         jacobian=lambda x, _p=pi: jacobian(_p, x),
         linearization_at_zero=jacobian(pi, np.zeros(2)),
+        lane_form=_lane_rows,
+        params=pi,
     )
+
+
+def _lane_rows(params: list) -> tuple:
+    """Field and Jacobian on a (B, 2) stack whose row b has params[b]: the
+    formulas above on parameter columns, entry for entry the bits of each
+    row's own parameters."""
+    columns = SimpleNamespace(
+        **{name: np.array([getattr(p, name) for p in params]) for name in _PARAM_NAMES}
+    )
+    return (lambda x: vector_field(columns, x)), (lambda x: jacobian(columns, x))
 
 
 def as_seasonal_system(

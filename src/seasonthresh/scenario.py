@@ -85,6 +85,7 @@ def _require(condition: bool, message: str):
 
 
 def _check_keys(mapping: dict, allowed: set, where: str):
+    _require(isinstance(mapping, dict), f"{where}: expected an object")
     unknown = set(mapping) - allowed
     _require(not unknown, f"{where}: unknown key(s) {sorted(unknown)}")
 
@@ -95,7 +96,6 @@ def _is_number(value) -> bool:
 
 
 def _parse_params(raw: dict, where: str) -> InsectParams:
-    _require(isinstance(raw, dict), f"{where}: expected an object")
     _check_keys(raw, set(_PARAM_KEYS), where)
     missing = [k for k in _PARAM_KEYS if k not in raw]
     _require(not missing, f"{where}: missing key(s) {missing}")

@@ -23,11 +23,19 @@ _FD_STEP = 1e-6
 
 @dataclass(frozen=True)
 class AutonomousPiece:
-    """One season's autonomous dynamics: field, Jacobian, linearization at 0."""
+    """One season's autonomous dynamics: field, Jacobian, linearization at 0.
+
+    Pieces built by one constructor may share a `lane_form`: called with one
+    `params` per row, it returns the (vector_field, jacobian) pair acting on
+    each row of a (B, n) stack with that row's parameters, so a lane-batched
+    pass whose lanes sit in different such pieces makes one field call.
+    """
 
     vector_field: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     linearization_at_zero: np.ndarray
+    lane_form: Callable | None = None
+    params: object = None
 
     def __post_init__(self):
         lin = as_square_matrix(self.linearization_at_zero)
@@ -47,13 +55,26 @@ class AutonomousPiece:
 
     @classmethod
     def linear(cls, a) -> "AutonomousPiece":
-        """Piece with linear dynamics x' = A x."""
+        """Piece with linear dynamics x' = A x, on a state or a (B, n) stack."""
         m = as_square_matrix(a)
         return cls(
-            vector_field=lambda x, _m=m: _m @ x,
+            vector_field=lambda x, _m=m: _linear_field(_m, x),
             jacobian=lambda x, _m=m: _m,
             linearization_at_zero=m,
+            lane_form=_linear_rows,
+            params=m,
         )
+
+
+def _linear_field(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for a state, row by row for a (B, n) stack (m may be (B, n, n))."""
+    return (m @ x[..., None])[..., 0]
+
+
+def _linear_rows(matrices: list) -> tuple:
+    """Field and Jacobian on a (B, n) stack whose row b has matrices[b]."""
+    stack = np.array(matrices)
+    return (lambda x: _linear_field(stack, x)), (lambda x: stack)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,18 @@ The stepper is classical RK4 with mandatory mesh points at every season
 boundary, so the piecewise-autonomous right-hand side is never evaluated
 across a discontinuity inside a step. Within a chunk the active piece is
 resolved once, at the chunk midpoint.
+
+One pass can carry many lanes: a sequence of B systems stepping a state of
+shape (B, m). Each lane takes exactly the steps, and the arithmetic, of a
+pass of its system alone, so its rows have that pass's bits. Lanes in the
+same piece, or in pieces of one lane form (AutonomousPiece.lane_form), share
+each field evaluation.
 """
 
+import bisect
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -21,8 +30,12 @@ DEFAULT_EXTINCTION_THRESHOLD = 1e-9
 DEFAULT_DIVERGENCE_BOUND = 1e9
 _EXTINCT_PERIODS = 3
 _MAX_PERIODS = 2000  # Picard budget of find_periodic_orbit
+_NEWTON_STEPS = 30  # Newton budget of find_periodic_orbit before Picard takes over
+_RK4_REAL_BOUND = 2.785  # RK4 is stable on the negative real axis up to h|lambda| = 2.785
 _FLOW_SAMPLE_SEED = 99
 _FLOW_STRICTNESS = 1e-9
+_TRAJECTORY_DIVERGED = "trajectory norm exceeded divergence bound"
+_BASE_DIVERGED = "base trajectory diverged"
 
 
 @dataclass
@@ -43,11 +56,57 @@ class _Clamp:
         if low < 0.0:
             self.clamp_count += int(np.count_nonzero(x < 0.0))
             x = np.maximum(x, 0.0)
-        if float(np.linalg.norm(x)) > self.bound:
-            raise DivergenceError("trajectory norm exceeded divergence bound", time=t, state=x)
+        if math.sqrt(x.dot(x)) > self.bound:  # the bits of np.linalg.norm(x)
+            raise DivergenceError(_TRAJECTORY_DIVERGED, time=t, state=x)
         if self.record is not None:
             self.record(t, x)
         return x
+
+
+class _Lanes:
+    """Divergence of a lane-batched pass. A lane whose base state passes the
+    bound keeps its DivergenceError and is zeroed, so it stays finite and
+    inert while the others finish; `raise_first` then raises the error a run
+    of one-lane passes in lane order would have raised."""
+
+    def __init__(self, bound: float, count: int, message: str):
+        self.bound = bound
+        self.message = message
+        self.errors = [None] * count
+        self.alive = np.ones(count, dtype=bool)
+
+    def cull(self, t: np.ndarray, x: np.ndarray, base: np.ndarray) -> np.ndarray:
+        over = np.sqrt((base * base).sum(axis=1)) > self.bound
+        if over.any():
+            for lane in np.flatnonzero(over):
+                self.errors[lane] = DivergenceError(
+                    self.message, time=float(t[lane, 0]), state=base[lane].copy()
+                )
+            self.alive &= ~over
+            x = np.where(over[:, None], 0.0, x)
+        return x
+
+    def raise_first(self):
+        for error in self.errors:
+            if error is not None:
+                raise error
+
+
+class _LaneClamp(_Lanes):
+    """_Clamp over lanes: negatives snapped to zero, each lane's most negative
+    raw component, and divergence per lane."""
+
+    def __init__(self, bound: float, x0: np.ndarray):
+        super().__init__(bound, len(x0), _TRAJECTORY_DIVERGED)
+        self.min_component = x0.min(axis=1)
+
+    def settle(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        low = x.min(axis=1)
+        lower = self.alive & (low < self.min_component)
+        self.min_component = np.where(lower, low, self.min_component)
+        if low.min() < 0.0:
+            x = np.maximum(x, 0.0)
+        return self.cull(t, x, x)
 
 
 @dataclass(frozen=True)
@@ -80,31 +139,131 @@ def _boundary_times(system: SeasonalSystem, t0: float, t1: float) -> list:
     return sorted(out)
 
 
-def _chunks(system: SeasonalSystem, t0: float, t1: float):
+def _chunks(system: SeasonalSystem, t0: float, t1: float, step: float) -> list:
+    """(a, b, piece, nsteps, h) per chunk: equal steps h <= step from a to b."""
     knots = [t0] + _boundary_times(system, t0, t1) + [t1]
+    out = []
     for a, b in zip(knots, knots[1:]):
         if b > a:
-            yield a, b, system.pieces[season_index(system.schedule, 0.5 * (a + b)) - 1]
+            nsteps = max(1, int(np.ceil((b - a) / step - 1e-12)))
+            piece = system.pieces[season_index(system.schedule, 0.5 * (a + b)) - 1]
+            out.append((a, b, piece, nsteps, (b - a) / nsteps))
+    return out
 
 
-def _rk4(system: SeasonalSystem, x, t0: float, t1: float, step: float, rhs, settle):
+def _runs(system, t0, t1, step):
+    """Runs of RK4 steps over which every lane keeps its piece and step size.
+
+    Yields (groups, h, times, mask): `groups` pairs each piece with the rows
+    it steps (None: all rows), `h` is the step, `times[i]` the time step i
+    lands on, and `mask` marks the lanes still stepping (None when all are).
+    One system yields its chunks with scalars; lanes yield (B, 1) columns,
+    and a lane that has finished rides along in its last piece, masked.
+    """
+    if isinstance(system, SeasonalSystem):
+        for a, b, piece, nsteps, h in _chunks(system, t0, t1, step):
+            yield [(piece, None)], h, [a + (i + 1) * h for i in range(nsteps - 1)] + [b], None
+        return
+    plans = [_chunks(s, t0, t, dt) for s, t, dt in zip(system, t1, step)]
+    starts = [np.cumsum([0] + [c[3] for c in plan]).tolist() for plan in plans]
+    cuts = sorted({s for lane in starts for s in lane})
+    for s0, s1 in zip(cuts, cuts[1:]):
+        a, h, end = (np.zeros((len(plans), 1)) for _ in range(3))
+        offset = np.zeros((len(plans), 1), dtype=int)
+        mask = np.ones((len(plans), 1), dtype=bool)
+        pieces = []
+        for lane, (plan, start) in enumerate(zip(plans, starts)):
+            c = bisect.bisect_right(start, s0) - 1
+            if c == len(plan):
+                mask[lane] = False
+                pieces.append(plan[-1][2] if plan else system[lane].pieces[0])
+                continue
+            a[lane], b, piece, _, h[lane] = plan[c]
+            offset[lane] = s0 - start[c]
+            # land exactly on the chunk endpoint (season boundaries are knots)
+            end[lane] = b if start[c + 1] == s1 else a[lane] + (offset[lane] + s1 - s0) * h[lane]
+            pieces.append(piece)
+        times = _lane_times(a, offset, h, end, s1 - s0)
+        yield _lane_groups(pieces), h, times, None if mask.all() else mask
+
+
+def _lane_times(a, offset, h, end, count):
+    """Each lane's time after each step of a run, as a one-lane chunk has it."""
+    for i in range(count - 1):
+        yield a + (offset + i + 1) * h
+    yield end
+
+
+def _lane_groups(pieces: list) -> list:
+    """Cover the lanes with as few field calls as possible: one piece for all
+    rows, the row-wise piece of a lane form every piece shares, or else each
+    piece with its rows."""
+    if all(p is pieces[0] for p in pieces):
+        return [(pieces[0], None)]
+    form = pieces[0].lane_form
+    if form is not None and all(p.lane_form is form for p in pieces):
+        vector_field, jacobian = form([p.params for p in pieces])
+        return [(SimpleNamespace(vector_field=vector_field, jacobian=jacobian), None)]
+    groups = {}
+    for lane, p in enumerate(pieces):
+        groups.setdefault(id(p), (p, []))[1].append(lane)
+    return [(p, np.asarray(rows)) for p, rows in groups.values()]
+
+
+def _field(rhs, groups):
+    """The field of a run: one piece's rhs, or each group's rhs on its rows."""
+    if groups[0][1] is None:
+        return rhs(groups[0][0])
+    parts = [(rhs(piece), rows) for piece, rows in groups]
+
+    def f(x):
+        out = np.empty_like(x)
+        for g, rows in parts:
+            out[rows] = g(x[rows])
+        return out
+
+    return f
+
+
+def _check_stability(system, step):
+    """Refuse a step past RK4's real stability bound at zero, before stepping."""
+    lanes = [(system, step)] if isinstance(system, SeasonalSystem) else zip(system, step)
+    rates = {}
+    for lane, h in lanes:
+        for piece in lane.pieces:
+            if id(piece) not in rates:
+                rates[id(piece)] = float(np.abs(np.linalg.eigvals(piece.linearization_at_zero)).max())
+        rate = max(rates[id(piece)] for piece in lane.pieces)
+        if h * rate > _RK4_REAL_BOUND:
+            raise InvalidInputError(
+                f"RK4 is unstable at this step: h*|lambda| = {h * rate:.6g} exceeds its real "
+                f"stability bound {_RK4_REAL_BOUND} (h = {h:.6g}, |lambda| = {rate:.6g}, the "
+                "largest eigenvalue modulus of the seasons' Jacobians at zero); use a smaller ode_step"
+            )
+
+
+def _rk4(system, x, t0, t1, step, rhs, settle):
     """Classical RK4 from t0 to t1 in equal steps that land on every season knot.
 
-    rhs(piece) is the field used on that piece's chunks; settle(t, x) runs
-    after every step and returns the state the next step starts from.
+    One system steps a state of shape (m,). A sequence of B systems steps
+    lanes, a state of shape (B, m), with t1 and step given per lane.
+    rhs(piece) is the field used on that piece's chunks, for either shape;
+    settle(t, x) runs after every step and returns the state the next step
+    starts from.
     """
-    for a, b, piece in _chunks(system, t0, t1):
-        f = rhs(piece)
-        nsteps = max(1, int(np.ceil((b - a) / step - 1e-12)))
-        h = (b - a) / nsteps
-        for i in range(nsteps):
+    _check_stability(system, step)
+    for groups, h, times, mask in _runs(system, t0, t1, step):
+        f = _field(rhs, groups)
+        half, sixth = 0.5 * h, h / 6.0
+        for t in times:
             k1 = f(x)
-            k2 = f(x + 0.5 * h * k1)
-            k3 = f(x + 0.5 * h * k2)
+            k2 = f(x + half * k1)
+            k3 = f(x + half * k2)
             k4 = f(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # land exactly on the chunk endpoint (season boundaries are knots)
-            x = settle(b if i == nsteps - 1 else a + (i + 1) * h, x)
+            new = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if mask is not None:  # finished lanes step by h = 0, but keep their bits
+                new = np.where(mask, new, x)
+            x = settle(t, new)
     return x
 
 
@@ -112,12 +271,31 @@ def _state_field(piece):
     return piece.vector_field
 
 
-def _default_step(system: SeasonalSystem, step) -> float:
+def _default_step(system, step):
+    """The step of one system, or the list of per-lane steps."""
+    if not isinstance(system, SeasonalSystem):
+        return [_default_step(lane, step) for lane in system]
     if step is None:
         return system.period_T / DEFAULT_STEPS_PER_PERIOD
     if not (step > 0.0 and np.isfinite(step)):
         raise InvalidInputError(f"step must be positive, got {step}")
     return float(step)
+
+
+def _period(system):
+    if isinstance(system, SeasonalSystem):
+        return system.period_T
+    return [lane.period_T for lane in system]
+
+
+def _state_shape(system) -> tuple:
+    """(n,) for one system, (B, n) for B lanes."""
+    if isinstance(system, SeasonalSystem):
+        return (system.dimension,)
+    dims = {lane.dimension for lane in system}
+    if len(dims) != 1:
+        raise InvalidInputError(f"lanes disagree on dimension: {sorted(dims)}")
+    return (len(system), dims.pop())
 
 
 def integrate(
@@ -168,74 +346,111 @@ def integrate(
 
 
 def poincare_map(
-    system: SeasonalSystem,
+    system,
     x,
     step: float | None = None,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> np.ndarray:
-    """State after exactly one period, started at phase zero."""
+    """State after exactly one period, started at phase zero.
+
+    `system` may be a sequence of B systems with x of shape (B, n): one
+    lane-batched pass whose rows have the bits of one-lane passes. A lane
+    that diverges raises after the pass, the first one in lane order.
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise InvalidInputError("state must be nonnegative")
     step = _default_step(system, step)
-    settle = _Clamp(divergence_bound).settle
-    return _rk4(system, x, 0.0, system.period_T, step, _state_field, settle)
+    if isinstance(system, SeasonalSystem):
+        settle = _Clamp(divergence_bound).settle
+        return _rk4(system, x, 0.0, system.period_T, step, _state_field, settle)
+    if x.shape != _state_shape(system):
+        raise InvalidInputError(f"state shape {x.shape} does not match the lanes")
+    clamp = _LaneClamp(divergence_bound, x)
+    x = _rk4(system, x, 0.0, _period(system), step, _state_field, clamp.settle)
+    clamp.raise_first()
+    return x
 
 
 def _variational(
-    system: SeasonalSystem,
+    system,
     x: np.ndarray,
-    step: float,
+    step,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(x) and DP(x) from one RK4 pass of the joint variational system.
 
     The base state and the fundamental matrix share the augmented pass, so
     both see identical season boundaries; the base part takes the steps
-    poincare_map takes, without its clamp.
+    poincare_map takes, without its clamp. Over lanes (a sequence of B
+    systems, x of shape (B, n), per-lane steps) P is (B, n) and DP
+    (B, n, n), and a diverged lane raises after the pass, the first in lane
+    order.
     """
-    n = system.dimension
+    n = x.shape[-1]
+    lead = x.shape[:-1]
+    single = isinstance(system, SeasonalSystem)
+    # a group of lanes has rows of its own, so lanes reshape with -1
+    base_of, fund_of = (np.s_[:n], np.s_[n:]) if single else (np.s_[:, :n], np.s_[:, n:])
+    square, flat = ((n, n), (n * n,)) if single else ((-1, n, n), (-1, n * n))
 
     def joint_field(piece):
         f, jac = piece.vector_field, piece.jacobian
 
         def rhs(z):
-            base = z[:n]
-            fund = z[n:].reshape(n, n)
-            return np.concatenate([f(base), (jac(base) @ fund).ravel()])
+            base = z[base_of]
+            dfund = jac(base) @ z[fund_of].reshape(square)
+            return np.concatenate([f(base), dfund.reshape(flat)], axis=-1)
 
         return rhs
 
-    def settle(t, z):
-        if float(np.linalg.norm(z[:n])) > divergence_bound:
-            raise DivergenceError("base trajectory diverged", time=t, state=z[:n])
-        return z
+    if single:
+        def settle(t, z):
+            base = z[:n]
+            if math.sqrt(base.dot(base)) > divergence_bound:  # the bits of np.linalg.norm
+                raise DivergenceError(_BASE_DIVERGED, time=t, state=base)
+            return z
 
-    aug0 = np.concatenate([x, np.eye(n).ravel()])
-    aug = _rk4(system, aug0, 0.0, system.period_T, step, joint_field, settle)
-    return aug[:n], aug[n:].reshape(n, n)
+        guard = None
+    else:
+        guard = _Lanes(divergence_bound, len(x), _BASE_DIVERGED)
+
+        def settle(t, z):
+            return guard.cull(t, z, z[:, :n])
+
+    fund0 = np.broadcast_to(np.eye(n).ravel(), lead + (n * n,))
+    aug0 = np.concatenate([x, fund0], axis=-1)
+    aug = _rk4(system, aug0, 0.0, _period(system), step, joint_field, settle)
+    if guard is not None:
+        guard.raise_first()
+    return aug[..., :n], aug[..., n:].reshape(lead + (n, n))
 
 
 def poincare_jacobian(
-    system: SeasonalSystem,
+    system,
     x,
     step: float | None = None,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> np.ndarray:
-    """Derivative of the period map at x, by the joint variational system."""
+    """Derivative of the period map at x, by the joint variational system.
+
+    Over lanes (a sequence of B systems, x of shape (B, n)) it returns the
+    (B, n, n) stack from one pass.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (system.dimension,):
+    if x.shape != _state_shape(system):
         raise InvalidInputError(f"state shape {x.shape} does not match dimension")
     return _variational(system, x, _default_step(system, step), divergence_bound)[1]
 
 
 @dataclass(frozen=True)
 class PoincareResult:
-    """Outcome of iterating the period map from one start.
+    """Outcome of solving for a fixed point of the period map from one start.
 
     classification is "extinction", "periodic_positive", "divergent" or
     "undecided"; multiplier_lambda is the dominant multiplier of the
-    linearization at zero, always reported.
+    linearization at zero, always reported. iterations counts the
+    variational passes and mapped periods taken.
     """
 
     fixed_point: np.ndarray
@@ -253,22 +468,79 @@ def find_periodic_orbit(
     extinction_threshold: float = DEFAULT_EXTINCTION_THRESHOLD,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> PoincareResult:
-    """Iterate the period map until it settles, dies out, or blows up.
+    """Solve P(x) = x by Newton from x0, or iterate P when Newton cannot.
 
-    Plain Picard iteration: the contraction structure of concave monotone
-    flows makes it globally convergent, so no root finder is needed.
-    Extinction requires the state norm to stay below the threshold for three
-    consecutive periods; classifications near the exact threshold may come
-    back "undecided" within the period budget.
+    Each Newton step takes P(x) and DP(x) from one variational pass and solves
+    (DP(x) - I) d = x - P(x). x is "periodic_positive" once
+    |P(x) - x| <= tol with every component above 10 * extinction_threshold
+    (the residual reported is that |P(x) - x|). An iterate whose norm falls
+    below the threshold is "extinction" once three more mapped periods stay
+    below it. Picard iteration from x0 takes over, with the labels and rules
+    above, when DP(x) - I is singular, a step leaves the nonnegative cone or
+    the divergence bound, Newton lands on 0 while lambda > 1 (zero is then
+    unstable), a pass diverges, or Newton has not settled within its budget.
+    Classifications near the exact threshold may come back "undecided".
     """
     step = _default_step(system, step)
-    lam = spectral_radius(poincare_jacobian(system, np.zeros(system.dimension), step=step))
-    x = np.asarray(x0, dtype=float).copy()
+    n = system.dimension
+    x = x0 = np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise InvalidInputError(f"x0 shape {x.shape} does not match dimension")
+    if np.any(x < 0.0):
+        raise InvalidInputError("state must be nonnegative")
+    lam = spectral_radius(poincare_jacobian(system, np.zeros(n), step=step))
+    iterations = 0
+    while iterations < _NEWTON_STEPS:
+        try:
+            px, jac = _variational(system, x, step, divergence_bound)
+        except DivergenceError:
+            break
+        iterations += 1
+        residual = float(np.linalg.norm(px - x))
+        if residual <= tol and float(x.min()) > 10.0 * extinction_threshold:
+            return PoincareResult(x, residual, iterations, "periodic_positive", lam)
+        try:
+            x = x + np.linalg.solve(jac - np.eye(n), x - px)
+        except np.linalg.LinAlgError:
+            break
+        if float(np.linalg.norm(x)) < extinction_threshold:
+            if lam > 1.0:
+                break
+            # landed on 0: rounding may leave it a hair outside the cone
+            result = _confirm_extinction(
+                system, np.maximum(x, 0.0), step, extinction_threshold, divergence_bound,
+                lam, iterations,
+            )
+            if result is not None:
+                return result
+            iterations += _EXTINCT_PERIODS
+            break
+        if not np.all(x >= 0.0) or float(np.linalg.norm(x)) > divergence_bound:
+            break
+    return _picard(system, x0, tol, step, extinction_threshold, divergence_bound, lam, iterations)
+
+
+def _confirm_extinction(system, x, step, threshold, divergence_bound, lam, iterations):
+    """The extinction result if x stays below the threshold for three mapped
+    periods, else None."""
+    for _ in range(_EXTINCT_PERIODS):
+        nxt = poincare_map(system, x, step=step, divergence_bound=divergence_bound)
+        iterations += 1
+        diff = float(np.linalg.norm(nxt - x))
+        x = nxt
+        if float(np.linalg.norm(x)) >= threshold:
+            return None
+    return PoincareResult(x, diff, iterations, "extinction", lam)
+
+
+def _picard(system, x, tol, step, extinction_threshold, divergence_bound, lam, iterations):
+    """Iterate the period map from x until it settles, dies out, or blows up,
+    within _MAX_PERIODS periods; iterations counts on from the given value."""
     positivity_floor = 10.0 * extinction_threshold
     below = 0
-    iterations = 0
+    budget = iterations + _MAX_PERIODS
     try:
-        while iterations < _MAX_PERIODS:
+        while iterations < budget:
             nxt = poincare_map(system, x, step=step, divergence_bound=divergence_bound)
             iterations += 1
             diff = float(np.linalg.norm(nxt - x))
@@ -300,21 +572,18 @@ def empirical_threshold(
     """Simulated extinction/persistence boundary over a family theta -> system.
 
     Labels theta persistent when the simulated dominant multiplier at zero,
-    the spectral radius of poincare_jacobian(family(theta), 0), exceeds 1.
-    Requires the labels to be monotone (persistent below, extinct above),
-    then bisects the boundary cell down to tol. Returns 1.0 and 0.0 for the
-    all-persistent and all-extinct families.
+    the spectral radius of poincare_jacobian(family(theta), 0), exceeds 1;
+    the grid points are labeled as lanes of one pass. Requires the labels to
+    be monotone (persistent below, extinct above), then bisects the boundary
+    cell down to tol. Returns 1.0 and 0.0 for the all-persistent and
+    all-extinct families.
     """
     grid = sorted(float(g) for g in grid)
     if len(grid) < 3:
         raise InvalidInputError("grid must contain at least 3 points")
-
-    def persistent(theta: float) -> bool:
-        system = family(theta)
-        zero = np.zeros(system.dimension)
-        return spectral_radius(poincare_jacobian(system, zero, step=step)) > 1.0
-
-    labels = [persistent(th) for th in grid]
+    systems = [family(th) for th in grid]
+    zeros = np.zeros(_state_shape(systems))
+    labels = [spectral_radius(dp) > 1.0 for dp in poincare_jacobian(systems, zeros, step=step)]
     for earlier, later in zip(labels, labels[1:]):
         if later and not earlier:
             raise InconsistencyError(
@@ -329,7 +598,7 @@ def empirical_threshold(
     hi = min(th for th, lab in zip(grid, labels) if not lab)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if persistent(mid):
+        if spectral_radius(poincare_jacobian(family(mid), zeros[0], step=step)) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -389,33 +658,38 @@ def verify_flow_properties(
     system: SeasonalSystem, step: float | None = None
 ) -> FlowPropertyReport:
     """Check the flow properties on the states and ordered pairs of
-    default_flow_samples."""
+    default_flow_samples, in two lane-batched passes: one period of the
+    clamped flow from every sample state (truncated where it diverges, as
+    integrate does), and one variational pass at 0, at the positive samples
+    and at both ends of every pair."""
     step = _default_step(system, step)
     sample_states, ordered_pairs = default_flow_samples(system.dimension)
 
-    positivity_margin = np.inf
-    for s in sample_states:
-        traj = integrate(system, s, 0.0, system.period_T, step=step)
-        positivity_margin = min(positivity_margin, traj.min_component)
+    starts = np.array(sample_states)
+    clamp = _LaneClamp(DEFAULT_DIVERGENCE_BOUND, starts)
+    lanes = [system] * len(starts)
+    _rk4(lanes, starts, 0.0, _period(lanes), [step] * len(lanes), _state_field, clamp.settle)
+    positivity_margin = float(clamp.min_component.min())
 
-    dp0 = poincare_jacobian(system, np.zeros(system.dimension), step=step)
-    dp0_margin = float(dp0.min())
+    positive = [s for s in sample_states if np.all(s > 0.0)]
+    points = [np.zeros(system.dimension)] + positive + [s for pair in ordered_pairs for s in pair]
+    lanes = [system] * len(points)
+    mapped, dp = _variational(lanes, np.array(points), [step] * len(lanes))
+
+    dp0_margin = float(dp[0].min())
     nonneg_margin = np.inf
-    for s in sample_states:
-        if np.all(np.asarray(s) > 0.0):
-            nonneg_margin = min(nonneg_margin, float(poincare_jacobian(system, s, step=step).min()))
+    for d in dp[1:1 + len(positive)]:
+        nonneg_margin = min(nonneg_margin, float(d.min()))
     if not np.isfinite(nonneg_margin):
         nonneg_margin = dp0_margin
 
-    # one variational pass per state gives both P, for the order margin, and DP
+    # the pair lanes give both P, for the order margin, and DP
     order_margin = np.inf
     mono_entry = np.inf
     mono_strict = np.inf
-    for x, y in ordered_pairs:
-        px, dpx = _variational(system, x, step)
-        py, dpy = _variational(system, y, step)
-        order_margin = min(order_margin, float((py - px).min()))
-        gap = dpx - dpy
+    for x in range(1 + len(positive), len(points), 2):
+        order_margin = min(order_margin, float((mapped[x + 1] - mapped[x]).min()))
+        gap = dp[x] - dp[x + 1]
         mono_entry = min(mono_entry, float(gap.min()))
         mono_strict = min(mono_strict, float(gap.max()))
 

@@ -130,10 +130,11 @@ def _check_threshold(scenario, rng) -> VerifyRow:
 
 def _check_poincare_consistency(scenario, rng) -> VerifyRow:
     lin = linearization_from_scenario(scenario)
+    thetas = (0.1, 0.3, 0.5, 0.7, 0.9)
+    systems = [system_from_scenario(scenario, th) for th in thetas]
+    lams = simulate.poincare_jacobian(systems, np.zeros((len(thetas), lin.dimension)))
     worst = 0.0
-    for th in (0.1, 0.3, 0.5, 0.7, 0.9):
-        system = system_from_scenario(scenario, th)
-        lam = simulate.poincare_jacobian(system, np.zeros(system.dimension))
+    for th, lam in zip(thetas, lams):
         gap = abs(spectral_radius(lam) - floquet.rho(lin, th)[0]) / floquet.rho(lin, th)[0]
         worst = max(worst, gap)
     return _row("poincare_vs_monodromy", worst <= 1e-6, f"worst rel gap {worst:.3e}")

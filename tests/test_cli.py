@@ -1,10 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seasonthresh import floquet
+from seasonthresh import floquet, simulate
 from seasonthresh.cli import main, run_sweep
 from seasonthresh.errors import ScenarioError
 from seasonthresh.scenario import (
@@ -102,6 +103,15 @@ class TestLoadScenario:
         # bool subclasses int in Python, so a bare isinstance check reads true as 1
         with pytest.raises(ScenarioError, match=where):
             scenario_from_dict({**MATRICES, **patch})
+
+    @pytest.mark.parametrize("section, value", [
+        ("tolerances", 1), ("split", True), ("insect", 3), ("matrices", 3),
+    ])
+    def test_non_object_section_is_usage_error(self, tmp_path, capsys, section, value):
+        base = MATRICES if section == "matrices" else INSECT
+        scenario_path = write_scenario(tmp_path, {**base, section: value})
+        assert main(["threshold", "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
+        assert f"{section}: expected an object" in capsys.readouterr().err
 
     def test_explicit_grid_list(self, tmp_path):
         payload = dict(INSECT)
@@ -234,6 +244,34 @@ class TestCommands:
         assert calls.count("monodromy") == monodromies
         # one pair per grid point, plus one per season for shared_eigenvector
         assert calls.count("perron_pair") == 7 + 2
+
+    def test_floquet_with_simulation_is_one_pass(self, tmp_path, monkeypatch):
+        lanes = []
+        original = simulate._rk4
+
+        def counted(system, x, *args):
+            lanes.append(len(x))
+            return original(system, x, *args)
+
+        monkeypatch.setattr(simulate, "_rk4", counted)
+        scenario_path = write_scenario(tmp_path, INSECT)
+        argv = ["floquet", "--scenario", str(scenario_path), "--out", str(tmp_path),
+                "--with-simulation", "--grid", "6"]
+        assert main(argv) == 0
+        assert lanes == [6]
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6 and all(row.split(",")[5] for row in rows)
+
+    @pytest.mark.parametrize("command", ["poincare", "simulate"])
+    def test_unstable_rk4_step_is_usage_error(self, tmp_path, capsys, command):
+        # the pair's stiffest season eigenvalue at zero is -2.5, so the default
+        # step T / 2000 = 2.5 at T = 5000 puts h|lambda| = 6.25 past 2.785
+        payload = {k: v for k, v in INSECT.items() if k != "tolerances"}
+        scenario_path = write_scenario(tmp_path, {**payload, "period_T": 5000.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
+        assert "h*|lambda| = 6.25 exceeds its real stability bound 2.785" in capsys.readouterr().err
 
     def test_simulate_command(self, tmp_path):
         scenario_path = write_scenario(tmp_path, INSECT)

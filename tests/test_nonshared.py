@@ -69,10 +69,18 @@ def test_empirical_threshold_reads_the_variational_multiplier(monkeypatch, scena
 
 
 def test_flow_properties_take_one_pass_per_state(monkeypatch, scenario):
-    # n = 2: 7 sample trajectories, then DP(0), DP at the 4 positive samples
-    # and (P, DP) at both ends of the 6 ordered pairs
-    calls = count_calls(monkeypatch, simulate, "_rk4")
+    # n = 2: one lane per state in two passes: the 7 sample trajectories, then
+    # DP(0), DP at the 4 positive samples and (P, DP) at both ends of the 6
+    # ordered pairs
+    lanes = []
+    original = simulate._rk4
+
+    def counted(system, x, *args):
+        lanes.append(len(x))
+        return original(system, x, *args)
+
+    monkeypatch.setattr(simulate, "_rk4", counted)
     report = simulate.verify_flow_properties(system_from_scenario(scenario, scenario.theta),
                                              step=1.0 / 500)
     assert report.all_ok
-    assert len(calls) == 7 + 1 + 4 + 12
+    assert lanes == [7, 1 + 4 + 12]

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seasonthresh import simulate
 from seasonthresh import (
     AutonomousPiece,
     SeasonalSchedule,
@@ -19,6 +21,9 @@ from seasonthresh import (
 )
 from seasonthresh.errors import DivergenceError, InconsistencyError, InvalidInputError
 from seasonthresh.linalg import spectral_radius
+from seasonthresh.scenario import load_scenario, system_from_scenario
+
+NONSHARED = Path(__file__).resolve().parents[1] / "scenarios" / "insect_nonshared.json"
 
 
 @pytest.fixture
@@ -31,6 +36,28 @@ def linear_system(a, period=1.0):
         schedule=SeasonalSchedule(period, (0.0, 1.0)),
         pieces=(AutonomousPiece.linear(np.asarray(a, dtype=float)),),
     )
+
+
+def lane_systems(kind, count, pi_unfavorable, pi_favorable):
+    """count systems at distinct theta, so distinct season knots; every third
+    lane has period 1.5, so lanes finish at different steps"""
+    nonshared = load_scenario(NONSHARED)
+    m1 = np.array([[-1.0, 0.5], [0.5, -2.0]])
+    m2 = np.array([[0.5, 1.0], [1.0, 0.2]])
+    systems = []
+    for lane, theta in enumerate(np.linspace(0.15, 0.85, count)):
+        period = 1.5 if lane % 3 == 2 else 1.0
+        insect = lane % 2 == 0 if kind == "mixed" else kind == "insect"
+        if not insect:
+            schedule = SeasonalSchedule(period, (0.0, theta, 1.0))
+            pieces = (AutonomousPiece.linear(m1), AutonomousPiece.linear(m2))
+            systems.append(SeasonalSystem(schedule=schedule, pieces=pieces))
+        elif lane % 4 == 1:  # another parameter pair of the same lane form
+            pair = (nonshared.pi_unfavorable, nonshared.pi_favorable)
+            systems.append(as_seasonal_system(*pair, theta, period))
+        else:
+            systems.append(as_seasonal_system(pi_unfavorable, pi_favorable, theta, period))
+    return systems
 
 
 class TestIntegrate:
@@ -140,6 +167,105 @@ class TestPoincareJacobian:
             poincare_jacobian(system, np.array([50.0, 50.0]), step=0.01, divergence_bound=1e2)
         assert 0.0 < info.value.time <= 1.0
         assert info.value.state.shape == (2,)
+
+
+class TestLanes:
+    """A lane-batched pass gives each lane the bits of its one-lane pass."""
+
+    @pytest.mark.parametrize("kind", ["insect", "linear", "mixed"])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_variational_lanes_match_one_lane_passes(self, kind, count, pi_unfavorable,
+                                                     pi_favorable):
+        systems = lane_systems(kind, count, pi_unfavorable, pi_favorable)
+        states = np.random.default_rng(count).uniform(0.0, 2.0, (count, 2))
+        steps = [s.period_T / 200 for s in systems]
+        mapped, jac = simulate._variational(systems, states, steps)
+        for lane, system in enumerate(systems):
+            p, dp = simulate._variational(system, states[lane], steps[lane])
+            assert np.array_equal(mapped[lane], p)
+            assert np.array_equal(jac[lane], dp)
+
+    @pytest.mark.parametrize("kind", ["insect", "linear", "mixed"])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_poincare_map_lanes_match_one_lane_passes(self, kind, count, pi_unfavorable,
+                                                      pi_favorable):
+        systems = lane_systems(kind, count, pi_unfavorable, pi_favorable)
+        states = np.random.default_rng(count).uniform(0.0, 2.0, (count, 2))
+        mapped = poincare_map(systems, states, step=1.0 / 200)
+        for lane, system in enumerate(systems):
+            assert np.array_equal(mapped[lane], poincare_map(system, states[lane], step=1.0 / 200))
+
+    @pytest.mark.parametrize("period_map", [poincare_map, poincare_jacobian])
+    def test_first_diverging_lane_raises_after_the_pass(self, period_map):
+        # lane 0 passes the bound later than lane 1; a run of one-lane passes
+        # in lane order would have raised lane 0's error
+        slow = linear_system(np.array([[0.5, 0.0], [0.0, 0.5]]))
+        fast = linear_system(np.array([[2.0, 0.0], [0.0, 2.0]]))
+        states = np.array([[50.0, 50.0], [50.0, 50.0]])
+        with pytest.raises(DivergenceError) as alone:
+            period_map(slow, states[0], step=0.01, divergence_bound=100.0)
+        with pytest.raises(DivergenceError) as lanes:
+            period_map([slow, fast], states, step=0.01, divergence_bound=100.0)
+        assert lanes.value.time == alone.value.time
+        assert np.array_equal(lanes.value.state, alone.value.state)
+
+
+class TestNewtonOrbit:
+    @pytest.mark.parametrize("case", ["below", "above", "nonshared"])
+    def test_newton_matches_long_picard(self, case, pi_unfavorable, pi_favorable):
+        if case == "nonshared":  # theta 0.4 below its theta* 0.542
+            scenario = load_scenario(NONSHARED)
+            system = system_from_scenario(scenario, scenario.theta)
+        else:
+            theta = 0.4 if case == "below" else 0.6  # theta* = 0.5
+            system = as_seasonal_system(pi_unfavorable, pi_favorable, theta, 1.0)
+        step = 1.0 / 50
+        result = find_periodic_orbit(system, np.array([1.0, 1.0]), step=step)
+        assert result.iterations <= 10  # Newton, not the Picard fallback
+        assert result.classification == ("extinction" if case == "above" else "periodic_positive")
+        x = np.array([1.0, 1.0])
+        for _ in range(2000):
+            x = poincare_map(system, x, step=step)
+        assert np.linalg.norm(result.fixed_point - x) <= 1e-8
+
+    def test_newton_landing_on_unstable_zero_falls_back_to_picard(self, monkeypatch):
+        system = linear_system(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        x0 = np.array([50.0, 50.0])
+        # the period map is linear, so one Newton step lands on 0 up to rounding
+        step_to = x0 + np.linalg.solve(
+            poincare_jacobian(system, x0, step=0.01) - np.eye(2),
+            x0 - poincare_map(system, x0, step=0.01),
+        )
+        assert np.linalg.norm(step_to) < 1e-9
+        starts = []
+        original = simulate._picard
+
+        def spy(system, x, *args):
+            starts.append(x.copy())
+            return original(system, x, *args)
+
+        monkeypatch.setattr(simulate, "_picard", spy)
+        result = find_periodic_orbit(system, x0, step=0.01, divergence_bound=1e4)
+        assert result.multiplier_lambda > 1.0
+        assert result.classification == "divergent"
+        assert len(starts) == 1 and np.array_equal(starts[0], x0)
+
+    def test_newton_extinction_maps_three_periods(self, monkeypatch):
+        system = linear_system(np.array([[-1.0, 0.5], [0.5, -1.0]]))
+        calls = []
+        original = simulate.poincare_map
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "poincare_map", counted)
+        result = find_periodic_orbit(system, np.array([1.0, 2.0]), step=0.01)
+        assert result.classification == "extinction"
+        assert result.multiplier_lambda < 1.0
+        assert len(calls) == 3
+        assert result.iterations == 1 + 3
+        assert np.linalg.norm(result.fixed_point) < 1e-9
 
 
 class TestFindPeriodicOrbit:
