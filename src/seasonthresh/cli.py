@@ -61,11 +61,14 @@ def _write_json(path: Path, payload):
     path.write_text(text, newline="\n")
 
 
-def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+def _write_csv(path: Path, header, rows, row_format=None):
+    """One line per row: each value by _fmt, or the whole row, a tuple of
+    plain numbers, by the %-format row_format ("%.17g" for the floats)."""
+    if row_format is None:
+        lines = [",".join(_fmt(v) for v in row) for row in rows]
+    else:
+        lines = [row_format % row for row in rows]
+    path.write_text("\n".join([",".join(header), *lines]) + "\n", newline="\n")
 
 
 def _require_theta(scenario: Scenario, override) -> float:
@@ -91,9 +94,9 @@ class SweepRow:
 def run_sweep(scenario: Scenario, with_simulation: bool = False) -> list[SweepRow]:
     """Evaluate rho, derivatives, and the spectral classification per theta.
 
-    With simulation, the rows' lambda_simulated come from one lane-batched
-    variational pass at zero. Per-row failures are recorded in the error
-    column; the sweep continues.
+    With simulation, each row's lambda_simulated is the spectral radius of
+    its DP(0). Per-row failures are recorded in the error column; the sweep
+    continues.
     """
     lin = linearization_from_scenario(scenario)
     tol = scenario.tolerances.perron_tol
@@ -119,29 +122,17 @@ def _error_row(theta: float, exc: Exception) -> SweepRow:
 
 def _simulate_lambdas(scenario: Scenario, rows: list):
     """Fill lambda_simulated of the rows without an error, in place; a row
-    whose system, pass or spectral radius fails becomes an error row."""
-    lanes, systems = [], []
+    whose system, DP(0) or spectral radius fails becomes an error row."""
+    step = scenario.tolerances.ode_step
     for i, row in enumerate(rows):
-        if not row.error:
-            try:
-                systems.append(system_from_scenario(scenario, row.theta))
-                lanes.append(i)
-            except Exception as exc:
-                rows[i] = _error_row(row.theta, exc)
-    if not lanes:
-        return
-    try:
-        zeros = np.zeros((len(systems), systems[0].dimension))
-        dps = simulate.poincare_jacobian(systems, zeros, step=scenario.tolerances.ode_step)
-    except Exception as exc:
-        for i in lanes:
-            rows[i] = _error_row(rows[i].theta, exc)
-        return
-    for i, dp in zip(lanes, dps):
+        if row.error:
+            continue
         try:
-            rows[i] = dataclasses.replace(rows[i], lambda_simulated=spectral_radius(dp))
+            system = system_from_scenario(scenario, row.theta)
+            dp = simulate.poincare_jacobian(system, np.zeros(system.dimension), step=step)
+            rows[i] = dataclasses.replace(row, lambda_simulated=spectral_radius(dp))
         except Exception as exc:
-            rows[i] = _error_row(rows[i].theta, exc)
+            rows[i] = _error_row(row.theta, exc)
 
 
 def _cmd_floquet(scenario, args, out: Path):
@@ -221,10 +212,12 @@ def _cmd_simulate(scenario, args, out: Path):
         state_names = [f"x{i+1}" for i in range(system.dimension)]
     header = ["time", *state_names, "season"]
     rows = [
-        [float(t), *[float(v) for v in x], int(tag)]
-        for t, x, tag in zip(trajectory.times, trajectory.states, trajectory.season_tags)
+        (t, *x, tag) for t, x, tag in zip(
+            trajectory.times.tolist(), trajectory.states.tolist(), trajectory.season_tags.tolist()
+        )
     ]
-    _write_csv(out / "trajectory.csv", header, rows)
+    row_format = ",".join(["%.17g"] * (1 + system.dimension) + ["%d"])
+    _write_csv(out / "trajectory.csv", header, rows, row_format)
     print(f"simulate: wrote {out / 'trajectory.csv'} ({len(rows)} samples, "
           f"diverged={trajectory.diverged}, clamps={trajectory.clamp_count})")
     return 0

@@ -137,19 +137,21 @@ def season_index(schedule: SeasonalSchedule, t: float) -> int:
 
     Zero-length seasons are skipped, never returned.
     """
-    if t < 0.0:
-        raise InvalidInputError(f"t must be nonnegative, got {t}")
-    frac = t / schedule.period_T
+    return int(season_indices(schedule, [t])[0])
+
+
+def season_indices(schedule: SeasonalSchedule, times) -> np.ndarray:
+    """season_index of each entry of an array of times."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0):
+        raise InvalidInputError(f"t must be nonnegative, got {times[times < 0.0][0]}")
+    frac = times / schedule.period_T
     frac -= np.floor(frac)
-    bp = schedule.breakpoints
-    for k in range(1, len(bp)):
-        if bp[k - 1] <= frac < bp[k]:
-            return k
+    bp = np.asarray(schedule.breakpoints)
+    # the k with bp[k - 1] <= frac < bp[k]; equal breakpoints skip empty seasons
+    k = np.searchsorted(bp, frac, side="right")
     # frac rounded up to 1.0: belongs to the last nonempty season
-    for k in range(len(bp) - 1, 0, -1):
-        if bp[k - 1] < bp[k]:
-            return k
-    raise InvalidInputError("schedule has no nonempty season")
+    return np.where(k < len(bp), k, np.flatnonzero(np.diff(bp) > 0.0)[-1] + 1)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,10 @@ shape (B, m). Each lane takes exactly the steps, and the arithmetic, of a
 pass of its system alone, so its rows have that pass's bits. Lanes in the
 same piece, or in pieces of one lane form (AutonomousPiece.lane_form), share
 each field evaluation.
+
+At zero the variational pass is linear, so DP(0) takes no pass: it is the
+product of RK4's stability polynomial at each chunk's h*A, raised to the
+chunk's step count by repeated squaring.
 """
 
 import bisect
@@ -22,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, InconsistencyError, InvalidInputError
-from .linalg import spectral_radius
-from .seasonal import SeasonalSystem, season_index
+from .linalg import as_square_matrix, spectral_radius
+from .seasonal import SeasonalSystem, season_index, season_indices
 
 DEFAULT_STEPS_PER_PERIOD = 2000
 DEFAULT_EXTINCTION_THRESHOLD = 1e-9
@@ -334,11 +338,10 @@ def integrate(
         diverged = True
     times = np.asarray(times)
     states = np.asarray(states)
-    tags = np.array([season_index(system.schedule, float(t)) for t in times])
     return Trajectory(
         times=times,
         states=states,
-        season_tags=tags,
+        season_tags=season_indices(system.schedule, times),
         clamp_count=clamp.clamp_count,
         min_component=clamp.min_component,
         diverged=diverged,
@@ -426,6 +429,58 @@ def _variational(
     return aug[..., :n], aug[..., n:].reshape(lead + (n, n))
 
 
+def _offset(e: np.ndarray) -> tuple:
+    """A power R^k held as a pair (m, offset): (R^k - I, True) while that
+    offset's row-sum norm is below 1/2, which keeps the digits an RK4 step
+    adds to I; else the plain matrix, (R^k, False)."""
+    if np.abs(e).sum(axis=1).max() < 0.5:
+        return e, True
+    return e + np.eye(len(e)), False
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two matrices held as _offset pairs, as such a pair."""
+    (x, x_offset), (y, y_offset) = a, b
+    if x_offset and y_offset:  # (I + x)(I + y) = I + (x + y + xy)
+        return _offset(x + y + x @ y)
+    eye = np.eye(len(x))
+    return (x + eye if x_offset else x) @ (y + eye if y_offset else y), False
+
+
+def _rk4_power(a: np.ndarray, h: float, n: int) -> tuple:
+    """R(hA)^n by binary squaring, for RK4's stability polynomial
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: n RK4 steps of x' = Ax."""
+    z = h * a
+    z2 = z @ z
+    base = _offset(z + z2 @ (0.5 * np.eye(len(a)) + z / 6.0 + z2 / 24.0))
+    power = (np.zeros_like(z), True)
+    while True:
+        if n & 1:
+            power = _times(power, base)
+        n >>= 1
+        if not n:
+            return power
+        base = _times(base, base)
+
+
+def _propagator_at_zero(system: SeasonalSystem, step: float) -> np.ndarray:
+    """DP(0): the product over the period's chunks of R(hA)^nsteps, A the
+    chunk's Jacobian at zero, which is what the RK4 variational pass at zero
+    computes step by step."""
+    origin = np.zeros(system.dimension)
+    product = (np.zeros((system.dimension,) * 2), True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, _, piece, nsteps, h in _chunks(system, 0.0, system.period_T, step):
+            a = as_square_matrix(piece.jacobian(origin))
+            product = _times(_rk4_power(a, h, nsteps), product)
+    dp = product[0] + np.eye(system.dimension) if product[1] else product[0]
+    if not np.all(np.isfinite(dp)):
+        raise InvalidInputError(
+            f"the RK4 propagator at zero overflowed double precision (period {system.period_T:g})"
+        )
+    return dp
+
+
 def poincare_jacobian(
     system,
     x,
@@ -434,13 +489,36 @@ def poincare_jacobian(
 ) -> np.ndarray:
     """Derivative of the period map at x, by the joint variational system.
 
+    At x = 0 the base state stays at 0, so the pass applies one matrix per
+    step: DP(0) is the RK4 propagator of each piece's Jacobian at zero,
+    R(hA)^nsteps per chunk, computed by repeated squaring in about
+    2 log2(nsteps) products instead of stepping. It raises InvalidInputError
+    when that overflows double precision.
+
     Over lanes (a sequence of B systems, x of shape (B, n)) it returns the
-    (B, n, n) stack from one pass.
+    (B, n, n) stack: the lanes at zero take their propagators and the others
+    one pass, so each row has the bits of its one-lane call. A diverging lane
+    of the pass raises before a lane at zero whose propagator overflows.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != _state_shape(system):
         raise InvalidInputError(f"state shape {x.shape} does not match dimension")
-    return _variational(system, x, _default_step(system, step), divergence_bound)[1]
+    step = _default_step(system, step)
+    if isinstance(system, SeasonalSystem):
+        if x.any():
+            return _variational(system, x, step, divergence_bound)[1]
+        _check_stability(system, step)
+        return _propagator_at_zero(system, step)
+    _check_stability(system, step)
+    dp = np.empty(x.shape + x.shape[-1:])
+    moving = x.any(axis=1)
+    if moving.any():
+        rows = np.flatnonzero(moving)
+        lanes, steps = [system[k] for k in rows], [step[k] for k in rows]
+        dp[rows] = _variational(lanes, x[rows], steps, divergence_bound)[1]
+    for k in np.flatnonzero(~moving):
+        dp[k] = _propagator_at_zero(system[k], step[k])
+    return dp
 
 
 @dataclass(frozen=True)
@@ -573,9 +651,9 @@ def empirical_threshold(
 
     Labels theta persistent when the simulated dominant multiplier at zero,
     the spectral radius of poincare_jacobian(family(theta), 0), exceeds 1;
-    the grid points are labeled as lanes of one pass. Requires the labels to
-    be monotone (persistent below, extinct above), then bisects the boundary
-    cell down to tol. Returns 1.0 and 0.0 for the all-persistent and
+    the grid points are labeled from one lane-batched call. Requires the
+    labels to be monotone (persistent below, extinct above), then bisects the
+    boundary cell down to tol. Returns 1.0 and 0.0 for the all-persistent and
     all-extinct families.
     """
     grid = sorted(float(g) for g in grid)

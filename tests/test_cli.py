@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seasonthresh import floquet, simulate
+from seasonthresh import cli, floquet, simulate
 from seasonthresh.cli import main, run_sweep
 from seasonthresh.errors import ScenarioError
 from seasonthresh.scenario import (
@@ -258,7 +259,7 @@ class TestCommands:
         argv = ["floquet", "--scenario", str(scenario_path), "--out", str(tmp_path),
                 "--with-simulation", "--grid", "6"]
         assert main(argv) == 0
-        assert lanes == [6]
+        assert lanes == []
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == 6 and all(row.split(",")[5] for row in rows)
 
@@ -272,6 +273,40 @@ class TestCommands:
             warnings.simplefilter("error")
             assert main([command, "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
         assert "h*|lambda| = 6.25 exceeds its real stability bound 2.785" in capsys.readouterr().err
+
+    def test_poincare_overflow_is_typed_error(self, tmp_path, capsys):
+        # at T = 800 the growing season of DP(0) passes double range at theta 0.2
+        scenario_path = write_scenario(tmp_path, {**MATRICES, "period_T": 800.0})
+        argv = ["poincare", "--scenario", str(scenario_path), "--out", str(tmp_path), "--theta", "0.2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "RK4 propagator at zero overflowed double precision" in err
+
+    def test_floquet_overflow_fails_only_its_row(self, tmp_path, monkeypatch):
+        # the spectral side works at theta 0.6-0.9 at T = 800; the system of the
+        # theta 0.7 row gets period 1600, whose DP(0) overflows
+        original = cli.system_from_scenario
+
+        def system_from_scenario(scenario, theta):
+            if abs(theta - 0.7) < 1e-9:
+                scenario = dataclasses.replace(scenario, period_T=1600.0)
+            return original(scenario, theta)
+
+        monkeypatch.setattr(cli, "system_from_scenario", system_from_scenario)
+        scenario_path = write_scenario(tmp_path, {**MATRICES, "period_T": 800.0})
+        argv = ["floquet", "--scenario", str(scenario_path), "--out", str(tmp_path),
+                "--with-simulation", "--grid", "11"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        overflowed = [row[0] for row in rows if "RK4 propagator" in row[6]]
+        assert overflowed == ["0.70000000000000007"]
+        assert [row[0] for row in rows if row[5]] == [
+            "0.60000000000000009", "0.80000000000000004", "0.90000000000000002"
+        ]
 
     def test_simulate_command(self, tmp_path):
         scenario_path = write_scenario(tmp_path, INSECT)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +23,10 @@ from seasonthresh import (
 )
 from seasonthresh.errors import DivergenceError, InconsistencyError, InvalidInputError
 from seasonthresh.linalg import spectral_radius
-from seasonthresh.scenario import load_scenario, system_from_scenario
+from seasonthresh.scenario import linearization_from_scenario, load_scenario, system_from_scenario
 
-NONSHARED = Path(__file__).resolve().parents[1] / "scenarios" / "insect_nonshared.json"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+NONSHARED = SCENARIOS / "insect_nonshared.json"
 
 
 @pytest.fixture
@@ -167,6 +170,93 @@ class TestPoincareJacobian:
             poincare_jacobian(system, np.array([50.0, 50.0]), step=0.01, divergence_bound=1e2)
         assert 0.0 < info.value.time <= 1.0
         assert info.value.state.shape == (2,)
+
+
+BUNDLED = ["insect_two_season", "insect_nonshared", "matrices_shared_eigenvector"]
+THETAS = np.linspace(0.0, 1.0, 11)
+
+
+def bundled_systems(name, period):
+    """The bundled scenario at this period, one system per theta of THETAS."""
+    scenario = dataclasses.replace(load_scenario(SCENARIOS / f"{name}.json"), period_T=period)
+    return scenario, [system_from_scenario(scenario, th) for th in THETAS]
+
+
+class TestPropagatorAtZero:
+    """DP(0) by repeated squaring is the step-by-step RK4 variational pass."""
+
+    @pytest.mark.parametrize("name, period", [
+        (name, period) for name in BUNDLED for period in (1e-6, 1e-4, 1.0, 3.5, 100.0)
+    ] + [("insect_two_season", 800.0), ("insect_nonshared", 800.0)])
+    def test_squaring_matches_step_by_step_pass(self, name, period):
+        _, systems = bundled_systems(name, period)
+        zeros = np.zeros((len(systems), 2))
+        # the lane-batched pass has the bits of one-lane passes (TestLanes)
+        stepped = simulate._variational(systems, zeros, [period / 2000] * len(systems))[1]
+        for squared, dp in zip(poincare_jacobian(systems, zeros), stepped):
+            assert np.abs(squared - dp).max() <= 1e-12 * np.abs(dp).max()
+
+    def test_lanes_match_one_lane_calls(self, pi_unfavorable, pi_favorable):
+        systems = lane_systems("mixed", 7, pi_unfavorable, pi_favorable)
+        stack = poincare_jacobian(systems, np.zeros((7, 2)), step=1.0 / 200)
+        for lane, system in enumerate(systems):
+            assert np.array_equal(stack[lane], poincare_jacobian(system, np.zeros(2), step=1.0 / 200))
+
+    def test_mixed_lanes_match_one_lane_calls(self, pi_unfavorable, pi_favorable):
+        # lanes at zero take the propagator, the others one pass, whatever their neighbours
+        systems = lane_systems("mixed", 7, pi_unfavorable, pi_favorable)
+        states = np.random.default_rng(7).uniform(0.0, 2.0, (7, 2))
+        states[[0, 3, 4]] = 0.0
+        stack = poincare_jacobian(systems, states, step=1.0 / 200)
+        for lane, system in enumerate(systems):
+            alone = poincare_jacobian(system, states[lane], step=1.0 / 200)
+            assert np.array_equal(stack[lane], alone)
+
+    def test_propagator_follows_the_jacobian_at_zero(self):
+        # a piece whose linearization_at_zero disagrees with its Jacobian: DP(0)
+        # is what the variational pass, which steps the Jacobian, computes
+        a = np.array([[-1.0, 0.5], [0.5, -2.0]])
+        piece = AutonomousPiece(
+            vector_field=lambda x: a @ x,
+            jacobian=lambda x: a,
+            linearization_at_zero=np.array([[0.3, 0.1], [0.1, 0.2]]),
+        )
+        system = SeasonalSystem(schedule=SeasonalSchedule(1.0, (0.0, 1.0)), pieces=(piece,))
+        dp = simulate._variational(system, np.zeros(2), 1.0 / 2000)[1]
+        squared = poincare_jacobian(system, np.zeros(2))
+        assert np.abs(squared - dp).max() <= 1e-12 * np.abs(dp).max()
+
+    def test_unstable_step_raises_before_any_work(self, monkeypatch, insect_system,
+                                                  pi_unfavorable, pi_favorable):
+        # the default step T / 2000 = 2.5 puts h|lambda| = 2.5 * 2.5 past 2.785
+        powers = []
+        monkeypatch.setattr(simulate, "_rk4_power", lambda *args: powers.append(args))
+        system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.7, 5000.0)
+        with pytest.raises(InvalidInputError, match=r"h\*\|lambda\| = 6.25"):
+            poincare_jacobian(system, np.zeros(2))
+        with pytest.raises(InvalidInputError, match=r"h\*\|lambda\| = 6.25"):
+            poincare_jacobian([insect_system, system], np.zeros((2, 2)))
+        assert powers == []
+
+    @pytest.mark.parametrize("name", BUNDLED[:2])
+    @pytest.mark.parametrize("period", [1e-6, 1e-4, 1.0, 100.0])
+    def test_multiplier_matches_rho(self, name, period):
+        scenario, systems = bundled_systems(name, period)
+        lin = linearization_from_scenario(scenario)
+        for th, system in zip(THETAS, systems):
+            lam = spectral_radius(poincare_jacobian(system, np.zeros(2)))
+            reference = rho(lin, th)[0]
+            assert abs(lam - reference) <= 1e-6 * reference
+
+    def test_overflow_is_a_typed_error(self):
+        # at theta <= 0.5 the growing season's factor passes double range
+        _, systems = bundled_systems("matrices_shared_eigenvector", 800.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lanes, zero in ((systems[2], np.zeros(2)), (systems[4:], np.zeros((7, 2)))):
+                with pytest.raises(InvalidInputError, match="overflowed double precision"):
+                    poincare_jacobian(lanes, zero)
+            assert np.all(np.isfinite(poincare_jacobian(systems[6:], np.zeros((5, 2)))))
 
 
 class TestLanes:
