@@ -94,26 +94,36 @@ class SweepRow:
 def run_sweep(scenario: Scenario, with_simulation: bool = False) -> list[SweepRow]:
     """Evaluate rho, derivatives, and the spectral classification per theta.
 
-    With simulation, each row's lambda_simulated is the spectral radius of
-    its DP(0). Per-row failures are recorded in the error column; the sweep
-    continues.
+    The grid is one evaluation; when it raises a typed error, each theta is
+    evaluated alone, so only the failing rows carry it in their error column
+    and the sweep continues. With simulation, each row's lambda_simulated is
+    the spectral radius of its DP(0).
     """
     lin = linearization_from_scenario(scenario)
     tol = scenario.tolerances.perron_tol
-    rows = []
-    for th in scenario.grid_array():
-        th = float(th)
-        try:
-            profile = floquet.rho_profile(lin, [th], tol=tol, second=True)
-            value = float(profile.rho[0])
-            classification = "persistent" if value > 1.0 else "extinct"
-            rows.append(SweepRow(th, value, float(profile.rho_prime[0]),
-                                 float(profile.rho_second[0]), classification, None, ""))
-        except Exception as exc:
-            rows.append(_error_row(th, exc))
+    thetas = [float(th) for th in scenario.grid_array()]
+    try:
+        rows = _sweep_rows(floquet.rho_profile(lin, thetas, tol=tol, second=True))
+    except floquet.TYPED_ERRORS:
+        rows = []
+        for th in thetas:
+            try:
+                rows += _sweep_rows(floquet.rho_profile(lin, [th], tol=tol, second=True))
+            except Exception as exc:
+                rows.append(_error_row(th, exc))
     if with_simulation:
         _simulate_lambdas(scenario, rows)
     return rows
+
+
+def _sweep_rows(profile) -> list[SweepRow]:
+    return [
+        SweepRow(th, value, prime, second, "persistent" if value > 1.0 else "extinct", None, "")
+        for th, value, prime, second in zip(
+            profile.thetas.tolist(), profile.rho.tolist(),
+            profile.rho_prime.tolist(), profile.rho_second.tolist(),
+        )
+    ]
 
 
 def _error_row(theta: float, exc: Exception) -> SweepRow:

@@ -1,7 +1,8 @@
 """Dense small-matrix numerics: exponentials, spectral quantities, Perron pairs.
 
 Everything here treats matrices as plain ``numpy`` arrays of shape (n, n) and
-vectors as arrays of shape (n,). All functions are pure.
+vectors as arrays of shape (n,); ``mat_exp`` and ``perron_pair`` also take a
+(G, n, n) stack. All functions are pure.
 """
 
 from dataclasses import dataclass
@@ -11,6 +12,8 @@ import numpy as np
 from .errors import ConvergenceError, InvalidInputError, StructureError
 
 _SERIES_MAX_TERMS = 64
+# entries of a stack mat_exp takes at once: its stored series terms stay small
+_STACK_ENTRIES = 1 << 14
 # a relative gap 1 - |lambda_2| / rho at roundoff level: the dominant root is not isolated
 _SEPARATION_FLOOR = 1e-12
 
@@ -25,15 +28,15 @@ def as_square_matrix(a) -> np.ndarray:
     return m
 
 
-def as_vector(v, n: int | None = None) -> np.ndarray:
-    m = np.asarray(v, dtype=float)
-    if m.ndim != 1 or m.size < 1:
-        raise InvalidInputError(f"expected a vector, got shape {m.shape}")
-    if n is not None and m.size != n:
-        raise InvalidInputError(f"expected a vector of length {n}, got {m.size}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("vector has non-finite entries")
-    return m
+def as_matrix_stack(a) -> np.ndarray:
+    """Coerce a square matrix or a (G, n, n) stack of them to a finite float
+    (G, n, n) stack (G = 1 for a matrix), raising InvalidInputError otherwise."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or 0 in m.shape:
+        raise InvalidInputError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidInputError("matrix has non-finite entries")
+    return m.reshape((-1,) + m.shape[-2:])
 
 
 def mat_exp(a, tol: float = 1e-12) -> np.ndarray:
@@ -43,29 +46,62 @@ def mat_exp(a, tol: float = 1e-12) -> np.ndarray:
     number of squarings, so the entrywise error stays below tol * e^{||A||}.
     Exact (up to roundoff) on diagonal and nilpotent inputs because the series
     then terminates.
+
+    ``a`` is one matrix or a (G, n, n) stack, exponentiated entry by entry:
+    each matrix keeps its own squaring count and series length (a finished
+    one takes no further terms or squarings), so it gets the same bits alone
+    as in any stack.
     """
-    m = as_square_matrix(a)
+    m = as_matrix_stack(a)
     if not (0.0 < tol <= 1e-6):
         raise InvalidInputError(f"tol must lie in (0, 1e-6], got {tol}")
-    norm = np.linalg.norm(m, np.inf)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    b = m / (2.0 ** squarings)
-    cutoff = tol / (2.0 ** (squarings + 1))
-    n = m.shape[0]
-    result = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, _SERIES_MAX_TERMS + 1):
+    chunk = max(1, _STACK_ENTRIES // m.shape[-1] ** 2)
+    if len(m) > chunk:  # bounds the memory the stored series terms take
+        parts = [mat_exp(m[i:i + chunk], tol) for i in range(0, len(m), chunk)]
+        return np.concatenate(parts).reshape(np.shape(a))
+    norm = np.abs(m).sum(axis=-1).max(axis=-1)
+    top = float(norm.max())
+    if top > 0.5:  # some matrix is scaled down by 2^squarings, then squared back
+        squarings = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)).astype(int)
+        b = np.ldexp(m, -squarings[:, None, None])
+        cutoff = np.ldexp(tol, -1 - squarings)
+        top, floor = float(np.ldexp(norm, -squarings).max()), float(cutoff.min())
+    else:
+        squarings, b, cutoff, floor = None, m, tol / 2.0, tol / 2.0
+    # the terms b^k / k!: their entries are at most top^k / k!, top the
+    # largest row-sum norm in b, so they run as far as that bound needs, then
+    # on while rounding keeps a matrix's last term above its cutoff
+    term, terms, bound = b, [b], top
+    for k in range(2, _SERIES_MAX_TERMS + 1):
+        if bound <= floor:
+            series = np.concatenate(terms).reshape((k - 1,) + m.shape)
+            small = np.abs(series).max(axis=(2, 3)) <= cutoff
+            if small[-1].all():
+                break
         term = term @ b / k
-        result = result + term
-        t = np.abs(term).max()
-        if t == 0.0 or t <= cutoff:
-            break
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            result = result @ result
-    if not np.all(np.isfinite(result)):
-        raise InvalidInputError("matrix exponential overflowed double precision")
-    return result
+        terms.append(term)
+        bound *= top / k
+    else:
+        series = np.concatenate(terms).reshape((len(terms),) + m.shape)
+        small = np.abs(series).max(axis=(2, 3)) <= cutoff
+        small[-1] = True  # a matrix with no small term takes them all
+    # each matrix sums its terms in order up to the first one at or below its
+    # cutoff: the running sums of one accumulate, started at I + b
+    series[0] += np.eye(m.shape[-1])
+    result = np.add.accumulate(series, axis=0)[small.argmax(axis=0), np.arange(len(m))]
+    # unsquared, the sum stays below e^(1/2) entrywise: only squaring overflows
+    if squarings is not None:
+        least = int(squarings.min())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for count in range(int(squarings.max())):
+                if count < least:
+                    result = result @ result
+                else:
+                    rows = squarings > count
+                    result[rows] = result[rows] @ result[rows]
+        if not np.isfinite(result).all():
+            raise InvalidInputError("matrix exponential overflowed double precision")
+    return result.reshape(np.shape(a))
 
 
 def spectral_radius(a) -> float:
@@ -92,7 +128,8 @@ def spectral_abscissa(a) -> float:
 class PerronPair:
     """Dominant eigenvalue with right/left eigenvectors of a positive matrix.
 
-    Normalization: ||v||_2 = 1 and <v, v_star> = 1.
+    Normalization: ||v||_2 = 1 and <v, v_star> = 1. For a (G, n, n) stack,
+    rho has shape (G,) and v, v_star shape (G, n).
     """
 
     rho: float
@@ -114,41 +151,70 @@ def perron_pair(m, tol: float = 1e-12) -> PerronPair:
     entries cannot overflow. ConvergenceError is raised when the two-sided
     residual there, relative to max(1, its Perron root), exceeds tol, or when
     no other eigenvalue modulus is strictly below rho.
+
+    ``m`` is one matrix or a (G, n, n) stack; a stack is judged matrix by
+    matrix, the first failing one raising, and each matrix gets the bits of
+    its own call. The eigen-solves of all G matrices and their transposes
+    are one batched call.
     """
-    a = as_square_matrix(m)
+    a = as_matrix_stack(m)
     if not (0.0 < tol <= 1e-6):
         raise InvalidInputError(f"tol must lie in (0, 1e-6], got {tol}")
-    if np.any(a < 0.0):
+    if (a < 0.0).any():
         raise StructureError("matrix has negative entries")
-    if np.any(a == 0.0) and not is_irreducible(a):
+    if (a == 0.0).any() and not all(map(is_irreducible, a)):
         raise StructureError("matrix is reducible; Perron pair is not unique")
-    peak = float(a.max()) or 1.0  # a zero matrix meets the non-positive root check
-    b = a / peak
-    values, vectors = np.linalg.eig(b)
-    moduli = np.sort(np.abs(values))
-    separation = 1.0 - moduli[-2] / moduli[-1] if moduli.size > 1 else 1.0
-    if separation <= _SEPARATION_FLOOR:
+    count = len(a)
+    peak = a.max(axis=(1, 2))
+    peak[peak == 0.0] = 1.0  # a zero matrix meets the non-positive root check
+    b = a / peak[:, None, None]
+    values, vectors = np.linalg.eig(np.concatenate([b, b.transpose(0, 2, 1)]))
+    moduli = np.sort(np.abs(values[:count]), axis=-1)
+    separation = 1.0 - moduli[:, -2] / moduli[:, -1] if moduli.shape[1] > 1 else np.ones(count)
+    if (separation <= _SEPARATION_FLOOR).any():
+        worst = separation[np.argmax(separation <= _SEPARATION_FLOOR)]
         raise ConvergenceError(
-            f"dominant eigenvalue modulus is not separated (1 - |l2|/rho = {separation:.3e})",
-            residual=separation,
+            f"dominant eigenvalue modulus is not separated (1 - |l2|/rho = {worst:.3e})",
+            residual=float(worst),
         )
-    v = _dominant_vector(values, vectors)
-    w = _dominant_vector(*np.linalg.eig(b.T))
+    x = _dominant_vectors(values, vectors)
+    v, w = x[:count], x[count:]
+    bv = _matvec(b, v)
+    wb = _matvec(b.transpose(0, 2, 1), w)
     # two-sided Rayleigh quotient: quadratically accurate in the residuals
-    rho = float(w @ b @ v / (w @ v))
-    if rho <= 0.0:
-        raise StructureError(f"dominant eigenvalue is not positive: {rho * peak}")
-    res = max(np.linalg.norm(b @ v - rho * v), np.linalg.norm(w @ b - rho * w)) / max(1.0, rho)
-    if res > tol:
-        raise ConvergenceError(f"Perron eigen-solve residual {res:.3e} exceeds {tol}", residual=res)
-    return PerronPair(rho=rho * peak, v=v, v_star=w / float(v @ w))
+    rho = _dot(w, bv) / _dot(w, v)
+    if (rho <= 0.0).any():
+        g = np.argmax(rho <= 0.0)
+        raise StructureError(f"dominant eigenvalue is not positive: {rho[g] * peak[g]}")
+    right = bv - rho[:, None] * v
+    left = wb - rho[:, None] * w
+    res = np.sqrt(np.maximum(_dot(right, right), _dot(left, left))) / np.maximum(1.0, rho)
+    if (res > tol).any():
+        worst = res[np.argmax(res > tol)]
+        raise ConvergenceError(
+            f"Perron eigen-solve residual {worst:.3e} exceeds {tol}", residual=float(worst)
+        )
+    v_star = w / _dot(v, w)[:, None]
+    if np.ndim(m) == 2:
+        return PerronPair(rho=float(rho[0] * peak[0]), v=v[0], v_star=v_star[0])
+    return PerronPair(rho=rho * peak, v=v, v_star=v_star)
 
 
-def _dominant_vector(values, vectors) -> np.ndarray:
-    """Positively oriented unit eigenvector of the largest-modulus eigenvalue,
-    which is real and simple once its modulus is separated."""
-    x = vectors[:, np.argmax(np.abs(values))].real
-    return x / (np.linalg.norm(x) * np.sign(x.sum()))
+def _dominant_vectors(values, vectors) -> np.ndarray:
+    """Positively oriented unit eigenvector of each matrix's largest-modulus
+    eigenvalue, which is real and simple once its modulus is separated."""
+    x = vectors[np.arange(len(values)), :, np.argmax(np.abs(values), axis=-1)].real
+    return x / (np.sqrt(_dot(x, x)) * np.sign(x.sum(axis=-1)))[:, None]
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a[g] @ x[g] for each g of a (G, n, n) stack and a (G, n) stack."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x[g], y[g]> for each g of two (G, n) stacks."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def exp_product(blocks, exp=None) -> np.ndarray:

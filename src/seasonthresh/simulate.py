@@ -19,6 +19,7 @@ chunk's step count by repeated squaring.
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
@@ -276,11 +277,23 @@ def _state_field(piece):
 
 
 def _default_step(system, step):
-    """The step of one system, or the list of per-lane steps."""
-    if not isinstance(system, SeasonalSystem):
+    """The step of one system, or the list of per-lane steps. Lanes take one
+    step (or None) for all of them, or a sequence of one step per lane."""
+    lanes = not isinstance(system, SeasonalSystem)
+    if isinstance(step, (list, tuple)) or np.ndim(step) > 0:
+        if not (lanes and len(step) == len(system)):
+            raise InvalidInputError(f"a step sequence needs one step per lane, got {step!r}")
+        return [_positive_step(h) for h in step]
+    if lanes:
         return [_default_step(lane, step) for lane in system]
     if step is None:
         return system.period_T / DEFAULT_STEPS_PER_PERIOD
+    return _positive_step(step)
+
+
+def _positive_step(step) -> float:
+    if not isinstance(step, numbers.Real):
+        raise InvalidInputError(f"step must be a number, got {step!r}")
     if not (step > 0.0 and np.isfinite(step)):
         raise InvalidInputError(f"step must be positive, got {step}")
     return float(step)

@@ -171,7 +171,8 @@ class TestRunSweep:
         scenario = load_scenario(write_scenario(tmp_path, {**INSECT, "theta_grid": 7}))
         rows = run_sweep(scenario)
         assert all(r.error == "" and r.rho_second is not None for r in rows)
-        assert len(calls) == 7
+        # one stacked pair for the 7 rows
+        assert len(calls) == 1
 
 
 class TestCommands:
@@ -226,7 +227,7 @@ class TestCommands:
         assert certs["left_order"]["holds"] is False
         assert "hyp_parameters" not in certs
 
-    @pytest.mark.parametrize("payload, monodromies", [(MATRICES, 7), (INSECT, 7)])
+    @pytest.mark.parametrize("payload, monodromies", [(MATRICES, 0), (INSECT, 0)])
     def test_check_evaluates_its_grid_once(self, tmp_path, monkeypatch, payload, monodromies):
         # one profile on the 7-point grid; the insect certificate's stage-8
         # column-sum cross-check reads the profile's cycle matrices
@@ -243,8 +244,8 @@ class TestCommands:
         assert main(["check", "--scenario", str(scenario_path), "--out", str(tmp_path),
                      "--grid", "7"]) == 0
         assert calls.count("monodromy") == monodromies
-        # one pair per grid point, plus one per season for shared_eigenvector
-        assert calls.count("perron_pair") == 7 + 2
+        # one stacked pair for the grid, plus one per season for shared_eigenvector
+        assert calls.count("perron_pair") == 1 + 2
 
     def test_floquet_with_simulation_is_one_pass(self, tmp_path, monkeypatch):
         lanes = []
@@ -285,8 +286,9 @@ class TestCommands:
         assert "RK4 propagator at zero overflowed double precision" in err
 
     def test_floquet_overflow_fails_only_its_row(self, tmp_path, monkeypatch):
-        # the spectral side works at theta 0.6-0.9 at T = 800; the system of the
-        # theta 0.7 row gets period 1600, whose DP(0) overflows
+        # the spectral side works at theta 0.4-0.9 at T = 800, but the DP(0) of
+        # the 0.4 and 0.5 rows overflows; the system of the theta 0.7 row gets
+        # period 1600, whose DP(0) overflows too
         original = cli.system_from_scenario
 
         def system_from_scenario(scenario, theta):
@@ -303,7 +305,7 @@ class TestCommands:
             assert main(argv) == 1
         rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
         overflowed = [row[0] for row in rows if "RK4 propagator" in row[6]]
-        assert overflowed == ["0.70000000000000007"]
+        assert overflowed == ["0.40000000000000002", "0.5", "0.70000000000000007"]
         assert [row[0] for row in rows if row[5]] == [
             "0.60000000000000009", "0.80000000000000004", "0.90000000000000002"
         ]

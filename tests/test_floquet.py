@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,28 @@ from seasonthresh import (
 from seasonthresh import floquet
 from seasonthresh.errors import CertificateError, InvalidInputError
 from seasonthresh.linalg import mat_exp, perron_pair, spectral_abscissa
+from seasonthresh.scenario import linearization_from_scenario, load_scenario
+from seasonthresh.verify_suite import random_metzler
 
 from conftest import random_metzler_pair
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED = ("insect_two_season", "insect_nonshared", "matrices_shared_eigenvector")
+
+
+def bundled_linearization(name):
+    return linearization_from_scenario(load_scenario(SCENARIOS / f"{name}.json"))
+
+
+def interior_pair(rng, n, period):
+    """Random Metzler seasons with abscissas of opposite signs: rho crosses 1."""
+    a, b = random_metzler(rng, n), random_metzler(rng, n)
+    eye = np.eye(n)
+    return TwoSeasonLinearization(
+        a - (spectral_abscissa(a) + rng.uniform(0.3, 1.5)) * eye,
+        b - (spectral_abscissa(b) - rng.uniform(0.3, 1.5)) * eye,
+        period,
+    )
 
 K = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -254,6 +275,31 @@ class TestFindThreshold:
         # the running pair shares its Perron vectors: theta* = 0.5 exactly
         assert report.theta_star == pytest.approx(0.5, abs=1e-9)
 
+    def test_newton_bracket_within_twelve_evaluations(self, monkeypatch):
+        # evaluations past the grid, counted by patching the evaluator
+        calls = []
+        original = floquet._evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(len(np.atleast_1d(args[1])))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(floquet, "_evaluate", counted)
+        rng = np.random.default_rng(67)
+        pairs = [bundled_linearization(name) for name in BUNDLED]
+        pairs += [interior_pair(rng, int(rng.integers(2, 7)), 1.0) for _ in range(20)]
+        for base in pairs:
+            for period in (0.01, 1.0, 100.0):
+                lin = base.with_period(period)
+                calls.clear()
+                report = find_threshold(lin, override_monotonic=True)
+                assert report.regime == "interior_root"
+                assert calls[0] == report.grid_points and len(calls) - 1 <= 12
+                lo, hi = report.bracket
+                assert rho(lin, lo)[0] > 1.0 >= rho(lin, hi)[0]
+                assert hi - lo <= report.tol and lo <= report.theta_star <= hi
+                assert abs(report.rho_at_theta_star - 1.0) <= report.tol
+
     @pytest.mark.parametrize("points", [0, 1])
     def test_grid_without_both_ends_rejected(self, insect_linearization, points):
         # a one-point grid holds only theta = 0, whose rho would stand in for rho(1)
@@ -293,7 +339,26 @@ class TestRhoProfile:
 
             monkeypatch.setattr(floquet, name, counted)
         rho_profile(insect_linearization, np.linspace(0.0, 1.0, 5), second=True)
-        assert sorted(calls) == ["monodromy"] * 5 + ["perron_pair"] * 5
+        # the 5 monodromies come from one stacked product, not from `monodromy`
+        assert calls == ["perron_pair"]
+
+    @pytest.mark.parametrize(
+        "pair", ["insect_two_season", "insect_nonshared", "random2", "random3", "random6"]
+    )
+    def test_batch_equals_one_theta_calls(self, pair):
+        if pair.startswith("random"):
+            lin = random_metzler_pair(np.random.default_rng(71), int(pair[6:]))
+        else:
+            lin = bundled_linearization(pair)
+        grid = np.linspace(0.0, 1.0, 9)
+        profile = rho_profile(lin, grid, second=True)
+        for g, th in enumerate(grid):
+            value, pair_alone = rho(lin, float(th))
+            assert profile.rho[g] == value
+            assert profile.rho_prime[g] == rho_prime(lin, float(th))
+            assert profile.rho_second[g] == rho_second(lin, float(th))
+            assert np.array_equal(profile.perron_pairs[g].v, pair_alone.v)
+            assert np.array_equal(profile.perron_pairs[g].v_star, pair_alone.v_star)
 
     def test_carries_its_linearization_and_monodromies(self, insect_linearization):
         grid = np.linspace(0.0, 1.0, 5)

@@ -174,6 +174,54 @@ class TestPerronPair:
         assert excinfo.value.residual is not None
 
 
+class TestStacks:
+    """A (G, n, n) stack gives each matrix the bits of its own call."""
+
+    def test_mat_exp_stack_matches_one_matrix_calls(self):
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 3, 6):
+            # norms from 0 to ~100: series lengths and squaring counts differ
+            stack = rng.normal(size=(24, n, n)) * np.logspace(-9, 1.5, 24)[:, None, None]
+            stack[0] = 0.0
+            stack[1] = np.triu(stack[1], 1)  # nilpotent: the series terminates
+            result = mat_exp(stack)
+            for g, a in enumerate(stack):
+                assert np.array_equal(result[g], mat_exp(a))
+        # a stack of large matrices is exponentiated in parts
+        stack = rng.normal(size=(9, 50, 50)) * 0.05
+        result = mat_exp(stack)
+        for g, a in enumerate(stack):
+            assert np.array_equal(result[g], mat_exp(a))
+
+    def test_perron_pair_stack_matches_one_matrix_calls(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3, 6):
+            stack = rng.uniform(0.1, 4.0, (7, n, n))
+            pairs = perron_pair(stack)
+            for g, m in enumerate(stack):
+                alone = perron_pair(m)
+                assert pairs.rho[g] == alone.rho
+                assert np.array_equal(pairs.v[g], alone.v)
+                assert np.array_equal(pairs.v_star[g], alone.v_star)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.array([[1.0, -0.1], [1.0, 1.0]]), StructureError),
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), StructureError),
+            (np.array([[0.0, 2.0], [1.0, 0.0]]), ConvergenceError),
+        ],
+    )
+    def test_perron_pair_stack_rejects_like_its_matrix(self, bad, error):
+        stack = np.array([[[2.0, 1.0], [1.0, 2.0]], bad])
+        with pytest.raises(error):
+            perron_pair(stack)
+
+    def test_mat_exp_stack_overflow_raises(self):
+        with pytest.raises(InvalidInputError):
+            mat_exp(np.array([np.eye(2), np.full((2, 2), 500.0)]))
+
+
 class TestStructurePredicates:
     def test_metzler_examples(self):
         assert is_metzler(np.array([[-5.0, 2.0], [3.0, -1.0]]))

@@ -19,6 +19,9 @@ from conftest import random_metzler_pair
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PERIODS = (1e-6, 1e-4, 800.0)
+# rho(0) = exp(T / 2) and rho(1) = exp(-T / 2) leave double range: only log rho
+# is finite over the whole grid
+LONG_PERIODS = (5000.0, 1e4)
 
 INSECT = {
     "mode": "insect",
@@ -35,7 +38,7 @@ def run_cli(tmp_path, command, period):
     return main([command, "--scenario", str(path), "--out", str(tmp_path)])
 
 
-@pytest.mark.parametrize("period", PERIODS)
+@pytest.mark.parametrize("period", PERIODS + LONG_PERIODS)
 def test_threshold_is_one_half(insect_linearization, period):
     report = find_threshold(insect_linearization.with_period(period))
     assert report.regime == "interior_root"
@@ -55,6 +58,40 @@ def test_floquet_sweep_has_no_row_errors(tmp_path, period):
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(lines) == 102
     assert all(line.endswith(",") for line in lines[1:])
+
+
+@pytest.mark.parametrize("period", LONG_PERIODS)
+def test_threshold_command_at_long_periods(tmp_path, period):
+    assert run_cli(tmp_path, "threshold", period) == 0
+    report = json.loads((tmp_path / "threshold.json").read_text())
+    assert report["regime"] == "interior_root"
+    assert abs(report["theta_star"] - 0.5) <= 1e-9
+
+
+@pytest.mark.parametrize("period", LONG_PERIODS)
+def test_check_at_long_periods_is_typed_error(tmp_path, capsys, period):
+    # the certificates read the monodromies themselves, which leave double range
+    assert run_cli(tmp_path, "check", period) == 2
+    assert "leaves double precision range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("period", LONG_PERIODS)
+def test_floquet_rows_in_double_range_are_right(tmp_path, period):
+    # log rho = T (1/2 - theta) on the shared pair, to 1e-10 absolute at these
+    # periods; a row whose rho or derivatives leave double range carries a
+    # typed error instead
+    assert run_cli(tmp_path, "floquet", period) == 1
+    rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    good = [row for row in rows if not row[5]]
+    assert len(good) >= 10
+    for row in rows:
+        theta, log_rho = float(row[0]), period * (0.5 - float(row[0]))
+        if row[5]:
+            assert row[5].startswith("InvalidInputError") and "double precision range" in row[5]
+            assert abs(log_rho) > 700.0
+        else:
+            assert float(row[1]) == pytest.approx(np.exp(log_rho), rel=1e-10)
+            assert float(row[2]) == pytest.approx(-period * np.exp(log_rho), rel=1e-10)
 
 
 class TestMpmathOracle:

@@ -286,6 +286,30 @@ class TestLanes:
             assert np.array_equal(mapped[lane], poincare_map(system, states[lane], step=1.0 / 200))
 
     @pytest.mark.parametrize("period_map", [poincare_map, poincare_jacobian])
+    def test_step_list_gives_each_lane_its_step(self, period_map, pi_unfavorable, pi_favorable):
+        systems = lane_systems("mixed", 2, pi_unfavorable, pi_favorable)
+        states = np.array([[0.5, 1.0], [1.0, 0.5]])
+        steps = [s.period_T / 200 for s in systems]
+        batched = period_map(systems, states, step=steps)
+        for lane, system in enumerate(systems):
+            assert np.array_equal(batched[lane], period_map(system, states[lane], step=steps[lane]))
+
+    @pytest.mark.parametrize("period_map", [poincare_map, poincare_jacobian])
+    @pytest.mark.parametrize(
+        "steps", [[0.01], [0.01, 0.01, 0.01], [0.01, -0.01], [0.01, float("inf")], [0.01, None],
+                  [0.01, "0.01"], [[0.01], [0.01]], np.array([0.01, 0.0])],
+    )
+    def test_other_step_lists_are_typed_errors(self, period_map, steps, pi_unfavorable,
+                                               pi_favorable):
+        systems = lane_systems("insect", 2, pi_unfavorable, pi_favorable)
+        with pytest.raises(InvalidInputError):
+            period_map(systems, np.ones((2, 2)), step=steps)
+
+    def test_step_list_for_one_system_is_typed_error(self, insect_system):
+        with pytest.raises(InvalidInputError):
+            poincare_map(insect_system, np.ones(2), step=[0.01])
+
+    @pytest.mark.parametrize("period_map", [poincare_map, poincare_jacobian])
     def test_first_diverging_lane_raises_after_the_pass(self, period_map):
         # lane 0 passes the bound later than lane 1; a run of one-lane passes
         # in lane order would have raised lane 0's error
