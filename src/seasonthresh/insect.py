@@ -14,7 +14,6 @@ R0 > 1.
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -192,19 +191,7 @@ def piece_from_params(pi: InsectParams) -> AutonomousPiece:
         vector_field=lambda x, _p=pi: vector_field(_p, x),
         jacobian=lambda x, _p=pi: jacobian(_p, x),
         linearization_at_zero=jacobian(pi, np.zeros(2)),
-        lane_form=_lane_rows,
-        params=pi,
     )
-
-
-def _lane_rows(params: list) -> tuple:
-    """Field and Jacobian on a (B, 2) stack whose row b has params[b]: the
-    formulas above on parameter columns, entry for entry the bits of each
-    row's own parameters."""
-    columns = SimpleNamespace(
-        **{name: np.array([getattr(p, name) for p in params]) for name in _PARAM_NAMES}
-    )
-    return (lambda x: vector_field(columns, x)), (lambda x: jacobian(columns, x))
 
 
 def as_seasonal_system(

@@ -23,19 +23,11 @@ _FD_STEP = 1e-6
 
 @dataclass(frozen=True)
 class AutonomousPiece:
-    """One season's autonomous dynamics: field, Jacobian, linearization at 0.
-
-    Pieces built by one constructor may share a `lane_form`: called with one
-    `params` per row, it returns the (vector_field, jacobian) pair acting on
-    each row of a (B, n) stack with that row's parameters, so a lane-batched
-    pass whose lanes sit in different such pieces makes one field call.
-    """
+    """One season's autonomous dynamics: field, Jacobian, linearization at 0."""
 
     vector_field: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     linearization_at_zero: np.ndarray
-    lane_form: Callable | None = None
-    params: object = None
 
     def __post_init__(self):
         lin = as_square_matrix(self.linearization_at_zero)
@@ -61,20 +53,12 @@ class AutonomousPiece:
             vector_field=lambda x, _m=m: _linear_field(_m, x),
             jacobian=lambda x, _m=m: _m,
             linearization_at_zero=m,
-            lane_form=_linear_rows,
-            params=m,
         )
 
 
 def _linear_field(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a state, row by row for a (B, n) stack (m may be (B, n, n))."""
+    """m @ x for a state, row by row for a (B, n) stack."""
     return (m @ x[..., None])[..., 0]
-
-
-def _linear_rows(matrices: list) -> tuple:
-    """Field and Jacobian on a (B, n) stack whose row b has matrices[b]."""
-    stack = np.array(matrices)
-    return (lambda x: _linear_field(stack, x)), (lambda x: stack)
 
 
 @dataclass(frozen=True)

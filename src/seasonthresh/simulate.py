@@ -6,22 +6,18 @@ boundary, so the piecewise-autonomous right-hand side is never evaluated
 across a discontinuity inside a step. Within a chunk the active piece is
 resolved once, at the chunk midpoint.
 
-One pass can carry many lanes: a sequence of B systems stepping a state of
-shape (B, m). Each lane takes exactly the steps, and the arithmetic, of a
-pass of its system alone, so its rows have that pass's bits. Lanes in the
-same piece, or in pieces of one lane form (AutonomousPiece.lane_form), share
-each field evaluation.
+A pass steps one system, on a state of shape (n,) or on a (B, n) stack of
+states. Each row of a stack takes exactly the steps, and the arithmetic, of
+a pass from that state alone, so it has that pass's bits.
 
 At zero the variational pass is linear, so DP(0) takes no pass: it is the
 product of RK4's stability polynomial at each chunk's h*A, raised to the
 chunk's step count by repeated squaring.
 """
 
-import bisect
 import math
 import numbers
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -69,10 +65,10 @@ class _Clamp:
 
 
 class _Lanes:
-    """Divergence of a lane-batched pass. A lane whose base state passes the
-    bound keeps its DivergenceError and is zeroed, so it stays finite and
-    inert while the others finish; `raise_first` then raises the error a run
-    of one-lane passes in lane order would have raised."""
+    """Divergence of a pass over a stack of states. A row whose base state
+    passes the bound keeps its DivergenceError and is zeroed, so it stays
+    finite and inert while the others finish; `raise_first` then raises the
+    error a run of one-state passes in row order would have raised."""
 
     def __init__(self, bound: float, count: int, message: str):
         self.bound = bound
@@ -80,12 +76,12 @@ class _Lanes:
         self.errors = [None] * count
         self.alive = np.ones(count, dtype=bool)
 
-    def cull(self, t: np.ndarray, x: np.ndarray, base: np.ndarray) -> np.ndarray:
+    def cull(self, t: float, x: np.ndarray, base: np.ndarray) -> np.ndarray:
         over = np.sqrt((base * base).sum(axis=1)) > self.bound
         if over.any():
-            for lane in np.flatnonzero(over):
-                self.errors[lane] = DivergenceError(
-                    self.message, time=float(t[lane, 0]), state=base[lane].copy()
+            for row in np.flatnonzero(over):
+                self.errors[row] = DivergenceError(
+                    self.message, time=float(t), state=base[row].copy()
                 )
             self.alive &= ~over
             x = np.where(over[:, None], 0.0, x)
@@ -98,14 +94,14 @@ class _Lanes:
 
 
 class _LaneClamp(_Lanes):
-    """_Clamp over lanes: negatives snapped to zero, each lane's most negative
-    raw component, and divergence per lane."""
+    """_Clamp over a stack: negatives snapped to zero, each row's most
+    negative raw component, and divergence per row."""
 
     def __init__(self, bound: float, x0: np.ndarray):
         super().__init__(bound, len(x0), _TRAJECTORY_DIVERGED)
         self.min_component = x0.min(axis=1)
 
-    def settle(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def settle(self, t: float, x: np.ndarray) -> np.ndarray:
         low = x.min(axis=1)
         lower = self.alive & (low < self.min_component)
         self.min_component = np.where(lower, low, self.min_component)
@@ -156,119 +152,38 @@ def _chunks(system: SeasonalSystem, t0: float, t1: float, step: float) -> list:
     return out
 
 
-def _runs(system, t0, t1, step):
-    """Runs of RK4 steps over which every lane keeps its piece and step size.
-
-    Yields (groups, h, times, mask): `groups` pairs each piece with the rows
-    it steps (None: all rows), `h` is the step, `times[i]` the time step i
-    lands on, and `mask` marks the lanes still stepping (None when all are).
-    One system yields its chunks with scalars; lanes yield (B, 1) columns,
-    and a lane that has finished rides along in its last piece, masked.
-    """
-    if isinstance(system, SeasonalSystem):
-        for a, b, piece, nsteps, h in _chunks(system, t0, t1, step):
-            yield [(piece, None)], h, [a + (i + 1) * h for i in range(nsteps - 1)] + [b], None
-        return
-    plans = [_chunks(s, t0, t, dt) for s, t, dt in zip(system, t1, step)]
-    starts = [np.cumsum([0] + [c[3] for c in plan]).tolist() for plan in plans]
-    cuts = sorted({s for lane in starts for s in lane})
-    for s0, s1 in zip(cuts, cuts[1:]):
-        a, h, end = (np.zeros((len(plans), 1)) for _ in range(3))
-        offset = np.zeros((len(plans), 1), dtype=int)
-        mask = np.ones((len(plans), 1), dtype=bool)
-        pieces = []
-        for lane, (plan, start) in enumerate(zip(plans, starts)):
-            c = bisect.bisect_right(start, s0) - 1
-            if c == len(plan):
-                mask[lane] = False
-                pieces.append(plan[-1][2] if plan else system[lane].pieces[0])
-                continue
-            a[lane], b, piece, _, h[lane] = plan[c]
-            offset[lane] = s0 - start[c]
-            # land exactly on the chunk endpoint (season boundaries are knots)
-            end[lane] = b if start[c + 1] == s1 else a[lane] + (offset[lane] + s1 - s0) * h[lane]
-            pieces.append(piece)
-        times = _lane_times(a, offset, h, end, s1 - s0)
-        yield _lane_groups(pieces), h, times, None if mask.all() else mask
-
-
-def _lane_times(a, offset, h, end, count):
-    """Each lane's time after each step of a run, as a one-lane chunk has it."""
-    for i in range(count - 1):
-        yield a + (offset + i + 1) * h
-    yield end
-
-
-def _lane_groups(pieces: list) -> list:
-    """Cover the lanes with as few field calls as possible: one piece for all
-    rows, the row-wise piece of a lane form every piece shares, or else each
-    piece with its rows."""
-    if all(p is pieces[0] for p in pieces):
-        return [(pieces[0], None)]
-    form = pieces[0].lane_form
-    if form is not None and all(p.lane_form is form for p in pieces):
-        vector_field, jacobian = form([p.params for p in pieces])
-        return [(SimpleNamespace(vector_field=vector_field, jacobian=jacobian), None)]
-    groups = {}
-    for lane, p in enumerate(pieces):
-        groups.setdefault(id(p), (p, []))[1].append(lane)
-    return [(p, np.asarray(rows)) for p, rows in groups.values()]
-
-
-def _field(rhs, groups):
-    """The field of a run: one piece's rhs, or each group's rhs on its rows."""
-    if groups[0][1] is None:
-        return rhs(groups[0][0])
-    parts = [(rhs(piece), rows) for piece, rows in groups]
-
-    def f(x):
-        out = np.empty_like(x)
-        for g, rows in parts:
-            out[rows] = g(x[rows])
-        return out
-
-    return f
-
-
-def _check_stability(system, step):
+def _check_stability(system: SeasonalSystem, step: float):
     """Refuse a step past RK4's real stability bound at zero, before stepping."""
-    lanes = [(system, step)] if isinstance(system, SeasonalSystem) else zip(system, step)
-    rates = {}
-    for lane, h in lanes:
-        for piece in lane.pieces:
-            if id(piece) not in rates:
-                rates[id(piece)] = float(np.abs(np.linalg.eigvals(piece.linearization_at_zero)).max())
-        rate = max(rates[id(piece)] for piece in lane.pieces)
-        if h * rate > _RK4_REAL_BOUND:
-            raise InvalidInputError(
-                f"RK4 is unstable at this step: h*|lambda| = {h * rate:.6g} exceeds its real "
-                f"stability bound {_RK4_REAL_BOUND} (h = {h:.6g}, |lambda| = {rate:.6g}, the "
-                "largest eigenvalue modulus of the seasons' Jacobians at zero); use a smaller ode_step"
-            )
+    rate = max(
+        float(np.abs(np.linalg.eigvals(piece.linearization_at_zero)).max())
+        for piece in system.pieces
+    )
+    if step * rate > _RK4_REAL_BOUND:
+        raise InvalidInputError(
+            f"RK4 is unstable at this step: h*|lambda| = {step * rate:.6g} exceeds its real "
+            f"stability bound {_RK4_REAL_BOUND} (h = {step:.6g}, |lambda| = {rate:.6g}, the "
+            "largest eigenvalue modulus of the seasons' Jacobians at zero); use a smaller ode_step"
+        )
 
 
-def _rk4(system, x, t0, t1, step, rhs, settle):
+def _rk4(system: SeasonalSystem, x, t0, t1, step, rhs, settle):
     """Classical RK4 from t0 to t1 in equal steps that land on every season knot.
 
-    One system steps a state of shape (m,). A sequence of B systems steps
-    lanes, a state of shape (B, m), with t1 and step given per lane.
-    rhs(piece) is the field used on that piece's chunks, for either shape;
-    settle(t, x) runs after every step and returns the state the next step
-    starts from.
+    x is a state of shape (n,) or a (B, n) stack of states. rhs(piece) is
+    the field used on that piece's chunks, for either shape; settle(t, x)
+    runs after every step and returns the state the next step starts from.
     """
     _check_stability(system, step)
-    for groups, h, times, mask in _runs(system, t0, t1, step):
-        f = _field(rhs, groups)
+    for a, b, piece, nsteps, h in _chunks(system, t0, t1, step):
+        f = rhs(piece)
         half, sixth = 0.5 * h, h / 6.0
-        for t in times:
+        for i in range(1, nsteps + 1):
             k1 = f(x)
             k2 = f(x + half * k1)
             k3 = f(x + half * k2)
             k4 = f(x + h * k3)
-            new = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if mask is not None:  # finished lanes step by h = 0, but keep their bits
-                new = np.where(mask, new, x)
-            x = settle(t, new)
+            t = b if i == nsteps else a + i * h  # the last step lands exactly on the knot
+            x = settle(t, x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return x
 
 
@@ -276,22 +191,10 @@ def _state_field(piece):
     return piece.vector_field
 
 
-def _default_step(system, step):
-    """The step of one system, or the list of per-lane steps. Lanes take one
-    step (or None) for all of them, or a sequence of one step per lane."""
-    lanes = not isinstance(system, SeasonalSystem)
-    if isinstance(step, (list, tuple)) or np.ndim(step) > 0:
-        if not (lanes and len(step) == len(system)):
-            raise InvalidInputError(f"a step sequence needs one step per lane, got {step!r}")
-        return [_positive_step(h) for h in step]
-    if lanes:
-        return [_default_step(lane, step) for lane in system]
+def _default_step(system: SeasonalSystem, step) -> float:
+    """The given step, checked, or T / DEFAULT_STEPS_PER_PERIOD for None."""
     if step is None:
         return system.period_T / DEFAULT_STEPS_PER_PERIOD
-    return _positive_step(step)
-
-
-def _positive_step(step) -> float:
     if not isinstance(step, numbers.Real):
         raise InvalidInputError(f"step must be a number, got {step!r}")
     if not (step > 0.0 and np.isfinite(step)):
@@ -299,20 +202,15 @@ def _positive_step(step) -> float:
     return float(step)
 
 
-def _period(system):
-    if isinstance(system, SeasonalSystem):
-        return system.period_T
-    return [lane.period_T for lane in system]
-
-
-def _state_shape(system) -> tuple:
-    """(n,) for one system, (B, n) for B lanes."""
-    if isinstance(system, SeasonalSystem):
-        return (system.dimension,)
-    dims = {lane.dimension for lane in system}
-    if len(dims) != 1:
-        raise InvalidInputError(f"lanes disagree on dimension: {sorted(dims)}")
-    return (len(system), dims.pop())
+def _state(system: SeasonalSystem, x) -> np.ndarray:
+    """x as a float array, if it is one state of the system's dimension."""
+    if not isinstance(system, SeasonalSystem):
+        raise InvalidInputError(f"expected one SeasonalSystem, got {type(system).__name__}")
+    x = np.asarray(x, dtype=float)
+    n = system.dimension
+    if x.shape != (n,):
+        raise InvalidInputError(f"state shape {x.shape} does not match dimension {n}")
+    return x
 
 
 def integrate(
@@ -328,9 +226,7 @@ def integrate(
     On hitting the divergence bound the trajectory is truncated and flagged
     instead of raising.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dimension,):
-        raise InvalidInputError(f"x0 shape {x0.shape} does not match dimension")
+    x0 = _state(system, x0)
     if np.any(x0 < 0.0):
         raise InvalidInputError("x0 must be nonnegative")
     if t1 < t0:
@@ -362,65 +258,48 @@ def integrate(
 
 
 def poincare_map(
-    system,
+    system: SeasonalSystem,
     x,
     step: float | None = None,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> np.ndarray:
-    """State after exactly one period, started at phase zero.
-
-    `system` may be a sequence of B systems with x of shape (B, n): one
-    lane-batched pass whose rows have the bits of one-lane passes. A lane
-    that diverges raises after the pass, the first one in lane order.
-    """
-    x = np.asarray(x, dtype=float)
+    """State after exactly one period, started at phase zero."""
+    x = _state(system, x)
     if np.any(x < 0.0):
         raise InvalidInputError("state must be nonnegative")
     step = _default_step(system, step)
-    if isinstance(system, SeasonalSystem):
-        settle = _Clamp(divergence_bound).settle
-        return _rk4(system, x, 0.0, system.period_T, step, _state_field, settle)
-    if x.shape != _state_shape(system):
-        raise InvalidInputError(f"state shape {x.shape} does not match the lanes")
-    clamp = _LaneClamp(divergence_bound, x)
-    x = _rk4(system, x, 0.0, _period(system), step, _state_field, clamp.settle)
-    clamp.raise_first()
-    return x
+    settle = _Clamp(divergence_bound).settle
+    return _rk4(system, x, 0.0, system.period_T, step, _state_field, settle)
 
 
 def _variational(
-    system,
+    system: SeasonalSystem,
     x: np.ndarray,
-    step,
+    step: float,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(x) and DP(x) from one RK4 pass of the joint variational system.
 
     The base state and the fundamental matrix share the augmented pass, so
     both see identical season boundaries; the base part takes the steps
-    poincare_map takes, without its clamp. Over lanes (a sequence of B
-    systems, x of shape (B, n), per-lane steps) P is (B, n) and DP
-    (B, n, n), and a diverged lane raises after the pass, the first in lane
-    order.
+    poincare_map takes, without its clamp. On a (B, n) stack of states P is
+    (B, n) and DP (B, n, n), and a diverged row raises after the pass, the
+    first in row order.
     """
     n = x.shape[-1]
     lead = x.shape[:-1]
-    single = isinstance(system, SeasonalSystem)
-    # a group of lanes has rows of its own, so lanes reshape with -1
-    base_of, fund_of = (np.s_[:n], np.s_[n:]) if single else (np.s_[:, :n], np.s_[:, n:])
-    square, flat = ((n, n), (n * n,)) if single else ((-1, n, n), (-1, n * n))
 
     def joint_field(piece):
         f, jac = piece.vector_field, piece.jacobian
 
         def rhs(z):
-            base = z[base_of]
-            dfund = jac(base) @ z[fund_of].reshape(square)
-            return np.concatenate([f(base), dfund.reshape(flat)], axis=-1)
+            base = z[..., :n]
+            dfund = jac(base) @ z[..., n:].reshape(lead + (n, n))
+            return np.concatenate([f(base), dfund.reshape(lead + (n * n,))], axis=-1)
 
         return rhs
 
-    if single:
+    if not lead:
         def settle(t, z):
             base = z[:n]
             if math.sqrt(base.dot(base)) > divergence_bound:  # the bits of np.linalg.norm
@@ -436,7 +315,7 @@ def _variational(
 
     fund0 = np.broadcast_to(np.eye(n).ravel(), lead + (n * n,))
     aug0 = np.concatenate([x, fund0], axis=-1)
-    aug = _rk4(system, aug0, 0.0, _period(system), step, joint_field, settle)
+    aug = _rk4(system, aug0, 0.0, system.period_T, step, joint_field, settle)
     if guard is not None:
         guard.raise_first()
     return aug[..., :n], aug[..., n:].reshape(lead + (n, n))
@@ -495,7 +374,7 @@ def _propagator_at_zero(system: SeasonalSystem, step: float) -> np.ndarray:
 
 
 def poincare_jacobian(
-    system,
+    system: SeasonalSystem,
     x,
     step: float | None = None,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
@@ -507,31 +386,13 @@ def poincare_jacobian(
     R(hA)^nsteps per chunk, computed by repeated squaring in about
     2 log2(nsteps) products instead of stepping. It raises InvalidInputError
     when that overflows double precision.
-
-    Over lanes (a sequence of B systems, x of shape (B, n)) it returns the
-    (B, n, n) stack: the lanes at zero take their propagators and the others
-    one pass, so each row has the bits of its one-lane call. A diverging lane
-    of the pass raises before a lane at zero whose propagator overflows.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != _state_shape(system):
-        raise InvalidInputError(f"state shape {x.shape} does not match dimension")
+    x = _state(system, x)
     step = _default_step(system, step)
-    if isinstance(system, SeasonalSystem):
-        if x.any():
-            return _variational(system, x, step, divergence_bound)[1]
-        _check_stability(system, step)
-        return _propagator_at_zero(system, step)
+    if x.any():
+        return _variational(system, x, step, divergence_bound)[1]
     _check_stability(system, step)
-    dp = np.empty(x.shape + x.shape[-1:])
-    moving = x.any(axis=1)
-    if moving.any():
-        rows = np.flatnonzero(moving)
-        lanes, steps = [system[k] for k in rows], [step[k] for k in rows]
-        dp[rows] = _variational(lanes, x[rows], steps, divergence_bound)[1]
-    for k in np.flatnonzero(~moving):
-        dp[k] = _propagator_at_zero(system[k], step[k])
-    return dp
+    return _propagator_at_zero(system, step)
 
 
 @dataclass(frozen=True)
@@ -663,18 +524,21 @@ def empirical_threshold(
     """Simulated extinction/persistence boundary over a family theta -> system.
 
     Labels theta persistent when the simulated dominant multiplier at zero,
-    the spectral radius of poincare_jacobian(family(theta), 0), exceeds 1;
-    the grid points are labeled from one lane-batched call. Requires the
-    labels to be monotone (persistent below, extinct above), then bisects the
-    boundary cell down to tol. Returns 1.0 and 0.0 for the all-persistent and
-    all-extinct families.
+    the spectral radius of poincare_jacobian(family(theta), 0), exceeds 1.
+    Requires the labels to be monotone (persistent below, extinct above),
+    then bisects the boundary cell down to tol. Returns 1.0 and 0.0 for the
+    all-persistent and all-extinct families.
     """
     grid = sorted(float(g) for g in grid)
     if len(grid) < 3:
         raise InvalidInputError("grid must contain at least 3 points")
-    systems = [family(th) for th in grid]
-    zeros = np.zeros(_state_shape(systems))
-    labels = [spectral_radius(dp) > 1.0 for dp in poincare_jacobian(systems, zeros, step=step)]
+
+    def persistent(theta):
+        system = family(theta)
+        dp = poincare_jacobian(system, np.zeros(system.dimension), step=step)
+        return spectral_radius(dp) > 1.0
+
+    labels = [persistent(th) for th in grid]
     for earlier, later in zip(labels, labels[1:]):
         if later and not earlier:
             raise InconsistencyError(
@@ -689,7 +553,7 @@ def empirical_threshold(
     hi = min(th for th, lab in zip(grid, labels) if not lab)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if spectral_radius(poincare_jacobian(family(mid), zeros[0], step=step)) > 1.0:
+        if persistent(mid):
             lo = mid
         else:
             hi = mid
@@ -749,8 +613,8 @@ def verify_flow_properties(
     system: SeasonalSystem, step: float | None = None
 ) -> FlowPropertyReport:
     """Check the flow properties on the states and ordered pairs of
-    default_flow_samples, in two lane-batched passes: one period of the
-    clamped flow from every sample state (truncated where it diverges, as
+    default_flow_samples, in two passes over stacks of states: one period of
+    the clamped flow from every sample state (truncated where it diverges, as
     integrate does), and one variational pass at 0, at the positive samples
     and at both ends of every pair."""
     step = _default_step(system, step)
@@ -758,14 +622,12 @@ def verify_flow_properties(
 
     starts = np.array(sample_states)
     clamp = _LaneClamp(DEFAULT_DIVERGENCE_BOUND, starts)
-    lanes = [system] * len(starts)
-    _rk4(lanes, starts, 0.0, _period(lanes), [step] * len(lanes), _state_field, clamp.settle)
+    _rk4(system, starts, 0.0, system.period_T, step, _state_field, clamp.settle)
     positivity_margin = float(clamp.min_component.min())
 
     positive = [s for s in sample_states if np.all(s > 0.0)]
     points = [np.zeros(system.dimension)] + positive + [s for pair in ordered_pairs for s in pair]
-    lanes = [system] * len(points)
-    mapped, dp = _variational(lanes, np.array(points), [step] * len(lanes))
+    mapped, dp = _variational(system, np.array(points), step)
 
     dp0_margin = float(dp[0].min())
     nonneg_margin = np.inf
@@ -774,7 +636,7 @@ def verify_flow_properties(
     if not np.isfinite(nonneg_margin):
         nonneg_margin = dp0_margin
 
-    # the pair lanes give both P, for the order margin, and DP
+    # the pair rows give both P, for the order margin, and DP
     order_margin = np.inf
     mono_entry = np.inf
     mono_strict = np.inf

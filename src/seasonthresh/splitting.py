@@ -24,6 +24,7 @@ from .linalg import (
 
 _MEMBERSHIP_TOL = 1e-12
 _GRID_CELL_CAP = 5_000_000
+_BOUND_TOL = 1e-9  # excess of rho over the factor bound that counts as a violation
 
 
 @dataclass(frozen=True)
@@ -261,9 +262,9 @@ def _optimize_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
 class GelfandProbeReport:
     """Observed multipliers against the product-of-factors bound.
 
-    The bound exp(theta mu1 + (1-theta) mu2) relies on submultiplicativity of
-    the spectral radius, which is not guaranteed for these products; rows
-    with rho exceeding the bound by more than 1e-9 land in `violations`.
+    The bound (factor_bound) relies on submultiplicativity of the spectral
+    radius, which is not guaranteed for these products; rows with rho
+    exceeding the bound by more than 1e-9 land in `violations`.
     """
 
     rho_values: np.ndarray
@@ -277,6 +278,17 @@ class GelfandProbeReport:
         return len(self.violations)
 
 
+def factor_bound(mu1: float, mu2: float, theta: float) -> float:
+    """exp(theta mu1 + (1 - theta) mu2), the product of the factors' bounds,
+    for season spectral abscissas mu1, mu2 and unfavorable share theta."""
+    return float(np.exp(theta * mu1 + (1.0 - theta) * mu2))
+
+
+def bound_violated(value: float, bound: float) -> bool:
+    """Whether a multiplier exceeds its factor bound by more than 1e-9."""
+    return value > bound + _BOUND_TOL
+
+
 def gelfand_bound_probe(m1, m2, schedules) -> GelfandProbeReport:
     a = as_square_matrix(m1)
     b = as_square_matrix(m2)
@@ -287,10 +299,10 @@ def gelfand_bound_probe(m1, m2, schedules) -> GelfandProbeReport:
     violations = []
     for schedule in schedules:
         value = spectral_radius(split_monodromy(a, b, schedule))
-        bound = float(np.exp(schedule.theta * mu1 + (1.0 - schedule.theta) * mu2))
+        bound = factor_bound(mu1, mu2, schedule.theta)
         rhos.append(value)
         bounds.append(bound)
-        if value > bound + 1e-9:
+        if bound_violated(value, bound):
             violations.append((schedule, value, bound))
     return GelfandProbeReport(
         rho_values=np.asarray(rhos),

@@ -41,26 +41,26 @@ def linear_system(a, period=1.0):
     )
 
 
-def lane_systems(kind, count, pi_unfavorable, pi_favorable):
-    """count systems at distinct theta, so distinct season knots; every third
-    lane has period 1.5, so lanes finish at different steps"""
-    nonshared = load_scenario(NONSHARED)
+def two_season_system(kind, pi_unfavorable, pi_favorable):
+    """Two seasons of insect or of linear pieces, the knot at 0.37 of a period of 1.5."""
+    if kind == "insect":
+        return as_seasonal_system(pi_unfavorable, pi_favorable, 0.37, 1.5)
     m1 = np.array([[-1.0, 0.5], [0.5, -2.0]])
     m2 = np.array([[0.5, 1.0], [1.0, 0.2]])
-    systems = []
-    for lane, theta in enumerate(np.linspace(0.15, 0.85, count)):
-        period = 1.5 if lane % 3 == 2 else 1.0
-        insect = lane % 2 == 0 if kind == "mixed" else kind == "insect"
-        if not insect:
-            schedule = SeasonalSchedule(period, (0.0, theta, 1.0))
-            pieces = (AutonomousPiece.linear(m1), AutonomousPiece.linear(m2))
-            systems.append(SeasonalSystem(schedule=schedule, pieces=pieces))
-        elif lane % 4 == 1:  # another parameter pair of the same lane form
-            pair = (nonshared.pi_unfavorable, nonshared.pi_favorable)
-            systems.append(as_seasonal_system(*pair, theta, period))
-        else:
-            systems.append(as_seasonal_system(pi_unfavorable, pi_favorable, theta, period))
-    return systems
+    return SeasonalSystem(
+        schedule=SeasonalSchedule(1.5, (0.0, 0.37, 1.0)),
+        pieces=(AutonomousPiece.linear(m1), AutonomousPiece.linear(m2)),
+    )
+
+
+def clamped_pass(system, states, step, divergence_bound=simulate.DEFAULT_DIVERGENCE_BOUND):
+    """One period of the clamped flow from each row of a stack, as
+    verify_flow_properties takes it; a diverged row raises after the pass."""
+    clamp = simulate._LaneClamp(divergence_bound, states)
+    mapped = simulate._rk4(system, states, 0.0, system.period_T, step, simulate._state_field,
+                           clamp.settle)
+    clamp.raise_first()
+    return mapped
 
 
 class TestIntegrate:
@@ -122,6 +122,16 @@ class TestPoincareMap:
             py = poincare_map(insect_system, y, step=1.0 / 250)
             px = poincare_map(insect_system, x, step=1.0 / 250)
             assert np.all(py < px)
+
+    @pytest.mark.parametrize("period_map", [poincare_map, poincare_jacobian])
+    @pytest.mark.parametrize("kind, shape", [
+        ("insect", (3,)), ("insect", (2, 2)), ("insect", (1,)), ("linear", (3,)), ("linear", (3, 2)),
+    ])
+    def test_state_of_wrong_shape_is_typed_error(self, kind, shape, period_map, insect_system):
+        # one state per call: a (B, n) stack is a typed error too
+        system = insect_system if kind == "insect" else linear_system(-np.eye(2))
+        with pytest.raises(InvalidInputError, match="does not match dimension 2"):
+            period_map(system, np.ones(shape))
 
     def test_step_halving_fourth_order(self, insect_system):
         x0 = np.array([1.5, 0.7])
@@ -190,27 +200,10 @@ class TestPropagatorAtZero:
     ] + [("insect_two_season", 800.0), ("insect_nonshared", 800.0)])
     def test_squaring_matches_step_by_step_pass(self, name, period):
         _, systems = bundled_systems(name, period)
-        zeros = np.zeros((len(systems), 2))
-        # the lane-batched pass has the bits of one-lane passes (TestLanes)
-        stepped = simulate._variational(systems, zeros, [period / 2000] * len(systems))[1]
-        for squared, dp in zip(poincare_jacobian(systems, zeros), stepped):
+        for system in systems:
+            squared = poincare_jacobian(system, np.zeros(2))
+            dp = simulate._variational(system, np.zeros(2), period / 2000)[1]
             assert np.abs(squared - dp).max() <= 1e-12 * np.abs(dp).max()
-
-    def test_lanes_match_one_lane_calls(self, pi_unfavorable, pi_favorable):
-        systems = lane_systems("mixed", 7, pi_unfavorable, pi_favorable)
-        stack = poincare_jacobian(systems, np.zeros((7, 2)), step=1.0 / 200)
-        for lane, system in enumerate(systems):
-            assert np.array_equal(stack[lane], poincare_jacobian(system, np.zeros(2), step=1.0 / 200))
-
-    def test_mixed_lanes_match_one_lane_calls(self, pi_unfavorable, pi_favorable):
-        # lanes at zero take the propagator, the others one pass, whatever their neighbours
-        systems = lane_systems("mixed", 7, pi_unfavorable, pi_favorable)
-        states = np.random.default_rng(7).uniform(0.0, 2.0, (7, 2))
-        states[[0, 3, 4]] = 0.0
-        stack = poincare_jacobian(systems, states, step=1.0 / 200)
-        for lane, system in enumerate(systems):
-            alone = poincare_jacobian(system, states[lane], step=1.0 / 200)
-            assert np.array_equal(stack[lane], alone)
 
     def test_propagator_follows_the_jacobian_at_zero(self):
         # a piece whose linearization_at_zero disagrees with its Jacobian: DP(0)
@@ -226,16 +219,14 @@ class TestPropagatorAtZero:
         squared = poincare_jacobian(system, np.zeros(2))
         assert np.abs(squared - dp).max() <= 1e-12 * np.abs(dp).max()
 
-    def test_unstable_step_raises_before_any_work(self, monkeypatch, insect_system,
-                                                  pi_unfavorable, pi_favorable):
+    def test_unstable_step_raises_before_any_work(self, monkeypatch, pi_unfavorable,
+                                                  pi_favorable):
         # the default step T / 2000 = 2.5 puts h|lambda| = 2.5 * 2.5 past 2.785
         powers = []
         monkeypatch.setattr(simulate, "_rk4_power", lambda *args: powers.append(args))
         system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.7, 5000.0)
         with pytest.raises(InvalidInputError, match=r"h\*\|lambda\| = 6.25"):
             poincare_jacobian(system, np.zeros(2))
-        with pytest.raises(InvalidInputError, match=r"h\*\|lambda\| = 6.25"):
-            poincare_jacobian([insect_system, system], np.zeros((2, 2)))
         assert powers == []
 
     @pytest.mark.parametrize("name", BUNDLED[:2])
@@ -253,75 +244,73 @@ class TestPropagatorAtZero:
         _, systems = bundled_systems("matrices_shared_eigenvector", 800.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for lanes, zero in ((systems[2], np.zeros(2)), (systems[4:], np.zeros((7, 2)))):
+            for system in systems[2:6]:
                 with pytest.raises(InvalidInputError, match="overflowed double precision"):
-                    poincare_jacobian(lanes, zero)
-            assert np.all(np.isfinite(poincare_jacobian(systems[6:], np.zeros((5, 2)))))
+                    poincare_jacobian(system, np.zeros(2))
+            for system in systems[6:]:
+                assert np.all(np.isfinite(poincare_jacobian(system, np.zeros(2))))
 
 
-class TestLanes:
-    """A lane-batched pass gives each lane the bits of its one-lane pass."""
+class TestStack:
+    """A pass over a (B, n) stack of states gives each row the bits of its
+    one-state pass."""
 
-    @pytest.mark.parametrize("kind", ["insect", "linear", "mixed"])
+    @pytest.mark.parametrize("kind", ["insect", "linear"])
     @pytest.mark.parametrize("count", [1, 2, 7])
-    def test_variational_lanes_match_one_lane_passes(self, kind, count, pi_unfavorable,
+    def test_variational_rows_match_one_state_passes(self, kind, count, pi_unfavorable,
                                                      pi_favorable):
-        systems = lane_systems(kind, count, pi_unfavorable, pi_favorable)
+        system = two_season_system(kind, pi_unfavorable, pi_favorable)
         states = np.random.default_rng(count).uniform(0.0, 2.0, (count, 2))
-        steps = [s.period_T / 200 for s in systems]
-        mapped, jac = simulate._variational(systems, states, steps)
-        for lane, system in enumerate(systems):
-            p, dp = simulate._variational(system, states[lane], steps[lane])
-            assert np.array_equal(mapped[lane], p)
-            assert np.array_equal(jac[lane], dp)
+        step = system.period_T / 200
+        mapped, jac = simulate._variational(system, states, step)
+        for row, state in enumerate(states):
+            p, dp = simulate._variational(system, state, step)
+            assert np.array_equal(mapped[row], p)
+            assert np.array_equal(jac[row], dp)
 
-    @pytest.mark.parametrize("kind", ["insect", "linear", "mixed"])
+    @pytest.mark.parametrize("kind", ["insect", "linear"])
     @pytest.mark.parametrize("count", [1, 2, 7])
-    def test_poincare_map_lanes_match_one_lane_passes(self, kind, count, pi_unfavorable,
-                                                      pi_favorable):
-        systems = lane_systems(kind, count, pi_unfavorable, pi_favorable)
+    def test_clamped_rows_match_poincare_map(self, kind, count, pi_unfavorable, pi_favorable):
+        system = two_season_system(kind, pi_unfavorable, pi_favorable)
         states = np.random.default_rng(count).uniform(0.0, 2.0, (count, 2))
-        mapped = poincare_map(systems, states, step=1.0 / 200)
-        for lane, system in enumerate(systems):
-            assert np.array_equal(mapped[lane], poincare_map(system, states[lane], step=1.0 / 200))
-
-    @pytest.mark.parametrize("period_map", [poincare_map, poincare_jacobian])
-    def test_step_list_gives_each_lane_its_step(self, period_map, pi_unfavorable, pi_favorable):
-        systems = lane_systems("mixed", 2, pi_unfavorable, pi_favorable)
-        states = np.array([[0.5, 1.0], [1.0, 0.5]])
-        steps = [s.period_T / 200 for s in systems]
-        batched = period_map(systems, states, step=steps)
-        for lane, system in enumerate(systems):
-            assert np.array_equal(batched[lane], period_map(system, states[lane], step=steps[lane]))
+        step = system.period_T / 200
+        mapped = clamped_pass(system, states, step)
+        for row, state in enumerate(states):
+            assert np.array_equal(mapped[row], poincare_map(system, state, step=step))
 
     @pytest.mark.parametrize("period_map", [poincare_map, poincare_jacobian])
     @pytest.mark.parametrize(
         "steps", [[0.01], [0.01, 0.01, 0.01], [0.01, -0.01], [0.01, float("inf")], [0.01, None],
                   [0.01, "0.01"], [[0.01], [0.01]], np.array([0.01, 0.0])],
     )
-    def test_other_step_lists_are_typed_errors(self, period_map, steps, pi_unfavorable,
-                                               pi_favorable):
-        systems = lane_systems("insect", 2, pi_unfavorable, pi_favorable)
+    def test_other_step_lists_are_typed_errors(self, period_map, steps, insect_system):
         with pytest.raises(InvalidInputError):
-            period_map(systems, np.ones((2, 2)), step=steps)
+            period_map(insect_system, np.ones(2), step=steps)
+
+    @pytest.mark.parametrize("period_map", [poincare_map, poincare_jacobian])
+    def test_list_of_systems_is_typed_error(self, period_map, insect_system):
+        with pytest.raises(InvalidInputError, match="expected one SeasonalSystem, got list"):
+            period_map([insect_system, insect_system], np.ones((2, 2)))
 
     def test_step_list_for_one_system_is_typed_error(self, insect_system):
         with pytest.raises(InvalidInputError):
             poincare_map(insect_system, np.ones(2), step=[0.01])
 
-    @pytest.mark.parametrize("period_map", [poincare_map, poincare_jacobian])
-    def test_first_diverging_lane_raises_after_the_pass(self, period_map):
-        # lane 0 passes the bound later than lane 1; a run of one-lane passes
-        # in lane order would have raised lane 0's error
-        slow = linear_system(np.array([[0.5, 0.0], [0.0, 0.5]]))
-        fast = linear_system(np.array([[2.0, 0.0], [0.0, 2.0]]))
-        states = np.array([[50.0, 50.0], [50.0, 50.0]])
+    @pytest.mark.parametrize("stack_pass, one_state_pass", [
+        (simulate._variational, simulate._variational),
+        (clamped_pass, poincare_map),
+    ], ids=["variational", "clamped"])
+    def test_first_diverging_row_raises_after_the_pass(self, stack_pass, one_state_pass):
+        # row 0 passes the bound later than row 1; a run of one-state passes
+        # in row order would have raised row 0's error
+        system = linear_system(np.eye(2))
+        states = np.array([[50.0, 50.0], [60.0, 60.0]])
         with pytest.raises(DivergenceError) as alone:
-            period_map(slow, states[0], step=0.01, divergence_bound=100.0)
-        with pytest.raises(DivergenceError) as lanes:
-            period_map([slow, fast], states, step=0.01, divergence_bound=100.0)
-        assert lanes.value.time == alone.value.time
-        assert np.array_equal(lanes.value.state, alone.value.state)
+            one_state_pass(system, states[0], 0.01, 100.0)
+        with pytest.raises(DivergenceError) as stack:
+            stack_pass(system, states, 0.01, 100.0)
+        assert stack.value.time == alone.value.time
+        assert np.array_equal(stack.value.state, alone.value.state)
 
 
 class TestNewtonOrbit:
