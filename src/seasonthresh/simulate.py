@@ -8,7 +8,9 @@ resolved once, at the chunk midpoint.
 
 A pass steps one system, on a state of shape (n,) or on a (B, n) stack of
 states. Each row of a stack takes exactly the steps, and the arithmetic, of
-a pass from that state alone, so it has that pass's bits.
+a pass from that state alone, so it has that pass's bits. A stack stops at
+the first step where any row passes the divergence bound, with the error of
+the lowest such row, which is the error that row's one-state pass raises.
 
 At zero the variational pass is linear, so DP(0) takes no pass: it is the
 product of RK4's stability polynomial at each chunk's h*A, raised to the
@@ -62,52 +64,6 @@ class _Clamp:
         if self.record is not None:
             self.record(t, x)
         return x
-
-
-class _Lanes:
-    """Divergence of a pass over a stack of states. A row whose base state
-    passes the bound keeps its DivergenceError and is zeroed, so it stays
-    finite and inert while the others finish; `raise_first` then raises the
-    error a run of one-state passes in row order would have raised."""
-
-    def __init__(self, bound: float, count: int, message: str):
-        self.bound = bound
-        self.message = message
-        self.errors = [None] * count
-        self.alive = np.ones(count, dtype=bool)
-
-    def cull(self, t: float, x: np.ndarray, base: np.ndarray) -> np.ndarray:
-        over = np.sqrt((base * base).sum(axis=1)) > self.bound
-        if over.any():
-            for row in np.flatnonzero(over):
-                self.errors[row] = DivergenceError(
-                    self.message, time=float(t), state=base[row].copy()
-                )
-            self.alive &= ~over
-            x = np.where(over[:, None], 0.0, x)
-        return x
-
-    def raise_first(self):
-        for error in self.errors:
-            if error is not None:
-                raise error
-
-
-class _LaneClamp(_Lanes):
-    """_Clamp over a stack: negatives snapped to zero, each row's most
-    negative raw component, and divergence per row."""
-
-    def __init__(self, bound: float, x0: np.ndarray):
-        super().__init__(bound, len(x0), _TRAJECTORY_DIVERGED)
-        self.min_component = x0.min(axis=1)
-
-    def settle(self, t: float, x: np.ndarray) -> np.ndarray:
-        low = x.min(axis=1)
-        lower = self.alive & (low < self.min_component)
-        self.min_component = np.where(lower, low, self.min_component)
-        if low.min() < 0.0:
-            x = np.maximum(x, 0.0)
-        return self.cull(t, x, x)
 
 
 @dataclass(frozen=True)
@@ -195,21 +151,30 @@ def _default_step(system: SeasonalSystem, step) -> float:
     """The given step, checked, or T / DEFAULT_STEPS_PER_PERIOD for None."""
     if step is None:
         return system.period_T / DEFAULT_STEPS_PER_PERIOD
-    if not isinstance(step, numbers.Real):
+    if isinstance(step, bool) or not isinstance(step, numbers.Real):
         raise InvalidInputError(f"step must be a number, got {step!r}")
     if not (step > 0.0 and np.isfinite(step)):
         raise InvalidInputError(f"step must be positive, got {step}")
     return float(step)
 
 
-def _state(system: SeasonalSystem, x) -> np.ndarray:
-    """x as a float array, if it is one state of the system's dimension."""
+def _system(system) -> SeasonalSystem:
     if not isinstance(system, SeasonalSystem):
         raise InvalidInputError(f"expected one SeasonalSystem, got {type(system).__name__}")
+    return system
+
+
+def _state(system: SeasonalSystem, x) -> np.ndarray:
+    """x as a float array, if it is one finite, nonnegative state of the
+    system's dimension."""
     x = np.asarray(x, dtype=float)
-    n = system.dimension
+    n = _system(system).dimension
     if x.shape != (n,):
         raise InvalidInputError(f"state shape {x.shape} does not match dimension {n}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError(f"state must be finite, got {x}")
+    if np.any(x < 0.0):
+        raise InvalidInputError("state must be nonnegative")
     return x
 
 
@@ -227,8 +192,6 @@ def integrate(
     instead of raising.
     """
     x0 = _state(system, x0)
-    if np.any(x0 < 0.0):
-        raise InvalidInputError("x0 must be nonnegative")
     if t1 < t0:
         raise InvalidInputError("t1 must be >= t0")
     step = _default_step(system, step)
@@ -265,26 +228,18 @@ def poincare_map(
 ) -> np.ndarray:
     """State after exactly one period, started at phase zero."""
     x = _state(system, x)
-    if np.any(x < 0.0):
-        raise InvalidInputError("state must be nonnegative")
     step = _default_step(system, step)
     settle = _Clamp(divergence_bound).settle
     return _rk4(system, x, 0.0, system.period_T, step, _state_field, settle)
 
 
-def _variational(
-    system: SeasonalSystem,
-    x: np.ndarray,
-    step: float,
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
-) -> tuple[np.ndarray, np.ndarray]:
+def _joint_pass(system: SeasonalSystem, x: np.ndarray, step: float, settle):
     """P(x) and DP(x) from one RK4 pass of the joint variational system.
 
     The base state and the fundamental matrix share the augmented pass, so
     both see identical season boundaries; the base part takes the steps
     poincare_map takes, without its clamp. On a (B, n) stack of states P is
-    (B, n) and DP (B, n, n), and a diverged row raises after the pass, the
-    first in row order.
+    (B, n) and DP (B, n, n). settle is _rk4's, on the augmented state.
     """
     n = x.shape[-1]
     lead = x.shape[:-1]
@@ -299,26 +254,55 @@ def _variational(
 
         return rhs
 
-    if not lead:
-        def settle(t, z):
-            base = z[:n]
-            if math.sqrt(base.dot(base)) > divergence_bound:  # the bits of np.linalg.norm
-                raise DivergenceError(_BASE_DIVERGED, time=t, state=base)
-            return z
-
-        guard = None
-    else:
-        guard = _Lanes(divergence_bound, len(x), _BASE_DIVERGED)
-
-        def settle(t, z):
-            return guard.cull(t, z, z[:, :n])
-
     fund0 = np.broadcast_to(np.eye(n).ravel(), lead + (n * n,))
     aug0 = np.concatenate([x, fund0], axis=-1)
     aug = _rk4(system, aug0, 0.0, system.period_T, step, joint_field, settle)
-    if guard is not None:
-        guard.raise_first()
     return aug[..., :n], aug[..., n:].reshape(lead + (n, n))
+
+
+def _variational(
+    system: SeasonalSystem,
+    x: np.ndarray,
+    step: float,
+    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(x) and DP(x) at one state, raising where the base state passes the
+    divergence bound."""
+    n = len(x)
+
+    def settle(t, z):
+        base = z[:n]
+        if math.sqrt(base.dot(base)) > divergence_bound:  # the bits of np.linalg.norm
+            raise DivergenceError(_BASE_DIVERGED, time=t, state=base)
+        return z
+
+    return _joint_pass(system, x, step, settle)
+
+
+def _variational_stack(
+    system: SeasonalSystem, states: np.ndarray, step: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """P and DP at each row of a (B, n) stack of states, and the least raw
+    base component over the starts and every step, from one pass.
+
+    The pass raises at the first step where a row's base state passes
+    DEFAULT_DIVERGENCE_BOUND, with that step's time and the base state of the
+    lowest such row: the error of that row's one-state pass.
+    """
+    n = states.shape[1]
+    least = float(states.min())
+
+    def settle(t, z):
+        nonlocal least
+        base = z[:, :n]
+        least = min(least, float(base.min()))
+        over = np.sqrt((base * base).sum(axis=1)) > DEFAULT_DIVERGENCE_BOUND
+        if over.any():
+            raise DivergenceError(_BASE_DIVERGED, time=t, state=base[over.argmax()].copy())
+        return z
+
+    mapped, dp = _joint_pass(system, states, step, settle)
+    return mapped, dp, least
 
 
 def _offset(e: np.ndarray) -> tuple:
@@ -425,21 +409,19 @@ def find_periodic_orbit(
     Each Newton step takes P(x) and DP(x) from one variational pass and solves
     (DP(x) - I) d = x - P(x). x is "periodic_positive" once
     |P(x) - x| <= tol with every component above 10 * extinction_threshold
-    (the residual reported is that |P(x) - x|). An iterate whose norm falls
-    below the threshold is "extinction" once three more mapped periods stay
-    below it. Picard iteration from x0 takes over, with the labels and rules
-    above, when DP(x) - I is singular, a step leaves the nonnegative cone or
-    the divergence bound, Newton lands on 0 while lambda > 1 (zero is then
-    unstable), a pass diverges, or Newton has not settled within its budget.
-    Classifications near the exact threshold may come back "undecided".
+    (the residual reported is that |P(x) - x|). A Newton iterate whose norm
+    falls below the threshold while lambda <= 1 is handed, clamped to the
+    cone, to Picard iteration, which calls it "extinction" once three mapped
+    periods stay below the threshold. Picard iteration from x0 takes over,
+    with the labels and rules above, when DP(x) - I is singular, a step
+    leaves the nonnegative cone or the divergence bound, Newton lands on 0
+    while lambda > 1 (zero is then unstable), a pass diverges, or Newton has
+    not settled within its budget. Classifications near the exact threshold
+    may come back "undecided".
     """
+    x = x0 = _state(system, x0).copy()
     step = _default_step(system, step)
     n = system.dimension
-    x = x0 = np.array(x0, dtype=float)
-    if x.shape != (n,):
-        raise InvalidInputError(f"x0 shape {x.shape} does not match dimension")
-    if np.any(x < 0.0):
-        raise InvalidInputError("state must be nonnegative")
     lam = spectral_radius(poincare_jacobian(system, np.zeros(n), step=step))
     iterations = 0
     while iterations < _NEWTON_STEPS:
@@ -459,30 +441,11 @@ def find_periodic_orbit(
             if lam > 1.0:
                 break
             # landed on 0: rounding may leave it a hair outside the cone
-            result = _confirm_extinction(
-                system, np.maximum(x, 0.0), step, extinction_threshold, divergence_bound,
-                lam, iterations,
-            )
-            if result is not None:
-                return result
-            iterations += _EXTINCT_PERIODS
-            break
+            return _picard(system, np.maximum(x, 0.0), tol, step, extinction_threshold,
+                           divergence_bound, lam, iterations)
         if not np.all(x >= 0.0) or float(np.linalg.norm(x)) > divergence_bound:
             break
     return _picard(system, x0, tol, step, extinction_threshold, divergence_bound, lam, iterations)
-
-
-def _confirm_extinction(system, x, step, threshold, divergence_bound, lam, iterations):
-    """The extinction result if x stays below the threshold for three mapped
-    periods, else None."""
-    for _ in range(_EXTINCT_PERIODS):
-        nxt = poincare_map(system, x, step=step, divergence_bound=divergence_bound)
-        iterations += 1
-        diff = float(np.linalg.norm(nxt - x))
-        x = nxt
-        if float(np.linalg.norm(x)) >= threshold:
-            return None
-    return PoincareResult(x, diff, iterations, "extinction", lam)
 
 
 def _picard(system, x, tol, step, extinction_threshold, divergence_bound, lam, iterations):
@@ -534,7 +497,7 @@ def empirical_threshold(
         raise InvalidInputError("grid must contain at least 3 points")
 
     def persistent(theta):
-        system = family(theta)
+        system = _system(family(theta))
         dp = poincare_jacobian(system, np.zeros(system.dimension), step=step)
         return spectral_radius(dp) > 1.0
 
@@ -564,7 +527,9 @@ def empirical_threshold(
 class FlowPropertyReport:
     """Sampled checks of the period map's order and concavity structure.
 
-    positivity: solutions from nonnegative starts stay nonnegative.
+    positivity: solutions from nonnegative starts stay nonnegative; its
+    margin is the least raw component of the unclamped RK4 flow over the
+    sample pass, starts included.
     order: the period map preserves strict ordering of states.
     derivative_positive: DP(0) strictly positive, DP(x) nonnegative.
     derivative_monotone: DP decreases (entrywise, somewhere strictly) along
@@ -613,26 +578,20 @@ def verify_flow_properties(
     system: SeasonalSystem, step: float | None = None
 ) -> FlowPropertyReport:
     """Check the flow properties on the states and ordered pairs of
-    default_flow_samples, in two passes over stacks of states: one period of
-    the clamped flow from every sample state (truncated where it diverges, as
-    integrate does), and one variational pass at 0, at the positive samples
-    and at both ends of every pair."""
-    step = _default_step(system, step)
+    default_flow_samples, from one variational pass over a stack of every
+    sample state and both ends of every pair. The positivity margin is the
+    least raw component of that pass's unclamped RK4 flow, over the starts
+    and every step. A row past the divergence bound raises DivergenceError."""
+    step = _default_step(_system(system), step)
     sample_states, ordered_pairs = default_flow_samples(system.dimension)
-
-    starts = np.array(sample_states)
-    clamp = _LaneClamp(DEFAULT_DIVERGENCE_BOUND, starts)
-    _rk4(system, starts, 0.0, system.period_T, step, _state_field, clamp.settle)
-    positivity_margin = float(clamp.min_component.min())
-
-    positive = [s for s in sample_states if np.all(s > 0.0)]
-    points = [np.zeros(system.dimension)] + positive + [s for pair in ordered_pairs for s in pair]
-    mapped, dp = _variational(system, np.array(points), step)
+    points = np.array(sample_states + [s for pair in ordered_pairs for s in pair])
+    mapped, dp, positivity_margin = _variational_stack(system, points, step)
 
     dp0_margin = float(dp[0].min())
     nonneg_margin = np.inf
-    for d in dp[1:1 + len(positive)]:
-        nonneg_margin = min(nonneg_margin, float(d.min()))
+    for state, d in zip(sample_states, dp):
+        if np.all(state > 0.0):
+            nonneg_margin = min(nonneg_margin, float(d.min()))
     if not np.isfinite(nonneg_margin):
         nonneg_margin = dp0_margin
 
@@ -640,7 +599,7 @@ def verify_flow_properties(
     order_margin = np.inf
     mono_entry = np.inf
     mono_strict = np.inf
-    for x in range(1 + len(positive), len(points), 2):
+    for x in range(len(sample_states), len(points), 2):
         order_margin = min(order_margin, float((mapped[x + 1] - mapped[x]).min()))
         gap = dp[x] - dp[x + 1]
         mono_entry = min(mono_entry, float(gap.min()))

@@ -379,16 +379,25 @@ class TestCommands:
         assert "grid_points must be >= 2, got 1" in capsys.readouterr().err
         assert not (out / "threshold.json").exists()
 
-    def test_verify_command(self, tmp_path):
-        scenario_path = write_scenario(tmp_path, MATRICES)
+    @pytest.mark.parametrize("scenario, flow_status", [
+        ("matrices", "info"), ("insect_two_season", "pass"), ("insect_nonshared", "pass"),
+    ])
+    def test_verify_command(self, tmp_path, scenario, flow_status):
+        # the insect scenarios take the flow-property pass
+        if scenario == "matrices":
+            scenario_path = write_scenario(tmp_path, MATRICES)
+        else:
+            scenario_path = Path(__file__).resolve().parents[1] / "scenarios" / f"{scenario}.json"
         out = tmp_path / "out"
         assert main(["verify", "--scenario", str(scenario_path), "--out", str(out),
                      "--seed", "1"]) == 0
         lines = (out / "verify.csv").read_text().splitlines()
         assert lines[0] == "check,status,detail"
-        statuses = {line.split(",")[1] for line in lines[1:]}
-        assert statuses <= {"pass", "fail", "info"}
-        assert "fail" not in statuses
+        rows = dict(line.split(",")[:2] for line in lines[1:])
+        assert len(rows) == len(lines) - 1 == 12
+        assert set(rows.values()) <= {"pass", "fail", "info"}
+        assert "fail" not in rows.values()
+        assert rows["flow_properties"] == flow_status
 
     def test_theta_override(self, tmp_path):
         scenario_path = write_scenario(tmp_path, INSECT)

@@ -69,9 +69,9 @@ def test_empirical_threshold_reads_the_variational_multiplier(monkeypatch, scena
 
 
 def test_flow_properties_take_one_pass_per_state(monkeypatch, scenario):
-    # n = 2: two passes of the one system, one stack row per state: the 7
-    # sample trajectories, then DP(0), DP at the 4 positive samples and
-    # (P, DP) at both ends of the 6 ordered pairs
+    # n = 2: one pass of the one system, one stack row per state: P and DP
+    # at the 7 sample states (0, e1, e2 and 4 positive) and at both ends of
+    # the 6 ordered pairs
     rows = []
     original = simulate._rk4
 
@@ -83,4 +83,4 @@ def test_flow_properties_take_one_pass_per_state(monkeypatch, scenario):
     report = simulate.verify_flow_properties(system_from_scenario(scenario, scenario.theta),
                                              step=1.0 / 500)
     assert report.all_ok
-    assert rows == [7, 1 + 4 + 12]
+    assert rows == [1 + 2 + 4 + 12]

@@ -53,16 +53,6 @@ def two_season_system(kind, pi_unfavorable, pi_favorable):
     )
 
 
-def clamped_pass(system, states, step, divergence_bound=simulate.DEFAULT_DIVERGENCE_BOUND):
-    """One period of the clamped flow from each row of a stack, as
-    verify_flow_properties takes it; a diverged row raises after the pass."""
-    clamp = simulate._LaneClamp(divergence_bound, states)
-    mapped = simulate._rk4(system, states, 0.0, system.period_T, step, simulate._state_field,
-                           clamp.settle)
-    clamp.raise_first()
-    return mapped
-
-
 class TestIntegrate:
     def test_zero_state_stays_zero(self, insect_system):
         traj = integrate(insect_system, np.zeros(2), 0.0, 2.0, step=0.01)
@@ -262,21 +252,11 @@ class TestStack:
         system = two_season_system(kind, pi_unfavorable, pi_favorable)
         states = np.random.default_rng(count).uniform(0.0, 2.0, (count, 2))
         step = system.period_T / 200
-        mapped, jac = simulate._variational(system, states, step)
+        mapped, jac, _ = simulate._variational_stack(system, states, step)
         for row, state in enumerate(states):
             p, dp = simulate._variational(system, state, step)
             assert np.array_equal(mapped[row], p)
             assert np.array_equal(jac[row], dp)
-
-    @pytest.mark.parametrize("kind", ["insect", "linear"])
-    @pytest.mark.parametrize("count", [1, 2, 7])
-    def test_clamped_rows_match_poincare_map(self, kind, count, pi_unfavorable, pi_favorable):
-        system = two_season_system(kind, pi_unfavorable, pi_favorable)
-        states = np.random.default_rng(count).uniform(0.0, 2.0, (count, 2))
-        step = system.period_T / 200
-        mapped = clamped_pass(system, states, step)
-        for row, state in enumerate(states):
-            assert np.array_equal(mapped[row], poincare_map(system, state, step=step))
 
     @pytest.mark.parametrize("period_map", [poincare_map, poincare_jacobian])
     @pytest.mark.parametrize(
@@ -296,21 +276,56 @@ class TestStack:
         with pytest.raises(InvalidInputError):
             poincare_map(insect_system, np.ones(2), step=[0.01])
 
-    @pytest.mark.parametrize("stack_pass, one_state_pass", [
-        (simulate._variational, simulate._variational),
-        (clamped_pass, poincare_map),
-    ], ids=["variational", "clamped"])
-    def test_first_diverging_row_raises_after_the_pass(self, stack_pass, one_state_pass):
-        # row 0 passes the bound later than row 1; a run of one-state passes
-        # in row order would have raised row 0's error
-        system = linear_system(np.eye(2))
-        states = np.array([[50.0, 50.0], [60.0, 60.0]])
-        with pytest.raises(DivergenceError) as alone:
-            one_state_pass(system, states[0], 0.01, 100.0)
+    def test_stack_raises_at_the_first_step_a_row_passes_the_bound(self):
+        # rows 1 and 2 pass the bound at one step, before row 0 does: the
+        # stack raises there, with the one-state error of row 1
+        system = linear_system(20.0 * np.eye(2))
+        states = np.array([[10.0, 10.0], [60.0, 60.0], [60.0, 60.000001]])
+        alone = []
+        for state in states:
+            with pytest.raises(DivergenceError) as info:
+                simulate._variational(system, state, 0.01)
+            alone.append(info.value)
+        assert alone[1].time == alone[2].time < alone[0].time
+        assert not np.array_equal(alone[1].state, alone[2].state)
         with pytest.raises(DivergenceError) as stack:
-            stack_pass(system, states, 0.01, 100.0)
-        assert stack.value.time == alone.value.time
-        assert np.array_equal(stack.value.state, alone.value.state)
+            simulate._variational_stack(system, states, 0.01)
+        assert stack.value.time == alone[1].time
+        assert np.array_equal(stack.value.state, alone[1].state)
+
+
+class TestBadInputs:
+    """A bad state, system or step is an InvalidInputError before any stepping."""
+
+    @pytest.mark.parametrize("entry", [
+        poincare_map, poincare_jacobian, find_periodic_orbit,
+        lambda system, x: integrate(system, x, 0.0, 1.0),
+    ], ids=["poincare_map", "poincare_jacobian", "find_periodic_orbit", "integrate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_state(self, entry, value, insect_system):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="state must be finite"):
+                entry(insect_system, [value, 1.0])
+
+    @pytest.mark.parametrize("entry", [poincare_map, poincare_jacobian, find_periodic_orbit])
+    def test_negative_state(self, entry, insect_system):
+        with pytest.raises(InvalidInputError, match="state must be nonnegative"):
+            entry(insect_system, [-0.1, 1.0])
+
+    @pytest.mark.parametrize("entry", [
+        lambda system: find_periodic_orbit(system, np.ones(2)),
+        verify_flow_properties,
+        lambda system: empirical_threshold(lambda theta: system, [0.0, 0.5, 1.0]),
+    ], ids=["find_periodic_orbit", "verify_flow_properties", "empirical_threshold"])
+    def test_not_a_system(self, entry, insect_system):
+        with pytest.raises(InvalidInputError, match="expected one SeasonalSystem, got list"):
+            entry([insect_system])
+
+    @pytest.mark.parametrize("entry", [poincare_map, poincare_jacobian])
+    def test_bool_step(self, entry, insect_system):
+        with pytest.raises(InvalidInputError, match="step must be a number, got True"):
+            entry(insect_system, np.ones(2), step=True)
 
 
 class TestNewtonOrbit:
@@ -462,3 +477,17 @@ class TestFlowProperties:
         system = linear_system(np.array([[0.0, -2.0], [2.0, 0.0]]))
         report = verify_flow_properties(system, step=1.0 / 500)
         assert not report.order
+        # the rotation leaves the cone: the positivity margin is the least
+        # component of the unclamped flow from every sample start, over every step
+        states, pairs = simulate.default_flow_samples(2)
+        starts = states + [s for pair in pairs for s in pair]
+        lows = [float(x.min()) for x in starts]
+
+        def unclamped(t, x):
+            lows.append(float(x.min()))
+            return x
+
+        for x in starts:
+            simulate._rk4(system, x, 0.0, 1.0, 1.0 / 500, simulate._state_field, unclamped)
+        assert report.positivity_margin == min(lows)
+        assert not report.positivity
