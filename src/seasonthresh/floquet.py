@@ -40,7 +40,7 @@ from .linalg import (
     _matvec,
     as_matrix_stack,
     as_square_matrix,
-    exp_product,
+    exp_products,
     is_irreducible,
     is_metzler,
     mat_exp,
@@ -150,10 +150,8 @@ def monodromy(lin: TwoSeasonLinearization, theta: float) -> np.ndarray:
 
 def monodromy_general(system: SeasonalSystem) -> np.ndarray:
     """Ordered product of per-season exponentials; rightmost factor is season 1."""
-    return exp_product(
-        (piece.linearization_at_zero, dt)
-        for piece, dt in zip(system.pieces, system.schedule.durations())
-    )
+    seasons = [piece.linearization_at_zero for piece in system.pieces]
+    return exp_products(seasons, [system.schedule.durations()], {})[0]
 
 
 @dataclass(frozen=True)

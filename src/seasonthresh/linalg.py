@@ -217,20 +217,28 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def exp_product(blocks, exp=None) -> np.ndarray:
-    """Ordered product of exp(duration * matrix) over (matrix, duration) blocks.
+def exp_products(seasons, durations, table: dict) -> np.ndarray:
+    """Ordered products of block exponentials, one for each row of durations.
 
-    The first block is the rightmost factor; zero-duration blocks are skipped.
-    ``exp(matrix, duration)``, when given, supplies each factor in place of
-    ``mat_exp(duration * matrix)``, for instance from a table of them.
+    ``durations`` is a (G, L) array; block l of a row is
+    exp(duration * seasons[l % len(seasons)]), the first block rightmost.
+    ``table`` maps (season index, exact float duration) to its exponential;
+    the blocks missing from it are exponentiated in one stacked mat_exp call
+    and added, so calls over the same seasons that share a table compute
+    each block once. Every factor has the bits of its own mat_exp call.
     """
-    blocks = list(blocks)
-    result = np.eye(np.shape(blocks[0][0])[0])
-    for matrix, duration in blocks:
-        if duration != 0.0:
-            factor = mat_exp(duration * matrix) if exp is None else exp(matrix, duration)
-            result = factor @ result
-    return result
+    count = len(seasons)
+    rows = [
+        [(l % count, d) for l, d in enumerate(row)]
+        for row in np.asarray(durations, dtype=float).tolist()
+    ]
+    missing = list(dict.fromkeys(key for row in rows for key in row if key not in table))
+    if missing:
+        table.update(zip(missing, mat_exp([d * seasons[s] for s, d in missing])))
+    product = np.array([table[row[0]] for row in rows])
+    for l in range(1, len(rows[0])):
+        product = np.array([table[row[l]] for row in rows]) @ product
+    return product
 
 
 def is_metzler(a) -> bool:

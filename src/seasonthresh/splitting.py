@@ -7,7 +7,8 @@ m = T * (linearization at zero).
 """
 
 import itertools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -15,8 +16,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .linalg import (
     as_square_matrix,
-    exp_product,
-    mat_exp,
+    exp_products,
     spectral_abscissa,
     spectral_radii,
     spectral_radius,
@@ -88,8 +88,8 @@ def _random_simplex(total: float, k: int, rng) -> tuple:
 
 def split_monodromy(m1, m2, schedule: SplitSchedule) -> np.ndarray:
     """Ordered 2K-factor product of block exponentials, first block rightmost."""
-    a, b = _season_pair(m1, m2)
-    return _schedule_product(a, b, schedule.sigma, schedule.sigma_prime)
+    blocks = _blocks(schedule.sigma, schedule.sigma_prime)
+    return exp_products(_season_pair(m1, m2), [blocks], {})[0]
 
 
 def _season_pair(m1, m2):
@@ -100,29 +100,10 @@ def _season_pair(m1, m2):
     return a, b
 
 
-def _schedule_product(a, b, sigma, sigma_prime, exp=None) -> np.ndarray:
-    blocks = (
-        block for frac_u, frac_f in zip(sigma, sigma_prime) for block in ((a, frac_u), (b, frac_f))
-    )
-    return exp_product(blocks, exp)
-
-
-def _block_table():
-    """Per-block exponential for exp_product that computes each block once.
-
-    Keyed by (season, exact float duration), so a drift-corrected fraction
-    gets its own entry and every factor has the bits of a fresh mat_exp. One
-    table serves one optimize_split call, whose season matrices outlive it.
-    """
-    table = {}
-
-    def exp(season, duration):
-        key = (id(season), duration)
-        if key not in table:
-            table[key] = mat_exp(duration * season)
-        return table[key]
-
-    return exp
+def _blocks(sigma, sigma_prime) -> list:
+    """A schedule's block durations sigma[0], sigma_prime[0], sigma[1], ...,
+    first block rightmost: an exp_products row over the seasons (m1, m2)."""
+    return [d for pair in zip(sigma, sigma_prime) for d in pair]
 
 
 def _compositions(total: int, parts: int):
@@ -155,17 +136,21 @@ def optimize_split(
     is a coordinate-descent heuristic with random restarts for larger K; it
     carries no optimality guarantee.
 
-    Both methods tabulate each distinct block exponential once per call, and
-    the grid scores each row (one unfavorable composition against every
-    favorable one) with one stacked eigen-solve; descent scores each
-    distinct schedule once.
+    Both methods exponentiate each distinct block once per call and form
+    their products in stacks: the grid one per row (one unfavorable
+    composition against every favorable one, one stacked eigen-solve),
+    descent one per pair sweep, scoring each distinct schedule once. k,
+    resolution and restarts must be ints (not bools), k and resolution >= 1.
     """
     if mode not in ("max", "min"):
         raise InvalidInputError(f"mode must be 'max' or 'min', got {mode!r}")
     if not (0.0 <= theta <= 1.0):
         raise InvalidInputError(f"theta must lie in [0, 1], got {theta}")
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
+    for name, value in (("k", k), ("resolution", resolution), ("restarts", restarts)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidInputError(f"{name} must be an int, got {value!r}")
+    if k < 1 or resolution < 1:
+        raise InvalidInputError(f"k and resolution must be >= 1, got {k} and {resolution}")
     if method == "grid":
         if k > 4:
             raise InvalidInputError("grid search supports k <= 4; use method='descent'")
@@ -181,8 +166,8 @@ def _optimize_grid(m1, m2, theta, k, mode, resolution):
         raise InvalidInputError(
             f"simplex grid would have {cells} cells; lower the resolution or k"
         )
-    a, b = _season_pair(m1, m2)
-    exp = _block_table()
+    seasons = _season_pair(m1, m2)
+    table = {}
     sign = 1.0 if mode == "max" else -1.0
     favorable = [
         tuple((1.0 - theta) * c / resolution for c in wf) for wf in _compositions(resolution, k)
@@ -192,9 +177,8 @@ def _optimize_grid(m1, m2, theta, k, mode, resolution):
     for wu in _compositions(resolution, k):
         sigma = tuple(theta * c / resolution for c in wu)
         row = [_absorb_drift(sigma, sigma_prime) for sigma_prime in favorable]
-        values = sign * spectral_radii(
-            np.stack([_schedule_product(a, b, sigma, sigma_prime, exp) for sigma_prime in row])
-        )
+        products = exp_products(seasons, [_blocks(sigma, sp) for sp in row], table)
+        values = sign * spectral_radii(products)
         # argmax takes the first maximum: the strict > of a cell-by-cell scan
         i = int(np.argmax(values))
         if values[i] > best_value:
@@ -204,43 +188,43 @@ def _optimize_grid(m1, m2, theta, k, mode, resolution):
 
 
 def _optimize_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
-    a, b = _season_pair(m1, m2)
-    exp = _block_table()
+    seasons = _season_pair(m1, m2)
+    table = {}
     sign = 1.0 if mode == "max" else -1.0
     rng = np.random.default_rng(seed)
     scores = {}  # each pair sweep revisits the schedule it starts from
 
-    def score(schedule):
-        key = (schedule.sigma, schedule.sigma_prime)
-        if key not in scores:
-            scores[key] = sign * spectral_radius(_schedule_product(a, b, *key, exp))
-        return scores[key]
+    def score(schedules) -> list:
+        """sign * rho of each schedule; the ones not yet scored are one stack."""
+        keys = [(s.sigma, s.sigma_prime) for s in schedules]
+        new = list(dict.fromkeys(key for key in keys if key not in scores))
+        if new:
+            products = exp_products(seasons, [_blocks(*key) for key in new], table)
+            scores.update(zip(new, (sign * spectral_radii(products)).tolist()))
+        return [scores[key] for key in keys]
 
     def polish(schedule):
         current = schedule
-        value = score(current)
+        value = score([current])[0]
         improved = True
         while improved:
             improved = False
             for which in ("sigma", "sigma_prime"):
-                parts = list(getattr(current, which))
                 for i in range(k):
                     for j in range(i + 1, k):
+                        # an improvement moves only fractions i and j, which every
+                        # candidate sets itself: the sweep is fixed up front
+                        parts = getattr(current, which)
                         budget = parts[i] + parts[j]
+                        candidates = []
                         for frac in np.linspace(0.0, 1.0, resolution + 1):
-                            trial = parts.copy()
+                            trial = list(parts)
                             trial[i] = budget * frac
                             trial[j] = budget * (1.0 - frac)
-                            candidate = SplitSchedule(
-                                sigma=tuple(trial) if which == "sigma" else current.sigma,
-                                sigma_prime=tuple(trial)
-                                if which == "sigma_prime"
-                                else current.sigma_prime,
-                            )
-                            v = score(candidate)
+                            candidates.append(replace(current, **{which: tuple(trial)}))
+                        for candidate, v in zip(candidates, score(candidates)):
                             if v > value + 1e-14:
                                 current, value, improved = candidate, v, True
-                                parts = list(getattr(current, which))
         return current, value
 
     seeds = [

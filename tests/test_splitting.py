@@ -132,6 +132,29 @@ class TestOptimizeSplit:
         assert value >= baseline - 1e-12
         assert abs(sum(schedule.sigma) - 0.5) <= 1e-12
 
+    @pytest.mark.parametrize("method", ["grid", "descent"])
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("resolution", 0),
+            ("resolution", -1),
+            ("resolution", 2.5),
+            ("resolution", True),
+            ("k", 2.5),
+            ("k", True),
+            ("restarts", 2.5),
+            ("restarts", False),
+        ],
+    )
+    def test_counts_must_be_positive_ints(self, method, name, value):
+        counts = {"k": 2, "resolution": 4, "restarts": 2, name: value}
+        with pytest.raises(InvalidInputError):
+            optimize_split(SHARED_M1, SHARED_M2, 0.4, method=method, **counts)
+
+    def test_numpy_int_counts_are_ints(self):
+        got = optimize_split(SHARED_M1, SHARED_M2, 0.4, np.int64(2), resolution=np.int64(4))
+        assert got == optimize_split(SHARED_M1, SHARED_M2, 0.4, 2, resolution=4)
+
     def test_grid_cell_cap(self):
         with pytest.raises(InvalidInputError):
             optimize_split(SHARED_M1, SHARED_M2, 0.5, 4, resolution=200)
@@ -167,16 +190,76 @@ def _brute_force_grid(m1, m2, theta, k, mode, resolution):
 
 
 def _count_mat_exp(monkeypatch):
+    """The number of matrices in each mat_exp call, a stack counted by its size."""
     calls = []
     original = linalg.mat_exp
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(len(linalg.as_matrix_stack(a)))
+        return original(a, *args, **kwargs)
 
-    for module in (linalg, splitting):
-        monkeypatch.setattr(module, "mat_exp", counted)
+    monkeypatch.setattr(linalg, "mat_exp", counted)
     return calls
+
+
+def _record_exp_products(monkeypatch):
+    """Every durations row splitting hands exp_products, in call order."""
+    rows = []
+    original = splitting.exp_products
+
+    def recorded(seasons, durations, table):
+        rows.extend(tuple(row) for row in durations)
+        return original(seasons, durations, table)
+
+    monkeypatch.setattr(splitting, "exp_products", recorded)
+    return rows
+
+
+def _sequential_product(m1, m2, schedule):
+    """The 2K-factor product one 2-D mat_exp and one matmul at a time, first
+    block rightmost and zero-length blocks skipped."""
+    result = np.eye(len(m1))
+    for frac_u, frac_f in zip(schedule.sigma, schedule.sigma_prime):
+        for season, duration in ((m1, frac_u), (m2, frac_f)):
+            if duration != 0.0:
+                result = mat_exp(duration * season) @ result
+    return result
+
+
+class TestExpProducts:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stacked_products_match_one_schedule_products(self, n):
+        rng = np.random.default_rng(70 + n)
+        m1 = random_metzler(rng, n)
+        m2 = random_metzler(rng, n)
+        cells = list(_grid_cells(0.2, 3, 6))
+        # the grid holds zero fractions and drift-corrected last fractions
+        assert any(0.0 in cell.sigma + cell.sigma_prime for cell in cells)
+        plain = {0.8 * c / 6 for c in range(7)}
+        assert any(cell.sigma_prime[-1] not in plain for cell in cells)
+        rows = [[d for pair in zip(c.sigma, c.sigma_prime) for d in pair] for c in cells]
+        stacked = linalg.exp_products((m1, m2), rows, {})
+        assert stacked.shape == (len(cells), n, n)
+        for cell, product in zip(cells, stacked):
+            single = split_monodromy(m1, m2, cell)
+            assert product.tobytes() == single.tobytes()
+            assert np.array_equal(single, _sequential_product(m1, m2, cell))
+
+    def test_shared_table_computes_each_block_once(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        m1 = random_metzler(rng, 3)
+        m2 = random_metzler(rng, 3)
+        rows = [[0.1, 0.2, 0.3, 0.4], [0.3, 0.2, 0.1, 0.4], [0.0, 0.5, 0.1, 0.4]]
+        fresh = linalg.exp_products((m1, m2), rows, {})
+        calls = _count_mat_exp(monkeypatch)
+        table = {}
+        first = linalg.exp_products((m1, m2), rows[:2], table)
+        second = linalg.exp_products((m1, m2), rows, table)
+        # (0, 0.1), (1, 0.2), (0, 0.3), (1, 0.4), then (0, 0.0) and (1, 0.5)
+        assert calls == [4, 2]
+        assert len(table) == 6
+        assert first.tobytes() == fresh[:2].tobytes()
+        assert second.tobytes() == fresh.tobytes()
 
 
 class TestSplitDrift:
@@ -217,6 +300,14 @@ class TestBlockTable:
                 m1, m2, 0.4, 5, mode=mode, resolution=3, method="descent", restarts=3, seed=7
             )
             assert got == value
+        # the benchmark deck's descent shape: resolution 1, K = 6, n = 2
+        rng = np.random.default_rng(61)
+        m1 = random_metzler(rng, 2)
+        m2 = random_metzler(rng, 2)
+        pinned = {"max": 34.40551006208197, "min": 34.39617145092973}
+        for mode, value in pinned.items():
+            _, got = optimize_split(m1, m2, 0.37, 6, mode=mode, resolution=1, method="descent", seed=3)
+            assert got == value
 
     @pytest.mark.parametrize("theta", [0.2, 0.37, 0.65])
     def test_grid_exponentiates_each_block_once(self, theta, monkeypatch):
@@ -230,47 +321,32 @@ class TestBlockTable:
             for cell in _grid_cells(theta, 2, 20)
             for season, fractions in enumerate((cell.sigma, cell.sigma_prime))
             for d in fractions
-            if d != 0.0
         }
-        # 20 nonzero fractions a season, plus one key for each drift-corrected
-        # last fraction that differs from them (two at theta = 0.2)
-        assert len(calls) == len(keys)
+        # 21 fractions a season (zero among them), plus one key for each
+        # drift-corrected last fraction that differs from them (two at
+        # theta = 0.2); at most one stacked call for each of the 21 rows
+        assert sum(calls) == len(keys)
+        assert len(calls) <= 21
         if theta == 0.2:
-            assert len(calls) <= 2 * 21 + 2
+            assert sum(calls) <= 2 * 21 + 2
 
     def test_descent_exponentiates_each_visited_block_once(self, monkeypatch):
         rng = np.random.default_rng(43)
         m1 = random_metzler(rng, 3)
         m2 = random_metzler(rng, 3)
         calls = _count_mat_exp(monkeypatch)
-        keys = set()
-        products = []
-        original = splitting.exp_product
-
-        def recorded(blocks, exp=None):
-            blocks = list(blocks)
-            keys.update((m.tobytes(), d) for m, d in blocks if d != 0.0)
-            products.append(1)
-            return original(blocks, exp)
-
-        monkeypatch.setattr(splitting, "exp_product", recorded)
+        products = _record_exp_products(monkeypatch)
         optimize_split(m1, m2, 0.4, 5, resolution=3, method="descent", restarts=3, seed=7)
-        assert len(calls) == len(keys)
-        assert len(calls) < len(products)
+        keys = {(index % 2, d) for row in products for index, d in enumerate(row)}
+        assert sum(calls) == len(keys)
+        assert sum(calls) < len(products)
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_descent_scores_each_distinct_schedule_once(self, k, monkeypatch):
         rng = np.random.default_rng(53)
         m1 = random_metzler(rng, 3)
         m2 = random_metzler(rng, 3)
-        schedules = []
-        original = splitting._schedule_product
-
-        def recorded(a, b, sigma, sigma_prime, exp=None):
-            schedules.append((tuple(sigma), tuple(sigma_prime)))
-            return original(a, b, sigma, sigma_prime, exp)
-
-        monkeypatch.setattr(splitting, "_schedule_product", recorded)
+        schedules = _record_exp_products(monkeypatch)
         optimize_split(m1, m2, 0.37, k, resolution=1, method="descent")
         assert len(schedules) == len(set(schedules))
 
