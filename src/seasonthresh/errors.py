@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number test their
+input checks share."""
+
+import numbers
+
+
+def is_number(value) -> bool:
+    """A real number and not a bool: bool subclasses int, so True and False
+    are refused rather than read as 1 and 0."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class InvalidInputError(ValueError):

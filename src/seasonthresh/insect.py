@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_number
 from .seasonal import AutonomousPiece, SeasonalSchedule, SeasonalSystem
 
 _R0_DEGENERATE_BAND = 1e-12
@@ -26,7 +26,8 @@ _PARAM_NAMES = ("b", "h", "dJ", "cJ", "dA")
 
 @dataclass(frozen=True)
 class InsectParams:
-    """Birth, hatching, juvenile death, juvenile competition, adult death."""
+    """Birth, hatching, juvenile death, juvenile competition, adult death,
+    each kept as a float."""
 
     b: float
     h: float
@@ -37,8 +38,11 @@ class InsectParams:
     def __post_init__(self):
         for name in _PARAM_NAMES:
             value = getattr(self, name)
+            if not is_number(value):
+                raise InvalidInputError(f"parameter {name} must be a number, got {value!r}")
             if not (np.isfinite(value) and value >= 0.0):
                 raise InvalidInputError(f"parameter {name} must be >= 0, got {value}")
+            object.__setattr__(self, name, float(value))
 
 
 def _rates(pi: InsectParams, j, a):
@@ -50,20 +54,12 @@ def _jacobian_entries(pi: InsectParams, j):
 
 
 def vector_field(pi: InsectParams, x) -> np.ndarray:
-    """Rates at a state (J, A), or at each row of a (B, 2) stack of states."""
-    if getattr(x, "ndim", 1) == 2:
-        out = np.empty_like(x)
-        out[:, 0], out[:, 1] = _rates(pi, x[:, 0], x[:, 1])
-        return out
+    """Rates at a state (J, A)."""
     return np.array(_rates(pi, float(x[0]), float(x[1])))
 
 
 def jacobian(pi: InsectParams, x) -> np.ndarray:
-    """2 x 2 Jacobian at a state, or the (B, 2, 2) stack at each row of x."""
-    if getattr(x, "ndim", 1) == 2:
-        out = np.empty((len(x), 2, 2))
-        (out[:, 0, 0], out[:, 0, 1]), (out[:, 1, 0], out[:, 1, 1]) = _jacobian_entries(pi, x[:, 0])
-        return out
+    """2 x 2 Jacobian at a state."""
     return np.array(_jacobian_entries(pi, float(x[0])))
 
 
@@ -186,11 +182,20 @@ def divergence(pi: InsectParams, x) -> float:
     return -(pi.h + pi.dJ + pi.cJ * j + pi.dA)
 
 
-def piece_from_params(pi: InsectParams) -> AutonomousPiece:
-    return AutonomousPiece(
+@dataclass(frozen=True)
+class InsectPiece(AutonomousPiece):
+    """A season of the insect model. Its field and Jacobian are _rates and
+    _jacobian_entries at params, which lets simulate step it on floats."""
+
+    params: InsectParams
+
+
+def piece_from_params(pi: InsectParams) -> InsectPiece:
+    return InsectPiece(
         vector_field=lambda x, _p=pi: vector_field(_p, x),
         jacobian=lambda x, _p=pi: jacobian(_p, x),
         linearization_at_zero=jacobian(pi, np.zeros(2)),
+        params=pi,
     )
 
 
@@ -201,6 +206,12 @@ def as_seasonal_system(
     period_T: float = 1.0,
 ) -> SeasonalSystem:
     """Two-season system: unfavorable parameters on [0, theta), favorable after."""
+    for pi in (pi_unfavorable, pi_favorable):
+        if not isinstance(pi, InsectParams):
+            raise InvalidInputError(f"expected InsectParams, got {type(pi).__name__}")
+    for name, value in (("theta", theta), ("period_T", period_T)):
+        if not is_number(value):
+            raise InvalidInputError(f"{name} must be a number, got {value!r}")
     if not (0.0 <= theta <= 1.0):
         raise InvalidInputError(f"theta must lie in [0, 1], got {theta}")
     schedule = SeasonalSchedule(period_T=period_T, breakpoints=(0.0, theta, 1.0))

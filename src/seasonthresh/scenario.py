@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ScenarioError, is_number
 from .floquet import TwoSeasonLinearization
 from .insect import InsectParams, as_seasonal_system, jacobian
 from .seasonal import AutonomousPiece, SeasonalSchedule, SeasonalSystem
@@ -90,11 +90,6 @@ def _check_keys(mapping: dict, allowed: set, where: str):
     _require(not unknown, f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _is_number(value) -> bool:
-    """JSON number test: bool subclasses int, so true and false are excluded."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _parse_params(raw: dict, where: str) -> InsectParams:
     _check_keys(raw, set(_PARAM_KEYS), where)
     missing = [k for k in _PARAM_KEYS if k not in raw]
@@ -102,7 +97,7 @@ def _parse_params(raw: dict, where: str) -> InsectParams:
     values = {}
     for key in _PARAM_KEYS:
         value = raw[key]
-        _require(_is_number(value), f"{where}.{key}: expected a number")
+        _require(is_number(value), f"{where}.{key}: expected a number")
         _require(value >= 0.0, f"{where}.{key}: must be >= 0, got {value}")
         values[key] = float(value)
     return InsectParams(**values)
@@ -132,7 +127,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     _require((mode == "insect") == has_insect, f"mode: '{mode}' does not match the populated section")
 
     period = raw.get("period_T", 1.0)
-    _require(_is_number(period) and period > 0.0,
+    _require(is_number(period) and period > 0.0,
              f"period_T: must be a positive number, got {period!r}")
 
     pi_u = pi_f = None
@@ -153,7 +148,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     theta = raw.get("theta")
     if theta is not None:
-        _require(_is_number(theta) and 0.0 <= theta <= 1.0,
+        _require(is_number(theta) and 0.0 <= theta <= 1.0,
                  f"theta: must lie in [0, 1], got {theta!r}")
         theta = float(theta)
 
@@ -162,7 +157,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         _require(grid_raw >= 2, f"theta_grid: count must be >= 2, got {grid_raw}")
         grid = tuple(np.linspace(0.0, 1.0, grid_raw))
     elif isinstance(grid_raw, (list, tuple)):
-        _require(all(_is_number(g) for g in grid_raw), "theta_grid: values must be numbers")
+        _require(all(is_number(g) for g in grid_raw), "theta_grid: values must be numbers")
         grid = tuple(float(g) for g in grid_raw)
         _require(all(0.0 <= g <= 1.0 for g in grid), "theta_grid: values must lie in [0, 1]")
         _require(len(grid) >= 1, "theta_grid: must not be empty")
@@ -175,7 +170,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for key in _TOL_KEYS:
         if key in tol_raw:
             value = tol_raw[key]
-            _require(_is_number(value) and value > 0.0,
+            _require(is_number(value) and value > 0.0,
                      f"tolerances.{key}: must be a positive number, got {value!r}")
             tol_values[key] = float(value)
     tolerances = Tolerances(**tol_values)
@@ -186,7 +181,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for key, name in (("K", "k"), ("resolution", "resolution")):
         if key in split_raw:
             value = split_raw[key]
-            _require(_is_number(value) and isinstance(value, int) and value >= 1,
+            _require(is_number(value) and isinstance(value, int) and value >= 1,
                      f"split.{key}: must be a positive integer, got {value!r}")
             split_values[name] = value
     if "mode" in split_raw:

@@ -15,16 +15,27 @@ the lowest such row, which is the error that row's one-state pass raises.
 At zero the variational pass is linear, so DP(0) takes no pass: it is the
 product of RK4's stability polynomial at each chunk's h*A, raised to the
 chunk's step count by repeated squaring.
+
+A system whose every piece is an insect piece (insect.InsectPiece) is
+stepped on Python floats instead: the state (J, A), and in the joint pass
+the four entries of the fundamental matrix, with no numpy call per step.
+That kernel restates _rk4 in scalar form with the insect model's
+operations, so P(x), every trajectory field and every divergence error
+keep the numpy pass's bits, and so does DP wherever numpy's 2 x 2 product
+rounds as a plain sum (see _float_joint_pass). A float pass whose result
+leaves double range is an InvalidInputError. Every other system (matrices
+mode, n-D or hand-built pieces) takes the numpy pass: a linear piece's
+m @ x does not round as a plain sum, and from n = 3 numpy is faster.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, InconsistencyError, InvalidInputError
+from .errors import DivergenceError, InconsistencyError, InvalidInputError, is_number
+from .insect import InsectPiece, _rates
 from .linalg import as_square_matrix, spectral_radius
 from .seasonal import SeasonalSystem, season_index, season_indices
 
@@ -62,7 +73,7 @@ class _Clamp:
         if math.sqrt(x.dot(x)) > self.bound:  # the bits of np.linalg.norm(x)
             raise DivergenceError(_TRAJECTORY_DIVERGED, time=t, state=x)
         if self.record is not None:
-            self.record(t, x)
+            self.record(t, x.copy())
         return x
 
 
@@ -147,11 +158,141 @@ def _state_field(piece):
     return piece.vector_field
 
 
+# The float kernel: _rk4 restated on Python floats for systems of insect
+# pieces. Each step runs _rk4's operations in its order (k1..k4, the knot
+# time, the combination k1 + 2 k2 + 2 k3 + k4 scaled by h/6), and the state
+# pass settles each step as _Clamp.settle does, so each result keeps its bits.
+
+
+def _on_floats(system: SeasonalSystem) -> bool:
+    return all(isinstance(piece, InsectPiece) for piece in system.pieces)
+
+
+def _divergence_screen(bound: float) -> float:
+    """A level that j*j + a*a passes whenever numpy's x.dot(x), which may
+    fuse a product into the sum, can pass bound**2, so only states near the
+    bound take numpy's own test. Below 1e-150 the squares underflow, so every
+    state takes it."""
+    return bound * abs(bound) * (1.0 - 1e-9) if abs(bound) > 1e-150 else -1.0
+
+
+def _past(j: float, a: float, bound: float) -> bool:
+    """_Clamp.settle's test math.sqrt(x.dot(x)) > bound at x = (j, a)."""
+    x = np.array((j, a))
+    return math.sqrt(x.dot(x)) > bound
+
+
+def _require_finite(system: SeasonalSystem, *values):
+    """A float pass overflows to inf or NaN without a warning: refuse it."""
+    if not all(map(math.isfinite, values)):
+        raise InvalidInputError(
+            f"the RK4 pass overflowed double precision (period {system.period_T:g})"
+        )
+
+
+def _float_state_pass(system: SeasonalSystem, x, t0, t1, step, clamp: _Clamp) -> np.ndarray:
+    """_rk4 from t0 to t1 with clamp.settle after every step, on floats;
+    clamp.record, if set, takes each step's time and (J, A) tuple."""
+    _check_stability(system, step)
+    j, a = float(x[0]), float(x[1])
+    least, clamps, record = clamp.min_component, clamp.clamp_count, clamp.record
+    screen = _divergence_screen(clamp.bound)
+    try:
+        for lo, hi, piece, nsteps, h in _chunks(system, t0, t1, step):
+            pi = piece.params
+            half, sixth = 0.5 * h, h / 6.0
+            for i in range(1, nsteps + 1):
+                k1j, k1a = _rates(pi, j, a)
+                k2j, k2a = _rates(pi, j + half * k1j, a + half * k1a)
+                k3j, k3a = _rates(pi, j + half * k2j, a + half * k2a)
+                k4j, k4a = _rates(pi, j + h * k3j, a + h * k3a)
+                t = hi if i == nsteps else lo + i * h
+                j = j + sixth * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
+                a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+                low = j if j < a else a  # x.min() takes the later entry on a tie
+                if low < least:
+                    least = low
+                if low < 0.0:
+                    clamps += (j < 0.0) + (a < 0.0)
+                    # np.maximum(x, 0.0): +0.0 for -0.0, NaN kept
+                    j = 0.0 if j <= 0.0 else j
+                    a = 0.0 if a <= 0.0 else a
+                if j * j + a * a > screen and _past(j, a, clamp.bound):
+                    raise DivergenceError(_TRAJECTORY_DIVERGED, time=t, state=np.array((j, a)))
+                if record is not None:
+                    record(t, (j, a))
+    finally:
+        clamp.min_component, clamp.clamp_count = least, clamps
+    _require_finite(system, j, a, least)
+    return np.array((j, a))
+
+
+def _float_joint_pass(system: SeasonalSystem, x, step, bound) -> tuple:
+    """_variational on floats: P(x), DP(x) and the least raw base component
+    over the start and every step.
+
+    Each stage evaluates the joint field inline, which halves the pass
+    against calling insect._rates and insect._jacobian_entries: the rates in
+    their operations, then J(x) F by row-times-column sums, with J(x) =
+    ((p, b), (h, -dA)) and p = -h - dJ - 2 cJ J. numpy's 2 x 2 matmul may
+    fuse each sum's second product into the addition (OpenBLAS does on FMA
+    hardware); the two agree wherever that product is exact, as with the
+    bundled pairs' b and dA.
+    """
+    _check_stability(system, step)
+    j, a = float(x[0]), float(x[1])
+    f00, f01, f10, f11 = 1.0, 0.0, 0.0, 1.0
+    least = j if j < a else a
+    screen = _divergence_screen(bound)
+    for lo, hi, piece, nsteps, h in _chunks(system, 0.0, system.period_T, step):
+        pi = piece.params
+        b, hatch, cJ, dA, m = pi.b, pi.h, pi.cJ, pi.dA, -pi.dA
+        loss, p0, c2 = pi.h + pi.dJ, -pi.h - pi.dJ, 2.0 * pi.cJ
+        half, sixth = 0.5 * h, h / 6.0
+        for i in range(1, nsteps + 1):
+            p = p0 - c2 * j
+            k1j, k1a = b * a - j * (loss + cJ * j), hatch * j - dA * a
+            k100, k101 = p * f00 + b * f10, p * f01 + b * f11
+            k110, k111 = hatch * f00 + m * f10, hatch * f01 + m * f11
+            sj, sa = j + half * k1j, a + half * k1a
+            g00, g01, g10, g11 = f00 + half * k100, f01 + half * k101, f10 + half * k110, f11 + half * k111
+            p = p0 - c2 * sj
+            k2j, k2a = b * sa - sj * (loss + cJ * sj), hatch * sj - dA * sa
+            k200, k201 = p * g00 + b * g10, p * g01 + b * g11
+            k210, k211 = hatch * g00 + m * g10, hatch * g01 + m * g11
+            sj, sa = j + half * k2j, a + half * k2a
+            g00, g01, g10, g11 = f00 + half * k200, f01 + half * k201, f10 + half * k210, f11 + half * k211
+            p = p0 - c2 * sj
+            k3j, k3a = b * sa - sj * (loss + cJ * sj), hatch * sj - dA * sa
+            k300, k301 = p * g00 + b * g10, p * g01 + b * g11
+            k310, k311 = hatch * g00 + m * g10, hatch * g01 + m * g11
+            sj, sa = j + h * k3j, a + h * k3a
+            g00, g01, g10, g11 = f00 + h * k300, f01 + h * k301, f10 + h * k310, f11 + h * k311
+            p = p0 - c2 * sj
+            k4j, k4a = b * sa - sj * (loss + cJ * sj), hatch * sj - dA * sa
+            k400, k401 = p * g00 + b * g10, p * g01 + b * g11
+            k410, k411 = hatch * g00 + m * g10, hatch * g01 + m * g11
+            j = j + sixth * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
+            a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            f00 = f00 + sixth * (k100 + 2.0 * k200 + 2.0 * k300 + k400)
+            f01 = f01 + sixth * (k101 + 2.0 * k201 + 2.0 * k301 + k401)
+            f10 = f10 + sixth * (k110 + 2.0 * k210 + 2.0 * k310 + k410)
+            f11 = f11 + sixth * (k111 + 2.0 * k211 + 2.0 * k311 + k411)
+            low = j if j < a else a
+            if low < least:
+                least = low
+            if j * j + a * a > screen and _past(j, a, bound):
+                t = hi if i == nsteps else lo + i * h
+                raise DivergenceError(_BASE_DIVERGED, time=t, state=np.array((j, a)))
+    _require_finite(system, j, a, f00, f01, f10, f11, least)
+    return np.array((j, a)), np.array(((f00, f01), (f10, f11))), least
+
+
 def _default_step(system: SeasonalSystem, step) -> float:
     """The given step, checked, or T / DEFAULT_STEPS_PER_PERIOD for None."""
     if step is None:
         return system.period_T / DEFAULT_STEPS_PER_PERIOD
-    if isinstance(step, bool) or not isinstance(step, numbers.Real):
+    if not is_number(step):
         raise InvalidInputError(f"step must be a number, got {step!r}")
     if not (step > 0.0 and np.isfinite(step)):
         raise InvalidInputError(f"step must be positive, got {step}")
@@ -192,20 +333,23 @@ def integrate(
     instead of raising.
     """
     x0 = _state(system, x0)
+    for name, value in (("t0", t0), ("t1", t1)):
+        if not (is_number(value) and math.isfinite(value)):
+            raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
     if t1 < t0:
         raise InvalidInputError("t1 must be >= t0")
     step = _default_step(system, step)
     times = [t0]
-    states = [x0.copy()]
+    states = [x0]
 
     def record(t, x):
         times.append(t)
-        states.append(x.copy())
+        states.append(x)
 
     clamp = _Clamp(divergence_bound, record, min_component=float(x0.min()))
     diverged = False
     try:
-        _rk4(system, x0, t0, t1, step, _state_field, clamp.settle)
+        _state_pass(system, x0, t0, t1, step, clamp)
     except DivergenceError:
         diverged = True
     times = np.asarray(times)
@@ -229,8 +373,14 @@ def poincare_map(
     """State after exactly one period, started at phase zero."""
     x = _state(system, x)
     step = _default_step(system, step)
-    settle = _Clamp(divergence_bound).settle
-    return _rk4(system, x, 0.0, system.period_T, step, _state_field, settle)
+    return _state_pass(system, x, 0.0, system.period_T, step, _Clamp(divergence_bound))
+
+
+def _state_pass(system: SeasonalSystem, x: np.ndarray, t0, t1, step, clamp: _Clamp):
+    """The state from t0 to t1, settled by clamp after every step."""
+    if _on_floats(system):
+        return _float_state_pass(system, x, t0, t1, step, clamp)
+    return _rk4(system, x, t0, t1, step, _state_field, clamp.settle)
 
 
 def _joint_pass(system: SeasonalSystem, x: np.ndarray, step: float, settle):
@@ -268,6 +418,8 @@ def _variational(
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(x) and DP(x) at one state, raising where the base state passes the
     divergence bound."""
+    if _on_floats(system):
+        return _float_joint_pass(system, x, step, divergence_bound)[:2]
     n = len(x)
 
     def settle(t, z):
@@ -287,10 +439,23 @@ def _variational_stack(
 
     The pass raises at the first step where a row's base state passes
     DEFAULT_DIVERGENCE_BOUND, with that step's time and the base state of the
-    lowest such row: the error of that row's one-state pass.
+    lowest such row: the error of that row's one-state pass. An insect
+    system takes one float pass per row, which gives the same.
     """
     n = states.shape[1]
     least = float(states.min())
+    if _on_floats(system):
+        rows, first = [], None
+        for x in states:
+            try:
+                rows.append(_float_joint_pass(system, x, step, DEFAULT_DIVERGENCE_BOUND))
+            except DivergenceError as exc:
+                if first is None or exc.time < first.time:
+                    first = exc
+        if first is not None:
+            raise first
+        mapped, dp, lows = zip(*rows)
+        return np.array(mapped), np.array(dp), min(least, *lows)
 
     def settle(t, z):
         nonlocal least
@@ -578,10 +743,11 @@ def verify_flow_properties(
     system: SeasonalSystem, step: float | None = None
 ) -> FlowPropertyReport:
     """Check the flow properties on the states and ordered pairs of
-    default_flow_samples, from one variational pass over a stack of every
-    sample state and both ends of every pair. The positivity margin is the
-    least raw component of that pass's unclamped RK4 flow, over the starts
-    and every step. A row past the divergence bound raises DivergenceError."""
+    default_flow_samples, from the variational passes of _variational_stack
+    over every sample state and both ends of every pair. The positivity
+    margin is the least raw component of their unclamped RK4 flow, over the
+    starts and every step. A row past the divergence bound raises
+    DivergenceError."""
     step = _default_step(_system(system), step)
     sample_states, ordered_pairs = default_flow_samples(system.dimension)
     points = np.array(sample_states + [s for pair in ordered_pairs for s in pair])

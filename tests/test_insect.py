@@ -229,3 +229,26 @@ class TestAsSeasonalSystem:
     def test_negative_parameter_rejected(self):
         with pytest.raises(InvalidInputError):
             InsectParams(b=-1.0, h=0.5, dJ=1.0, cJ=1.0, dA=1.0)
+
+    @pytest.mark.parametrize("value", [True, False, "1", None, [1.0], np.array([1.0])])
+    def test_non_number_parameter_rejected(self, value):
+        # a bool is not read as 1 or 0, and a string, None or list is no number
+        with pytest.raises(InvalidInputError, match="parameter b must be a number"):
+            InsectParams(b=value, h=0.5, dJ=1.0, cJ=1.0, dA=1.0)
+
+    def test_parameters_kept_as_floats(self):
+        pi = InsectParams(b=2, h=np.float64(0.5), dJ=np.int64(1), cJ=1.0, dA=np.float32(0.5))
+        assert all(type(getattr(pi, name)) is float for name in ("b", "h", "dJ", "cJ", "dA"))
+        assert pi == InsectParams(b=2.0, h=0.5, dJ=1.0, cJ=1.0, dA=0.5)
+
+    @pytest.mark.parametrize("name", ["theta", "period_T"])
+    @pytest.mark.parametrize("value", [True, "0.5", None, [0.5]])
+    def test_non_number_theta_or_period_rejected(self, name, value, pi_unfavorable,
+                                                 pi_favorable):
+        kwargs = {"theta": 0.4, "period_T": 1.0, name: value}
+        with pytest.raises(InvalidInputError, match=f"{name} must be a number"):
+            as_seasonal_system(pi_unfavorable, pi_favorable, **kwargs)
+
+    def test_non_params_rejected(self, pi_favorable):
+        with pytest.raises(InvalidInputError, match="expected InsectParams, got dict"):
+            as_seasonal_system({"b": 1.0}, pi_favorable, 0.4)

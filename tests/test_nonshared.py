@@ -69,18 +69,13 @@ def test_empirical_threshold_reads_the_variational_multiplier(monkeypatch, scena
 
 
 def test_flow_properties_take_one_pass_per_state(monkeypatch, scenario):
-    # n = 2: one pass of the one system, one stack row per state: P and DP
-    # at the 7 sample states (0, e1, e2 and 4 positive) and at both ends of
-    # the 6 ordered pairs
-    rows = []
-    original = simulate._rk4
-
-    def counted(system, x, *args):
-        rows.append(len(x))
-        return original(system, x, *args)
-
-    monkeypatch.setattr(simulate, "_rk4", counted)
+    # n = 2: one float pass per state, P and DP at the 7 sample states (0, e1,
+    # e2 and 4 positive) and at both ends of the 6 ordered pairs, and no
+    # numpy pass
+    passes = count_calls(monkeypatch, simulate, "_float_joint_pass")
+    numpy_passes = count_calls(monkeypatch, simulate, "_rk4")
     report = simulate.verify_flow_properties(system_from_scenario(scenario, scenario.theta),
                                              step=1.0 / 500)
     assert report.all_ok
-    assert rows == [1 + 2 + 4 + 12]
+    assert len(passes) == 1 + 2 + 4 + 12
+    assert numpy_passes == []

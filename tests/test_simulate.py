@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seasonthresh import simulate
+from seasonthresh import insect, simulate
 from seasonthresh import (
     AutonomousPiece,
+    InsectParams,
     SeasonalSchedule,
     SeasonalSystem,
     as_seasonal_system,
@@ -322,6 +323,17 @@ class TestBadInputs:
         with pytest.raises(InvalidInputError, match="expected one SeasonalSystem, got list"):
             entry([insect_system])
 
+    @pytest.mark.parametrize("kind", ["insect", "linear"])
+    @pytest.mark.parametrize("t0, t1", [
+        (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), (0.0, True),
+        (False, 1.0), ("0", 1.0), (0.0, None),
+    ])
+    def test_integrate_bounds(self, kind, t0, t1, insect_system, monkeypatch):
+        system = insect_system if kind == "insect" else linear_system(-np.eye(2))
+        monkeypatch.setattr(simulate, "_chunks", lambda *args: pytest.fail("stepped"))
+        with pytest.raises(InvalidInputError, match="must be a finite number"):
+            integrate(system, np.ones(2), t0, t1)
+
     @pytest.mark.parametrize("entry", [poincare_map, poincare_jacobian])
     def test_bool_step(self, entry, insect_system):
         with pytest.raises(InvalidInputError, match="step must be a number, got True"):
@@ -491,3 +503,169 @@ class TestFlowProperties:
             simulate._rk4(system, x, 0.0, 1.0, 1.0 / 500, simulate._state_field, unclamped)
         assert report.positivity_margin == min(lows)
         assert not report.positivity
+
+
+def numpy_twin(system):
+    """The same insect system from plain AutonomousPieces, which take the
+    numpy pass; the flow check's stacked pass evaluates them row by row."""
+
+    def piece(pi):
+        def rows(fn):
+            return lambda x: np.array([fn(pi, r) for r in x]) if x.ndim == 2 else fn(pi, x)
+
+        return AutonomousPiece(
+            vector_field=rows(insect.vector_field),
+            jacobian=rows(insect.jacobian),
+            linearization_at_zero=insect.jacobian(pi, np.zeros(2)),
+        )
+
+    return SeasonalSystem(system.schedule, tuple(piece(p.params) for p in system.pieces))
+
+
+def kernel_cases():
+    """Both insect scenarios at T = 1 and 3.5, theta 0.2 and 0.7."""
+    for name in BUNDLED[:2]:
+        scenario = load_scenario(SCENARIOS / f"{name}.json")
+        for period in (1.0, 3.5):
+            for theta in (0.2, 0.7):
+                yield pytest.param(
+                    as_seasonal_system(scenario.pi_unfavorable, scenario.pi_favorable, theta, period),
+                    id=f"{name}-T{period}-theta{theta}",
+                )
+
+
+KERNEL_STARTS = [(1.0, 1.0), (0.1, 3.0), (2.5, 0.0), (0.0, 0.0)]
+
+
+def same_bits(x, y):
+    """Exact equality, signed zeros included."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def outcome(run, system):
+    """The bytes of run(system), or the time and state of its DivergenceError."""
+    try:
+        return [np.asarray(part).tobytes() for part in run(system)]
+    except DivergenceError as exc:
+        return exc.time, exc.state.tobytes()
+
+
+def same_trajectory(kernel, twin):
+    return (same_bits(kernel.times, twin.times) and same_bits(kernel.states, twin.states)
+            and same_bits(kernel.season_tags, twin.season_tags)
+            and kernel.clamp_count == twin.clamp_count
+            and same_bits(kernel.min_component, twin.min_component)
+            and kernel.diverged == twin.diverged)
+
+
+class TestFloatKernel:
+    """An insect system is stepped on floats with the bits of the numpy pass
+    over the same field and Jacobian."""
+
+    def test_insect_systems_take_the_float_kernel(self, insect_system):
+        assert simulate._on_floats(insect_system)
+        assert not simulate._on_floats(numpy_twin(insect_system))
+
+    @pytest.mark.parametrize("system", kernel_cases())
+    def test_period_map_and_variational_pass(self, system):
+        twin = numpy_twin(system)
+        step = system.period_T / 2000
+        for start in KERNEL_STARTS:
+            x = np.array(start)
+            assert same_bits(poincare_map(system, x), poincare_map(twin, x))
+            for kernel, numpy_pass in zip(simulate._variational(system, x, step),
+                                          simulate._variational(twin, x, step)):
+                assert same_bits(kernel, numpy_pass)
+
+    @pytest.mark.parametrize("system", kernel_cases())
+    def test_trajectory(self, system):
+        twin = numpy_twin(system)
+        for start in KERNEL_STARTS[:2]:
+            args = (np.array(start), 0.0, 2.0 * system.period_T)
+            assert same_trajectory(integrate(system, *args), integrate(twin, *args))
+
+    @pytest.mark.parametrize("start, step", [((40.0, 1.0), 0.05), ((60.0, 0.0), 0.1)])
+    def test_clamped_steps_keep_positive_zeros(self, start, step, insect_system):
+        # a coarse step from a large J overshoots below zero: the clamp snaps
+        # it to +0.0, as np.maximum(x, 0.0) does, never to -0.0
+        twin = numpy_twin(insect_system)
+        kernel = integrate(insect_system, np.array(start), 0.0, 1.0, step=step)
+        assert kernel.clamp_count > 0 and kernel.min_component < 0.0
+        assert same_trajectory(kernel, integrate(twin, np.array(start), 0.0, 1.0, step=step))
+        zeros = kernel.states[kernel.states == 0.0]
+        assert len(zeros) and all(math.copysign(1.0, z) == 1.0 for z in zeros)
+
+    @pytest.mark.parametrize("system", kernel_cases())
+    def test_divergence_bound(self, system):
+        # bounds at the largest norm math.sqrt(x.dot(x)) over a period's steps
+        # and one ulp below it: the pass ends there, or just does not
+        twin = numpy_twin(system)
+        x = np.array([1.0, 1.0])
+        step = system.period_T / 2000
+        states = integrate(twin, x, 0.0, system.period_T).states[1:]
+        largest = max(math.sqrt(s.dot(s)) for s in states)
+        for bound in (largest, np.nextafter(largest, 0.0)):
+            passes = [
+                lambda c: poincare_map(c, x, divergence_bound=bound),
+                lambda c: simulate._variational(c, x, step, bound),
+            ]
+            for run in passes:
+                assert outcome(run, system) == outcome(run, twin)
+            args = (x, 0.0, system.period_T)
+            kernel = integrate(system, *args, divergence_bound=bound)
+            assert kernel.diverged == (bound < largest)
+            assert same_trajectory(kernel, integrate(twin, *args, divergence_bound=bound))
+
+    def test_divergence_screen_lets_through_every_state_numpy_flags(self):
+        # j*j + a*a rounds apart from numpy's fused x.dot(x) (on 17 % of
+        # random pairs here), so it only screens; numpy's test decides
+        rng = np.random.default_rng(113)
+        flagged = 0
+        for j, a in rng.uniform(0.0, 1.0, (4000, 2)) * 10.0 ** rng.integers(-3, 12, (4000, 1)):
+            x = np.array((j, a))
+            norm = math.sqrt(x.dot(x))
+            for bound in (norm, np.nextafter(norm, 0.0), 0.0, -1.0, 1e-200):
+                if math.sqrt(x.dot(x)) > bound:
+                    flagged += 1
+                    assert j * j + a * a > simulate._divergence_screen(bound)
+                assert simulate._past(j, a, bound) == (math.sqrt(x.dot(x)) > bound)
+        assert flagged > 4000
+
+    @pytest.mark.parametrize("system", kernel_cases())
+    def test_flow_property_report(self, system):
+        step = system.period_T / 500
+        kernel = verify_flow_properties(system, step=step)
+        assert repr(kernel) == repr(verify_flow_properties(numpy_twin(system), step=step))
+
+    def test_rows_raise_the_earliest_divergence(self):
+        # rows 1 and 2 pass the bound at one step, before row 0 does: the
+        # float passes raise the error of row 1, as the stacked pass does
+        growth = InsectParams(b=50.0, h=1.0, dJ=0.0, cJ=0.0, dA=0.0)
+        system = as_seasonal_system(growth, growth, 0.5, 1.0)
+        states = np.array([[1e7, 1e7], [6e7, 6e7], [6e7, 6.0000001e7]])
+        alone = []
+        for state in states:
+            with pytest.raises(DivergenceError) as info:
+                simulate._variational(system, state, 1.0 / 2000)
+            alone.append(info.value)
+        assert alone[1].time == alone[2].time < alone[0].time
+        assert not np.array_equal(alone[1].state, alone[2].state)
+        for candidate in (system, numpy_twin(system)):
+            with pytest.raises(DivergenceError) as stack:
+                simulate._variational_stack(candidate, states, 1.0 / 2000)
+            assert stack.value.time == alone[1].time
+            assert same_bits(stack.value.state, alone[1].state)
+
+    @pytest.mark.parametrize("entry", [
+        poincare_map, poincare_jacobian, lambda system, x, **kw: integrate(system, x, 0.0, 150.0, **kw),
+    ], ids=["poincare_map", "poincare_jacobian", "integrate"])
+    def test_non_finite_pass_is_typed_error(self, entry):
+        # with no divergence bound, growth at rate ~6.6 passes double range
+        # within the period of 150: a typed error, never inf or NaN
+        growth = InsectParams(b=50.0, h=1.0, dJ=0.0, cJ=0.0, dA=0.0)
+        system = as_seasonal_system(growth, growth, 0.5, 150.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflowed double precision"):
+                entry(system, np.ones(2), divergence_bound=math.inf)
