@@ -221,11 +221,9 @@ def _cmd_simulate(scenario, args, out: Path):
     else:
         state_names = [f"x{i+1}" for i in range(system.dimension)]
     header = ["time", *state_names, "season"]
-    rows = [
-        (t, *x, tag) for t, x, tag in zip(
-            trajectory.times.tolist(), trajectory.states.tolist(), trajectory.season_tags.tolist()
-        )
-    ]
+    rows = list(zip(
+        trajectory.times.tolist(), *trajectory.states.T.tolist(), trajectory.season_tags.tolist()
+    ))
     row_format = ",".join(["%.17g"] * (1 + system.dimension) + ["%d"])
     _write_csv(out / "trajectory.csv", header, rows, row_format)
     print(f"simulate: wrote {out / 'trajectory.csv'} ({len(rows)} samples, "

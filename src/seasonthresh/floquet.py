@@ -184,7 +184,9 @@ def _evaluate(
     """The Floquet evaluator: log rho, (log rho)', (when asked) rho'' / rho,
     the Perron vectors and the shifted monodromies at each theta of a
     sequence, from one stacked exponential, one stacked Perron pair and one
-    stacked bordered solve. Entry g has the bits of a call on theta[g] alone."""
+    stacked bordered solve. Entry g has the bits of a call on theta[g] alone
+    wherever perron_pair's entries do: up to n = 3, and from n = 4 while no
+    monodromy of the stack has a complex eigenvalue."""
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     log_scale, shifted = _cycle(lin, thetas)
     pair = perron_pair(shifted, tol=tol)
@@ -368,8 +370,10 @@ def rho_profile(
     tol: float = DEFAULT_PERRON_TOL,
     second: bool = False,
 ) -> RhoProfile:
-    """rho and its derivatives on a theta grid, from one evaluation.
-    InvalidInputError when one of them or a monodromy leaves double range."""
+    """rho and its derivatives on a theta grid, from one evaluation, entry g
+    with the bits of rho, rho_prime and rho_second at theta[g] as _evaluate's
+    entries have them. InvalidInputError when one of them or a monodromy
+    leaves double range."""
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     thetas = np.asarray(thetas, dtype=float)

@@ -118,10 +118,11 @@ def spectral_radii(stack) -> np.ndarray:
     return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
 
 
-def spectral_abscissa(a) -> float:
-    """Largest eigenvalue real part."""
-    m = as_square_matrix(a)
-    return float(np.max(np.linalg.eigvals(m).real))
+def spectral_abscissa(a):
+    """Largest eigenvalue real part; of each matrix of a (G, n, n) stack, as
+    an array from one eigen-solve, entry g with the bits of its own call."""
+    values = np.linalg.eigvals(as_matrix_stack(a)).real.max(axis=-1)
+    return float(values[0]) if np.ndim(a) == 2 else values
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,11 @@ def perron_pair(m, tol: float = 1e-12) -> PerronPair:
 
     ``m`` is one matrix or a (G, n, n) stack; a stack is judged matrix by
     matrix, the first failing one raising, and each matrix gets the bits of
-    its own call. The eigen-solves of all G matrices and their transposes
-    are one batched call.
+    its own call up to n = 3. The eigen-solves of all G matrices and their
+    transposes are one batched call, which numpy returns as complex when one
+    of them has a complex eigenvalue; from n = 4 the vectors' strided real
+    parts then round apart from a real call's, so there a matrix keeps its
+    own call's bits only while that stack stays real.
     """
     a = as_matrix_stack(m)
     if not (0.0 < tol <= 1e-6):
@@ -235,9 +239,16 @@ def exp_products(seasons, durations, table: dict) -> np.ndarray:
     missing = list(dict.fromkeys(key for row in rows for key in row if key not in table))
     if missing:
         table.update(zip(missing, mat_exp([d * seasons[s] for s, d in missing])))
-    product = np.array([table[row[0]] for row in rows])
-    for l in range(1, len(rows[0])):
-        product = np.array([table[row[l]] for row in rows]) @ product
+    return ordered_products(np.array([[table[row[l]] for row in rows] for l in range(len(rows[0]))]))
+
+
+def ordered_products(blocks) -> np.ndarray:
+    """blocks[L - 1] @ ... @ blocks[1] @ blocks[0] for an (L, G, n, n) array:
+    G ordered products, the first block rightmost, formed as G-stacks, so
+    product g has the bits of its own blocks[:, g] alone."""
+    product = blocks[0]
+    for block in blocks[1:]:
+        product = block @ product
     return product
 
 
@@ -252,26 +263,21 @@ def is_irreducible(a) -> bool:
     """True iff the digraph of the nonzero pattern is strongly connected.
 
     Entries are compared to 0.0 exactly; this is a structure predicate, not a
-    numerical one.
+    numerical one. The search runs on Python lists: these matrices are small,
+    and a numpy call per node cost more than the search.
     """
-    m = as_square_matrix(a)
-    n = m.shape[0]
-    if n == 1:
-        return True
-    adj = m != 0.0
-    np.fill_diagonal(adj, False)
-    return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
+    rows = (as_square_matrix(a) != 0.0).tolist()
+    return _reaches_all(rows) and _reaches_all(list(zip(*rows)))
 
 
-def _reaches_all(adj: np.ndarray, start: int) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
+def _reaches_all(rows) -> bool:
+    """Whether every node of the digraph with adjacency rows is reached from node 0."""
+    seen = [False] * len(rows)
+    seen[0] = True
+    stack = [0]
     while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if not seen[j]:
+        for j, linked in enumerate(rows[stack.pop()]):
+            if linked and not seen[j]:
                 seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+                stack.append(j)
+    return all(seen)

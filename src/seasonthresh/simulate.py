@@ -22,20 +22,20 @@ the four entries of the fundamental matrix, with no numpy call per step.
 That kernel restates _rk4 in scalar form with the insect model's
 operations, so P(x), every trajectory field and every divergence error
 keep the numpy pass's bits, and so does DP wherever numpy's 2 x 2 product
-rounds as a plain sum (see _float_joint_pass). A float pass whose result
-leaves double range is an InvalidInputError. Every other system (matrices
+rounds as a plain sum (see _float_joint_pass). Every other system (matrices
 mode, n-D or hand-built pieces) takes the numpy pass: a linear piece's
-m @ x does not round as a plain sum, and from n = 3 numpy is faster.
+m @ x does not round as a plain sum, and from n = 3 numpy is faster. A
+pass of either kind whose result leaves double range is an
+InvalidInputError, raised without a warning.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError, InconsistencyError, InvalidInputError, is_number
-from .insect import InsectPiece, _rates
+from .insect import InsectPiece
 from .linalg import as_square_matrix, spectral_radius
 from .seasonal import SeasonalSystem, season_index, season_indices
 
@@ -56,10 +56,11 @@ _BASE_DIVERGED = "base trajectory diverged"
 class _Clamp:
     """Clamp diagnostics of the state flow. `settle` is the rule _rk4 runs
     after each step: snap negative components to zero and count them, stop at
-    the divergence bound, and hand the sample to record."""
+    the divergence bound, and append the sample to columns, if set: a list of
+    times, then one list per component."""
 
     bound: float
-    record: Callable | None = None
+    columns: tuple | None = None
     clamp_count: int = 0
     min_component: float = np.inf
 
@@ -72,8 +73,9 @@ class _Clamp:
             x = np.maximum(x, 0.0)
         if math.sqrt(x.dot(x)) > self.bound:  # the bits of np.linalg.norm(x)
             raise DivergenceError(_TRAJECTORY_DIVERGED, time=t, state=x)
-        if self.record is not None:
-            self.record(t, x.copy())
+        if self.columns is not None:
+            for column, value in zip(self.columns, [t, *x.tolist()]):
+                column.append(value)
         return x
 
 
@@ -139,18 +141,21 @@ def _rk4(system: SeasonalSystem, x, t0, t1, step, rhs, settle):
     x is a state of shape (n,) or a (B, n) stack of states. rhs(piece) is
     the field used on that piece's chunks, for either shape; settle(t, x)
     runs after every step and returns the state the next step starts from.
+    A pass whose result leaves double range is an InvalidInputError.
     """
     _check_stability(system, step)
-    for a, b, piece, nsteps, h in _chunks(system, t0, t1, step):
-        f = rhs(piece)
-        half, sixth = 0.5 * h, h / 6.0
-        for i in range(1, nsteps + 1):
-            k1 = f(x)
-            k2 = f(x + half * k1)
-            k3 = f(x + half * k2)
-            k4 = f(x + h * k3)
-            t = b if i == nsteps else a + i * h  # the last step lands exactly on the knot
-            x = settle(t, x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        for a, b, piece, nsteps, h in _chunks(system, t0, t1, step):
+            f = rhs(piece)
+            half, sixth = 0.5 * h, h / 6.0
+            for i in range(1, nsteps + 1):
+                k1 = f(x)
+                k2 = f(x + half * k1)
+                k3 = f(x + half * k2)
+                k4 = f(x + h * k3)
+                t = b if i == nsteps else a + i * h  # the last step lands exactly on the knot
+                x = settle(t, x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    _require_finite(system, x)
     return x
 
 
@@ -183,30 +188,38 @@ def _past(j: float, a: float, bound: float) -> bool:
 
 
 def _require_finite(system: SeasonalSystem, *values):
-    """A float pass overflows to inf or NaN without a warning: refuse it."""
-    if not all(map(math.isfinite, values)):
+    """A pass that overflows leaves inf or NaN behind, the float one without
+    a warning: refuse it."""
+    if not np.isfinite(values).all():
         raise InvalidInputError(
             f"the RK4 pass overflowed double precision (period {system.period_T:g})"
         )
 
 
 def _float_state_pass(system: SeasonalSystem, x, t0, t1, step, clamp: _Clamp) -> np.ndarray:
-    """_rk4 from t0 to t1 with clamp.settle after every step, on floats;
-    clamp.record, if set, takes each step's time and (J, A) tuple."""
+    """_rk4 from t0 to t1 with clamp.settle after every step, on floats, the
+    rates evaluated inline in insect._rates' operations; clamp.columns, if
+    set, take each step's time, J and A."""
     _check_stability(system, step)
     j, a = float(x[0]), float(x[1])
-    least, clamps, record = clamp.min_component, clamp.clamp_count, clamp.record
+    least, clamps = clamp.min_component, clamp.clamp_count
     screen = _divergence_screen(clamp.bound)
+    record = clamp.columns is not None
+    if record:
+        put_t, put_j, put_a = (column.append for column in clamp.columns)
     try:
         for lo, hi, piece, nsteps, h in _chunks(system, t0, t1, step):
             pi = piece.params
+            b, hatch, cJ, dA, loss = pi.b, pi.h, pi.cJ, pi.dA, pi.h + pi.dJ
             half, sixth = 0.5 * h, h / 6.0
             for i in range(1, nsteps + 1):
-                k1j, k1a = _rates(pi, j, a)
-                k2j, k2a = _rates(pi, j + half * k1j, a + half * k1a)
-                k3j, k3a = _rates(pi, j + half * k2j, a + half * k2a)
-                k4j, k4a = _rates(pi, j + h * k3j, a + h * k3a)
-                t = hi if i == nsteps else lo + i * h
+                k1j, k1a = b * a - j * (loss + cJ * j), hatch * j - dA * a
+                sj, sa = j + half * k1j, a + half * k1a
+                k2j, k2a = b * sa - sj * (loss + cJ * sj), hatch * sj - dA * sa
+                sj, sa = j + half * k2j, a + half * k2a
+                k3j, k3a = b * sa - sj * (loss + cJ * sj), hatch * sj - dA * sa
+                sj, sa = j + h * k3j, a + h * k3a
+                k4j, k4a = b * sa - sj * (loss + cJ * sj), hatch * sj - dA * sa
                 j = j + sixth * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
                 a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
                 low = j if j < a else a  # x.min() takes the later entry on a tie
@@ -218,9 +231,12 @@ def _float_state_pass(system: SeasonalSystem, x, t0, t1, step, clamp: _Clamp) ->
                     j = 0.0 if j <= 0.0 else j
                     a = 0.0 if a <= 0.0 else a
                 if j * j + a * a > screen and _past(j, a, clamp.bound):
+                    t = hi if i == nsteps else lo + i * h
                     raise DivergenceError(_TRAJECTORY_DIVERGED, time=t, state=np.array((j, a)))
-                if record is not None:
-                    record(t, (j, a))
+                if record:
+                    put_t(hi if i == nsteps else lo + i * h)
+                    put_j(j)
+                    put_a(a)
     finally:
         clamp.min_component, clamp.clamp_count = least, clamps
     _require_finite(system, j, a, least)
@@ -336,27 +352,22 @@ def integrate(
     for name, value in (("t0", t0), ("t1", t1)):
         if not (is_number(value) and math.isfinite(value)):
             raise InvalidInputError(f"{name} must be a finite number, got {value!r}")
+    if t0 < 0.0:
+        raise InvalidInputError(f"t0 must be nonnegative, got {t0}")
     if t1 < t0:
         raise InvalidInputError("t1 must be >= t0")
     step = _default_step(system, step)
-    times = [t0]
-    states = [x0]
-
-    def record(t, x):
-        times.append(t)
-        states.append(x)
-
-    clamp = _Clamp(divergence_bound, record, min_component=float(x0.min()))
+    columns = ([t0], *([value] for value in x0.tolist()))
+    clamp = _Clamp(divergence_bound, columns, min_component=float(x0.min()))
     diverged = False
     try:
         _state_pass(system, x0, t0, t1, step, clamp)
     except DivergenceError:
         diverged = True
-    times = np.asarray(times)
-    states = np.asarray(states)
+    times = np.array(columns[0])
     return Trajectory(
         times=times,
-        states=states,
+        states=np.column_stack(columns[1:]),
         season_tags=season_indices(system.schedule, times),
         clamp_count=clamp.clamp_count,
         min_component=clamp.min_component,
@@ -380,7 +391,9 @@ def _state_pass(system: SeasonalSystem, x: np.ndarray, t0, t1, step, clamp: _Cla
     """The state from t0 to t1, settled by clamp after every step."""
     if _on_floats(system):
         return _float_state_pass(system, x, t0, t1, step, clamp)
-    return _rk4(system, x, t0, t1, step, _state_field, clamp.settle)
+    x = _rk4(system, x, t0, t1, step, _state_field, clamp.settle)
+    _require_finite(system, clamp.min_component)  # a clamp may have snapped -inf to 0
+    return x
 
 
 def _joint_pass(system: SeasonalSystem, x: np.ndarray, step: float, settle):

@@ -57,6 +57,11 @@ class SplitSchedule:
     def theta(self) -> float:
         return sum(self.sigma)
 
+    @property
+    def blocks(self) -> list:
+        """Block durations, first block rightmost: an exp_products row over (m1, m2)."""
+        return _blocks(self.sigma, self.sigma_prime)
+
 
 def single_block(theta: float) -> SplitSchedule:
     return SplitSchedule(sigma=(theta,), sigma_prime=(1.0 - theta,))
@@ -88,8 +93,7 @@ def _random_simplex(total: float, k: int, rng) -> tuple:
 
 def split_monodromy(m1, m2, schedule: SplitSchedule) -> np.ndarray:
     """Ordered 2K-factor product of block exponentials, first block rightmost."""
-    blocks = _blocks(schedule.sigma, schedule.sigma_prime)
-    return exp_products(_season_pair(m1, m2), [blocks], {})[0]
+    return exp_products(_season_pair(m1, m2), [schedule.blocks], {})[0]
 
 
 def _season_pair(m1, m2):

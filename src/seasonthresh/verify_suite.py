@@ -4,6 +4,12 @@ Desk-scale versions of the package's cross-cutting invariants: analytic
 derivatives against finite differences, closed forms, spectral/simulation
 consistency, and the randomized oracle equivalences. Each check returns a
 row (name, status, detail) with status "pass", "fail", or "info".
+
+A check draws all its random problems first, then evaluates them in
+stacks: one rho_profile over every theta a linearization needs, one
+product stack per block count K. Each entry of a stack has the bits of
+its own per-problem call (rho, rho_prime, rho_second, split_monodromy,
+gelfand_bound_probe), so every row is what those calls give.
 """
 
 from dataclasses import dataclass
@@ -11,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conditions, floquet, insect, simulate, splitting
-from .linalg import is_irreducible, spectral_abscissa, spectral_radius
+from .linalg import (
+    exp_products,
+    is_irreducible,
+    mat_exp,
+    ordered_products,
+    spectral_abscissa,
+    spectral_radii,
+    spectral_radius,
+)
 from .scenario import Scenario, linearization_from_scenario, system_from_scenario
 
 
@@ -39,21 +53,7 @@ def random_metzler(rng, n: int, scale: float = 3.0) -> np.ndarray:
 def run_verification(scenario: Scenario, seed: int = 0) -> list[VerifyRow]:
     rng = np.random.default_rng(seed)
     rows: list[VerifyRow] = []
-    checks = [
-        _check_derivatives,
-        _check_second_derivatives,
-        _check_endpoints,
-        _check_shared_eigenvector_form,
-        _check_threshold,
-        _check_poincare_consistency,
-        _check_flow_properties,
-        _check_left_order,
-        _check_equilibria,
-        _check_split_invariance,
-        _check_gelfand,
-        _check_timescale,
-    ]
-    for check in checks:
+    for check in CHECKS:  # each draws from rng after the one before it
         try:
             rows.append(check(scenario, rng))
         except Exception as exc:  # surface, never hide, per-check failures
@@ -61,36 +61,37 @@ def run_verification(scenario: Scenario, seed: int = 0) -> list[VerifyRow]:
     return rows
 
 
+def _random_linearizations(rng, count: int) -> list:
+    """count random pairs of irreducible Metzler seasons, n in {2, 3}, at T = 1."""
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(2, 4))
+        out.append(floquet.TwoSeasonLinearization(random_metzler(rng, n), random_metzler(rng, n), 1.0))
+    return out
+
+
 def _check_derivatives(scenario, rng) -> VerifyRow:
     worst = 0.0
-    for _ in range(8):
-        n = int(rng.integers(2, 4))
-        lin = floquet.TwoSeasonLinearization(
-            random_metzler(rng, n), random_metzler(rng, n), 1.0
-        )
-        for th in (0.2, 0.5, 0.8):
-            h = 1e-5
-            fd = (floquet.rho(lin, th + h)[0] - floquet.rho(lin, th - h)[0]) / (2 * h)
-            an = floquet.rho_prime(lin, th)
+    h = 1e-5
+    thetas = (0.2, 0.5, 0.8)
+    for lin in _random_linearizations(rng, 8):
+        profile = floquet.rho_profile(lin, [th + d for d in (h, -h, 0.0) for th in thetas])
+        up, down, _ = profile.rho.reshape(3, -1).tolist()
+        for plus, minus, an in zip(up, down, profile.rho_prime.reshape(3, -1)[2].tolist()):
+            fd = (plus - minus) / (2 * h)
             worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
     return _row("derivative_vs_fd", worst <= 1e-6, f"worst rel gap {worst:.3e}")
 
 
 def _check_second_derivatives(scenario, rng) -> VerifyRow:
     worst = 0.0
-    for _ in range(5):
-        n = int(rng.integers(2, 4))
-        lin = floquet.TwoSeasonLinearization(
-            random_metzler(rng, n), random_metzler(rng, n), 1.0
-        )
-        for th in (0.3, 0.6):
-            h = 1e-4
-            fd = (
-                floquet.rho(lin, th + h)[0]
-                - 2 * floquet.rho(lin, th)[0]
-                + floquet.rho(lin, th - h)[0]
-            ) / h**2
-            an = floquet.rho_second(lin, th)
+    h = 1e-4
+    thetas = (0.3, 0.6)
+    for lin in _random_linearizations(rng, 5):
+        profile = floquet.rho_profile(lin, [th + d for d in (h, 0.0, -h) for th in thetas], second=True)
+        up, mid, down = profile.rho.reshape(3, -1).tolist()
+        for plus, at, minus, an in zip(up, mid, down, profile.rho_second.reshape(3, -1)[1].tolist()):
+            fd = (plus - 2 * at + minus) / h**2
             worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
     return _row("second_derivative_vs_fd", worst <= 1e-4, f"worst rel gap {worst:.3e}")
 
@@ -110,9 +111,10 @@ def _check_shared_eigenvector_form(scenario, rng) -> VerifyRow:
     mu1 = spectral_abscissa(lin.m1)
     mu2 = spectral_abscissa(lin.m2)
     worst = 0.0
-    for th in np.linspace(0.0, 1.0, 21):
+    thetas = np.linspace(0.0, 1.0, 21)
+    for th, value in zip(thetas, floquet.rho_profile(lin, thetas).rho.tolist()):
         closed = np.exp(th * mu1 + (1.0 - th) * mu2)
-        worst = max(worst, abs(floquet.rho(lin, float(th))[0] - closed) / closed)
+        worst = max(worst, abs(value - closed) / closed)
     return _row("shared_eigenvector_closed_form", worst <= 1e-10, f"worst rel gap {worst:.3e}")
 
 
@@ -130,11 +132,11 @@ def _check_threshold(scenario, rng) -> VerifyRow:
 
 def _check_poincare_consistency(scenario, rng) -> VerifyRow:
     lin = linearization_from_scenario(scenario)
+    thetas = (0.1, 0.3, 0.5, 0.7, 0.9)
     worst = 0.0
-    for th in (0.1, 0.3, 0.5, 0.7, 0.9):
+    for th, value in zip(thetas, floquet.rho_profile(lin, thetas).rho.tolist()):
         dp = simulate.poincare_jacobian(system_from_scenario(scenario, th), np.zeros(lin.dimension))
-        gap = abs(spectral_radius(dp) - floquet.rho(lin, th)[0]) / floquet.rho(lin, th)[0]
-        worst = max(worst, gap)
+        worst = max(worst, abs(spectral_radius(dp) - value) / value)
     return _row("poincare_vs_monodromy", worst <= 1e-6, f"worst rel gap {worst:.3e}")
 
 
@@ -177,25 +179,43 @@ def _check_split_invariance(scenario, rng) -> VerifyRow:
     base = random_metzler(rng, 2)
     m1 = base - 1.5 * np.eye(2)
     m2 = base + 0.5 * np.eye(2)
-    values = []
-    for _ in range(50):
-        k = int(rng.integers(1, 5))
-        schedule = splitting.random_schedule(0.4, k, rng)
-        values.append(spectral_radius(splitting.split_monodromy(m1, m2, schedule)))
+    schedules = [splitting.random_schedule(0.4, int(rng.integers(1, 5)), rng) for _ in range(50)]
+    table, values = {}, []
+    for group in _grouped(schedules, lambda s: s.k):
+        values += spectral_radii(exp_products((m1, m2), [s.blocks for s in group], table)).tolist()
     spread = (max(values) - min(values)) / max(values)
     return _row("split_invariance", spread <= 1e-9, f"relative spread {spread:.3e}")
 
 
+def _grouped(items, key) -> list:
+    """items in groups of equal key(item), each group in draw order."""
+    groups = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return list(groups.values())
+
+
 def _check_gelfand(scenario, rng) -> VerifyRow:
-    count = 0
     total = 200
+    problems = []
     for _ in range(total):
         n = int(rng.integers(2, 4))
         m1 = random_metzler(rng, n)
         m2 = random_metzler(rng, n)
         schedule = splitting.random_schedule(float(rng.uniform(0.2, 0.8)), int(rng.integers(1, 4)), rng)
-        report = splitting.gelfand_bound_probe(m1, m2, [schedule])
-        count += report.violation_count
+        problems.append((m1, m2, schedule))
+    count = 0
+    for group in _grouped(problems, lambda p: (len(p[0]), p[2].k)):
+        m1s, m2s, schedules = zip(*group)
+        seasons = np.array([m1s, m2s])
+        durations = np.array([s.blocks for s in schedules]).T
+        # block l of problem g is exp(durations[l, g] * seasons[l % 2, g])
+        exponents = durations[:, :, None, None] * seasons[np.arange(len(durations)) % 2]
+        blocks = mat_exp(exponents.reshape((-1,) + seasons.shape[2:])).reshape(exponents.shape)
+        values = spectral_radii(ordered_products(blocks)).tolist()
+        mu1s, mu2s = (spectral_abscissa(stack).tolist() for stack in seasons)
+        for value, mu1, mu2, schedule in zip(values, mu1s, mu2s, schedules):
+            count += splitting.bound_violated(value, splitting.factor_bound(mu1, mu2, schedule.theta))
     return VerifyRow("gelfand_probe", "info", f"{count} bound violations / {total} (informational)")
 
 
@@ -206,3 +226,19 @@ def _check_timescale(scenario, rng) -> VerifyRow:
     small_gap = abs(report.rho_at_t_small - 1.0)
     ok = final_gap <= 1e-3 and small_gap <= 1e-4
     return _row("timescale_limits", ok, f"correction gap {final_gap:.3e}, rho(T->0) gap {small_gap:.3e}")
+
+
+CHECKS = (
+    _check_derivatives,
+    _check_second_derivatives,
+    _check_endpoints,
+    _check_shared_eigenvector_form,
+    _check_threshold,
+    _check_poincare_consistency,
+    _check_flow_properties,
+    _check_left_order,
+    _check_equilibria,
+    _check_split_invariance,
+    _check_gelfand,
+    _check_timescale,
+)

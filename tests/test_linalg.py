@@ -244,3 +244,12 @@ class TestStructurePredicates:
 
     def test_single_node(self):
         assert is_irreducible(np.array([[0.0]]))
+
+    def test_irreducible_matches_reachability_by_powers(self):
+        # strongly connected iff (I + pattern)^(n - 1) is entrywise positive
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            n = int(rng.integers(1, 7))
+            m = rng.uniform(-1.0, 1.0, (n, n)) * (rng.uniform(0.0, 1.0, (n, n)) < rng.uniform(0.1, 0.9))
+            reach = np.linalg.matrix_power(np.eye(n) + (m != 0.0), n - 1)
+            assert is_irreducible(m) == bool((reach > 0.0).all())

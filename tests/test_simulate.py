@@ -334,6 +334,14 @@ class TestBadInputs:
         with pytest.raises(InvalidInputError, match="must be a finite number"):
             integrate(system, np.ones(2), t0, t1)
 
+    @pytest.mark.parametrize("kind", ["insect", "linear"])
+    def test_integrate_negative_start_time(self, kind, insect_system, monkeypatch):
+        # refused by name, not by the season lookup of a chunk midpoint
+        system = insect_system if kind == "insect" else linear_system(-np.eye(2))
+        monkeypatch.setattr(simulate, "_chunks", lambda *args: pytest.fail("stepped"))
+        with pytest.raises(InvalidInputError, match=r"^t0 must be nonnegative, got -5\.0$"):
+            integrate(system, np.ones(2), -5.0, 1.0)
+
     @pytest.mark.parametrize("entry", [poincare_map, poincare_jacobian])
     def test_bool_step(self, entry, insect_system):
         with pytest.raises(InvalidInputError, match="step must be a number, got True"):
@@ -657,14 +665,27 @@ class TestFloatKernel:
             assert stack.value.time == alone[1].time
             assert same_bits(stack.value.state, alone[1].state)
 
-    @pytest.mark.parametrize("entry", [
-        poincare_map, poincare_jacobian, lambda system, x, **kw: integrate(system, x, 0.0, 150.0, **kw),
-    ], ids=["poincare_map", "poincare_jacobian", "integrate"])
-    def test_non_finite_pass_is_typed_error(self, entry):
-        # with no divergence bound, growth at rate ~6.6 passes double range
-        # within the period of 150: a typed error, never inf or NaN
+    @pytest.mark.parametrize("entry, kind", [
+        (entry, kind)
+        for kind in ("insect", "numpy_twin", "matrices")
+        for entry in (poincare_map, poincare_jacobian,
+                      lambda system, x, **kw: integrate(system, x, 0.0, 150.0, **kw))
+    ], ids=[
+        f"{entry}{suffix}"
+        for suffix in ("", "-numpy_twin", "-matrices")
+        for entry in ("poincare_map", "poincare_jacobian", "integrate")
+    ])
+    def test_non_finite_pass_is_typed_error(self, entry, kind):
+        # with no divergence bound, growth at rate ~6.6 (6 for the matrices
+        # system) passes double range within the period of 150: a typed
+        # error on the float and the numpy pass alike, never inf, NaN or a
+        # RuntimeWarning
         growth = InsectParams(b=50.0, h=1.0, dJ=0.0, cJ=0.0, dA=0.0)
         system = as_seasonal_system(growth, growth, 0.5, 150.0)
+        if kind == "numpy_twin":
+            system = numpy_twin(system)
+        elif kind == "matrices":
+            system = linear_system([[1.0, 5.0], [5.0, 1.0]], period=150.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="overflowed double precision"):

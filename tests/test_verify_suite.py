@@ -1,0 +1,121 @@
+"""The verify suite's stacked checks give the rows of per-problem calls.
+
+Each reference below is a check written one problem at a time with the
+public calls (rho, rho_prime, rho_second, split_monodromy,
+gelfand_bound_probe), on the same random draws in the same order.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from seasonthresh import floquet, simulate, splitting, verify_suite
+from seasonthresh.linalg import spectral_abscissa, spectral_radius
+from seasonthresh.scenario import linearization_from_scenario, load_scenario, system_from_scenario
+from seasonthresh.verify_suite import VerifyRow, random_metzler
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+BUNDLED = ("insect_two_season", "insect_nonshared", "matrices_shared_eigenvector")
+
+
+def _row(name, ok, detail):
+    return VerifyRow(name, "pass" if ok else "fail", detail)
+
+
+def derivatives(scenario, rng):
+    worst = 0.0
+    for _ in range(8):
+        n = int(rng.integers(2, 4))
+        lin = floquet.TwoSeasonLinearization(random_metzler(rng, n), random_metzler(rng, n), 1.0)
+        for th in (0.2, 0.5, 0.8):
+            h = 1e-5
+            fd = (floquet.rho(lin, th + h)[0] - floquet.rho(lin, th - h)[0]) / (2 * h)
+            an = floquet.rho_prime(lin, th)
+            worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
+    return _row("derivative_vs_fd", worst <= 1e-6, f"worst rel gap {worst:.3e}")
+
+
+def second_derivatives(scenario, rng):
+    worst = 0.0
+    for _ in range(5):
+        n = int(rng.integers(2, 4))
+        lin = floquet.TwoSeasonLinearization(random_metzler(rng, n), random_metzler(rng, n), 1.0)
+        for th in (0.3, 0.6):
+            h = 1e-4
+            fd = (floquet.rho(lin, th + h)[0] - 2 * floquet.rho(lin, th)[0]
+                  + floquet.rho(lin, th - h)[0]) / h**2
+            an = floquet.rho_second(lin, th)
+            worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
+    return _row("second_derivative_vs_fd", worst <= 1e-4, f"worst rel gap {worst:.3e}")
+
+
+def shared_eigenvector_form(scenario, rng):
+    base = random_metzler(rng, 3)
+    lin = floquet.TwoSeasonLinearization(base - 2.0 * np.eye(3), base + 1.0 * np.eye(3), 1.0)
+    mu1, mu2 = spectral_abscissa(lin.m1), spectral_abscissa(lin.m2)
+    worst = 0.0
+    for th in np.linspace(0.0, 1.0, 21):
+        closed = np.exp(th * mu1 + (1.0 - th) * mu2)
+        worst = max(worst, abs(floquet.rho(lin, float(th))[0] - closed) / closed)
+    return _row("shared_eigenvector_closed_form", worst <= 1e-10, f"worst rel gap {worst:.3e}")
+
+
+def poincare_consistency(scenario, rng):
+    lin = linearization_from_scenario(scenario)
+    worst = 0.0
+    for th in (0.1, 0.3, 0.5, 0.7, 0.9):
+        dp = simulate.poincare_jacobian(system_from_scenario(scenario, th), np.zeros(lin.dimension))
+        gap = abs(spectral_radius(dp) - floquet.rho(lin, th)[0]) / floquet.rho(lin, th)[0]
+        worst = max(worst, gap)
+    return _row("poincare_vs_monodromy", worst <= 1e-6, f"worst rel gap {worst:.3e}")
+
+
+def split_invariance(scenario, rng):
+    base = random_metzler(rng, 2)
+    m1, m2 = base - 1.5 * np.eye(2), base + 0.5 * np.eye(2)
+    values = []
+    for _ in range(50):
+        schedule = splitting.random_schedule(0.4, int(rng.integers(1, 5)), rng)
+        values.append(spectral_radius(splitting.split_monodromy(m1, m2, schedule)))
+    spread = (max(values) - min(values)) / max(values)
+    return _row("split_invariance", spread <= 1e-9, f"relative spread {spread:.3e}")
+
+
+def gelfand(scenario, rng):
+    count = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 4))
+        m1 = random_metzler(rng, n)
+        m2 = random_metzler(rng, n)
+        schedule = splitting.random_schedule(float(rng.uniform(0.2, 0.8)), int(rng.integers(1, 4)), rng)
+        count += splitting.gelfand_bound_probe(m1, m2, [schedule]).violation_count
+    return VerifyRow("gelfand_probe", "info", f"{count} bound violations / 200 (informational)")
+
+
+REFERENCES = {
+    verify_suite._check_derivatives: derivatives,
+    verify_suite._check_second_derivatives: second_derivatives,
+    verify_suite._check_shared_eigenvector_form: shared_eigenvector_form,
+    verify_suite._check_poincare_consistency: poincare_consistency,
+    verify_suite._check_split_invariance: split_invariance,
+    verify_suite._check_gelfand: gelfand,
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", BUNDLED)
+def test_stacked_checks_match_per_problem_calls(name, seed):
+    # the suite's checks in order, each stacked one against its reference on
+    # an rng in the same state; the flow check draws nothing and is slow
+    scenario = load_scenario(SCENARIOS / f"{name}.json")
+    stacked, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    compared = 0
+    for check in verify_suite.CHECKS:
+        if check in REFERENCES:
+            assert check(scenario, stacked) == REFERENCES[check](scenario, reference)
+            compared += 1
+        elif check is not verify_suite._check_flow_properties:
+            assert check(scenario, stacked) == check(scenario, reference)
+        assert stacked.bit_generator.state == reference.bit_generator.state
+    assert compared == len(REFERENCES)
