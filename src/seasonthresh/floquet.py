@@ -184,9 +184,8 @@ def _evaluate(
     """The Floquet evaluator: log rho, (log rho)', (when asked) rho'' / rho,
     the Perron vectors and the shifted monodromies at each theta of a
     sequence, from one stacked exponential, one stacked Perron pair and one
-    stacked bordered solve. Entry g has the bits of a call on theta[g] alone
-    wherever perron_pair's entries do: up to n = 3, and from n = 4 while no
-    monodromy of the stack has a complex eigenvalue."""
+    stacked bordered solve. Entry g has the bits of a call on theta[g] alone,
+    as perron_pair's entries do."""
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     log_scale, shifted = _cycle(lin, thetas)
     pair = perron_pair(shifted, tol=tol)

@@ -155,11 +155,10 @@ def perron_pair(m, tol: float = 1e-12) -> PerronPair:
 
     ``m`` is one matrix or a (G, n, n) stack; a stack is judged matrix by
     matrix, the first failing one raising, and each matrix gets the bits of
-    its own call up to n = 3. The eigen-solves of all G matrices and their
-    transposes are one batched call, which numpy returns as complex when one
-    of them has a complex eigenvalue; from n = 4 the vectors' strided real
-    parts then round apart from a real call's, so there a matrix keeps its
-    own call's bits only while that stack stays real.
+    its own call. The eigen-solves of all G matrices and their transposes
+    are one batched call, which numpy returns as complex when one of them
+    has a complex eigenvalue; the dominant vectors' real parts are then
+    copied out contiguous, as a real call's are.
     """
     a = as_matrix_stack(m)
     if not (0.0 < tol <= 1e-6):
@@ -206,8 +205,12 @@ def perron_pair(m, tol: float = 1e-12) -> PerronPair:
 
 def _dominant_vectors(values, vectors) -> np.ndarray:
     """Positively oriented unit eigenvector of each matrix's largest-modulus
-    eigenvalue, which is real and simple once its modulus is separated."""
-    x = vectors[np.arange(len(values)), :, np.argmax(np.abs(values), axis=-1)].real
+    eigenvalue, which is real and simple once its modulus is separated. The
+    real part is copied out contiguous: a strided one (of a complex stack)
+    rounds the products below apart from a real call's."""
+    x = np.ascontiguousarray(
+        vectors[np.arange(len(values)), :, np.argmax(np.abs(values), axis=-1)].real
+    )
     return x / (np.sqrt(_dot(x, x)) * np.sign(x.sum(axis=-1)))[:, None]
 
 

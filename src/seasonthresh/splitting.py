@@ -13,6 +13,7 @@ from math import comb
 
 import numpy as np
 
+from . import linalg
 from .errors import InvalidInputError
 from .linalg import (
     as_square_matrix,
@@ -141,10 +142,13 @@ def optimize_split(
     carries no optimality guarantee.
 
     Both methods exponentiate each distinct block once per call and form
-    their products in stacks: the grid one per row (one unfavorable
-    composition against every favorable one, one stacked eigen-solve),
-    descent one per pair sweep, scoring each distinct schedule once. k,
-    resolution and restarts must be ints (not bools), k and resolution >= 1.
+    their products in stacks. The grid streams its cells in row-major order
+    (unfavorable composition outer) into stacks of at most
+    linalg._STACK_ENTRIES // n^2 schedules, one stacked eigen-solve each,
+    and keeps the first best cell. Descent polishes all its starts in
+    lockstep: each sweep position's candidates of every start still
+    improving are one stack, and each distinct schedule is scored once. k,
+    resolution and restarts must be ints (not bools) and at least 1.
     """
     if mode not in ("max", "min"):
         raise InvalidInputError(f"mode must be 'max' or 'min', got {mode!r}")
@@ -153,8 +157,8 @@ def optimize_split(
     for name, value in (("k", k), ("resolution", resolution), ("restarts", restarts)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise InvalidInputError(f"{name} must be an int, got {value!r}")
-    if k < 1 or resolution < 1:
-        raise InvalidInputError(f"k and resolution must be >= 1, got {k} and {resolution}")
+        if value < 1:
+            raise InvalidInputError(f"{name} must be >= 1, got {value}")
     if method == "grid":
         if k > 4:
             raise InvalidInputError("grid search supports k <= 4; use method='descent'")
@@ -173,21 +177,26 @@ def _optimize_grid(m1, m2, theta, k, mode, resolution):
     seasons = _season_pair(m1, m2)
     table = {}
     sign = 1.0 if mode == "max" else -1.0
+    unfavorable = [
+        tuple(theta * c / resolution for c in wu) for wu in _compositions(resolution, k)
+    ]
     favorable = [
         tuple((1.0 - theta) * c / resolution for c in wf) for wf in _compositions(resolution, k)
     ]
+    # row-major: one unfavorable composition against every favorable one
+    grid = ((sigma, _absorb_drift(sigma, sp)) for sigma in unfavorable for sp in favorable)
+    size = max(1, linalg._STACK_ENTRIES // len(seasons[0]) ** 2)
     best = None
     best_value = -np.inf
-    for wu in _compositions(resolution, k):
-        sigma = tuple(theta * c / resolution for c in wu)
-        row = [_absorb_drift(sigma, sigma_prime) for sigma_prime in favorable]
-        products = exp_products(seasons, [_blocks(sigma, sp) for sp in row], table)
+    while stack := list(itertools.islice(grid, size)):
+        products = exp_products(seasons, [_blocks(*cell) for cell in stack], table)
         values = sign * spectral_radii(products)
-        # argmax takes the first maximum: the strict > of a cell-by-cell scan
+        # argmax takes a stack's first maximum and the strict > keeps an
+        # earlier stack's: the first best cell of a row-major scan
         i = int(np.argmax(values))
         if values[i] > best_value:
             best_value = float(values[i])
-            best = (sigma, row[i])
+            best = stack[i]
     return SplitSchedule(*best), sign * best_value
 
 
@@ -207,42 +216,50 @@ def _optimize_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
             scores.update(zip(new, (sign * spectral_radii(products)).tolist()))
         return [scores[key] for key in keys]
 
-    def polish(schedule):
-        current = schedule
-        value = score([current])[0]
-        improved = True
-        while improved:
-            improved = False
-            for which in ("sigma", "sigma_prime"):
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        # an improvement moves only fractions i and j, which every
-                        # candidate sets itself: the sweep is fixed up front
-                        parts = getattr(current, which)
-                        budget = parts[i] + parts[j]
-                        candidates = []
-                        for frac in np.linspace(0.0, 1.0, resolution + 1):
-                            trial = list(parts)
-                            trial[i] = budget * frac
-                            trial[j] = budget * (1.0 - frac)
-                            candidates.append(replace(current, **{which: tuple(trial)}))
-                        for candidate, v in zip(candidates, score(candidates)):
-                            if v > value + 1e-14:
-                                current, value, improved = candidate, v, True
-        return current, value
+    def moves(schedule, which, i, j) -> list:
+        """The schedule with fractions i and j of `which` re-split at each of fracs."""
+        parts = getattr(schedule, which)
+        budget = parts[i] + parts[j]
+        out = []
+        for frac in fracs:
+            trial = list(parts)
+            trial[i] = budget * frac
+            trial[j] = budget * (1.0 - frac)
+            out.append(replace(schedule, **{which: tuple(trial)}))
+        return out
 
-    seeds = [
+    fracs = np.linspace(0.0, 1.0, resolution + 1).tolist()
+    width = len(fracs)
+    current = [
         SplitSchedule(
             sigma=tuple(theta / k for _ in range(k)),
             sigma_prime=tuple((1.0 - theta) / k for _ in range(k)),
         )
     ]
-    seeds += [random_schedule(theta, k, rng) for _ in range(max(0, restarts - 1))]
+    current += [random_schedule(theta, k, rng) for _ in range(restarts - 1)]
+    values = score(current)
+    # the starts are polished in lockstep, each by its own moves: a start
+    # stays live until a full pass improves nothing
+    live = range(len(current))
+    while live:
+        improved = set()
+        for which in ("sigma", "sigma_prime"):
+            for i in range(k):
+                for j in range(i + 1, k):
+                    # an improvement moves only fractions i and j, which every
+                    # candidate sets itself: the sweep is fixed up front
+                    groups = [moves(current[s], which, i, j) for s in live]
+                    scored = score([c for group in groups for c in group])
+                    for at, (s, group) in enumerate(zip(live, groups)):
+                        for candidate, v in zip(group, scored[at * width:(at + 1) * width]):
+                            if v > values[s] + 1e-14:
+                                current[s], values[s] = candidate, v
+                                improved.add(s)
+        live = sorted(improved)
     best, best_value = None, -np.inf
-    for start in seeds:
-        candidate, value = polish(start)
+    for start, value in zip(current, values):
         if value > best_value:
-            best, best_value = candidate, value
+            best, best_value = start, value
     return best, sign * best_value
 
 

@@ -360,6 +360,23 @@ class TestRhoProfile:
             assert np.array_equal(profile.perron_pairs[g].v, pair_alone.v)
             assert np.array_equal(profile.perron_pairs[g].v_star, pair_alone.v_star)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_batch_equals_one_theta_calls_at_every_n(self, n):
+        # from n = 4 some monodromies of a grid have complex eigenvalues, so
+        # the stacked eigen-solve is complex while most one-theta ones are real
+        rng = np.random.default_rng(400 + n)
+        grid = np.linspace(0.0, 1.0, 9)
+        for _ in range(8):
+            lin = random_metzler_pair(rng, n)
+            profile = rho_profile(lin, grid, second=True)
+            for g, th in enumerate(grid):
+                value, pair_alone = rho(lin, float(th))
+                assert profile.rho[g] == value
+                assert profile.rho_prime[g] == rho_prime(lin, float(th))
+                assert profile.rho_second[g] == rho_second(lin, float(th))
+                assert np.array_equal(profile.perron_pairs[g].v, pair_alone.v)
+                assert np.array_equal(profile.perron_pairs[g].v_star, pair_alone.v_star)
+
     def test_carries_its_linearization_and_monodromies(self, insect_linearization):
         grid = np.linspace(0.0, 1.0, 5)
         profile = rho_profile(insect_linearization, grid)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,8 @@ class TestOptimizeSplit:
             ("k", True),
             ("restarts", 2.5),
             ("restarts", False),
+            ("restarts", 0),
+            ("restarts", -1),
         ],
     )
     def test_counts_must_be_positive_ints(self, method, name, value):
@@ -213,6 +216,59 @@ def _record_exp_products(monkeypatch):
 
     monkeypatch.setattr(splitting, "exp_products", recorded)
     return rows
+
+
+def _record_stacks(monkeypatch):
+    """The number of schedules in each exp_products call splitting makes."""
+    sizes = []
+    original = splitting.exp_products
+
+    def recorded(seasons, durations, table):
+        sizes.append(len(durations))
+        return original(seasons, durations, table)
+
+    monkeypatch.setattr(splitting, "exp_products", recorded)
+    return sizes
+
+
+def _sequential_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
+    """Descent's starts polished one at a time, each schedule's product
+    formed alone: (schedule, sign * rho, passes) of each start in seed order."""
+    sign = 1.0 if mode == "max" else -1.0
+    rng = np.random.default_rng(seed)
+    scores, table = {}, {}
+
+    def score(schedule):
+        if schedule not in scores:
+            product = linalg.exp_products((m1, m2), [schedule.blocks], table)[0]
+            scores[schedule] = sign * spectral_radius(product)
+        return scores[schedule]
+
+    def polish(schedule):
+        current, value, passes = schedule, score(schedule), 0
+        improved = True
+        while improved:
+            improved, passes = False, passes + 1
+            for which in ("sigma", "sigma_prime"):
+                for i in range(k):
+                    for j in range(i + 1, k):
+                        parts = getattr(current, which)
+                        budget = parts[i] + parts[j]
+                        candidates = []
+                        for frac in np.linspace(0.0, 1.0, resolution + 1):
+                            trial = list(parts)
+                            trial[i] = budget * frac
+                            trial[j] = budget * (1.0 - frac)
+                            candidates.append(replace(current, **{which: tuple(trial)}))
+                        for candidate in candidates:
+                            v = score(candidate)
+                            if v > value + 1e-14:
+                                current, value, improved = candidate, v, True
+        return current, value, passes
+
+    seeds = [SplitSchedule(sigma=(theta / k,) * k, sigma_prime=((1.0 - theta) / k,) * k)]
+    seeds += [random_schedule(theta, k, rng) for _ in range(restarts - 1)]
+    return [polish(start) for start in seeds]
 
 
 def _sequential_product(m1, m2, schedule):
@@ -330,6 +386,28 @@ class TestBlockTable:
         if theta == 0.2:
             assert sum(calls) <= 2 * 21 + 2
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k, resolution", [(2, 9), (3, 5)])
+    def test_grid_in_several_stacks_equals_brute_force(self, n, k, resolution, monkeypatch):
+        monkeypatch.setattr(linalg, "_STACK_ENTRIES", 64)
+        bound = 64 // n**2
+        cells = math.comb(resolution + k - 1, k - 1) ** 2
+        rng = np.random.default_rng(300 + 10 * n + k)
+        pairs = [(random_metzler(rng, n), random_metzler(rng, n))]
+        if n == 2:
+            # commuting seasons: every cell ties up to rounding, and the
+            # first row-major maximum must win
+            pairs.append((SHARED_M1, SHARED_M2))
+        sizes = _record_stacks(monkeypatch)
+        for m1, m2 in pairs:
+            for theta, mode in itertools.product((0.2, 0.65), ("max", "min")):
+                want = _brute_force_grid(m1, m2, theta, k, mode, resolution)
+                sizes.clear()
+                assert optimize_split(m1, m2, theta, k, mode=mode, resolution=resolution) == want
+                assert sum(sizes) == cells
+                assert len(sizes) == -(-cells // bound) > 1
+                assert max(sizes) <= bound
+
     def test_descent_exponentiates_each_visited_block_once(self, monkeypatch):
         rng = np.random.default_rng(43)
         m1 = random_metzler(rng, 3)
@@ -340,6 +418,36 @@ class TestBlockTable:
         keys = {(index % 2, d) for row in products for index, d in enumerate(row)}
         assert sum(calls) == len(keys)
         assert sum(calls) < len(products)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 5, 6])
+    def test_lockstep_descent_equals_sequential_descent(self, n, k, monkeypatch):
+        rng = np.random.default_rng(200 + 10 * n + k)
+        m1 = random_metzler(rng, n)
+        m2 = random_metzler(rng, n)
+        theta = float(rng.uniform(0.1, 0.9))
+        sizes = _record_stacks(monkeypatch)
+        positions = k * (k - 1)  # (which, i, j) in one pass
+        for resolution, mode in itertools.product((1, 3), ("max", "min")):
+            # the starts of fewer restarts are a prefix of these
+            polished = _sequential_descent(m1, m2, theta, k, mode, resolution, 8, seed=5)
+            sign = 1.0 if mode == "max" else -1.0
+            for restarts in (1, 3, 8):
+                want, want_value = None, -np.inf
+                for schedule, v, _ in polished[:restarts]:
+                    if v > want_value:  # the first best start in seed order
+                        want, want_value = schedule, v
+                sizes.clear()
+                got, value = optimize_split(
+                    m1, m2, theta, k, mode=mode, resolution=resolution, method="descent",
+                    restarts=restarts, seed=5,
+                )
+                assert got == want
+                assert value == sign * want_value
+                # the starts' stack, then at most one stack per sweep position,
+                # however many starts are still live there
+                passes = max(count for _, _, count in polished[:restarts])
+                assert len(sizes) <= 1 + positions * passes
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_descent_scores_each_distinct_schedule_once(self, k, monkeypatch):
