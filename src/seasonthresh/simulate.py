@@ -4,7 +4,8 @@ classification of long-run behavior.
 The stepper is classical RK4 with mandatory mesh points at every season
 boundary, so the piecewise-autonomous right-hand side is never evaluated
 across a discontinuity inside a step. Within a chunk the active piece is
-resolved once, at the chunk midpoint.
+resolved once, at the chunk midpoint. The step is fixed within a call: the
+caller's, or one sized from the system's own fields (see _sized_step).
 
 A pass steps one system, on a state of shape (n,) or on a (B, n) stack of
 states. Each row of a stack takes exactly the steps, and the arithmetic, of
@@ -36,16 +37,25 @@ import numpy as np
 
 from .errors import DivergenceError, InconsistencyError, InvalidInputError, is_number
 from .insect import InsectPiece
-from .linalg import as_square_matrix, spectral_radius
+from .linalg import as_matrix_stack, as_square_matrix, spectral_abscissa, spectral_radius
 from .seasonal import SeasonalSystem, season_index, season_indices
 
-DEFAULT_STEPS_PER_PERIOD = 2000
 DEFAULT_EXTINCTION_THRESHOLD = 1e-9
 DEFAULT_DIVERGENCE_BOUND = 1e9
 _EXTINCT_PERIODS = 3
 _MAX_PERIODS = 2000  # Picard budget of find_periodic_orbit
 _NEWTON_STEPS = 30  # Newton budget of find_periodic_orbit before Picard takes over
 _RK4_REAL_BOUND = 2.785  # RK4 is stable on the negative real axis up to h|lambda| = 2.785
+# The default step (_sized_step): h * L = _STIFF_STEP for the stiffest rate L,
+# and h * mu * G**(1/4) = _GROWTH_STEP for the growth rate mu compounded over
+# G e-folds a period, which holds RK4's relative error z**5 / 120 a step to
+# _GROWTH_STEP**4 / 120 ~ 1.3e-9 over the period
+_STIFF_STEP = 0.05
+_GROWTH_STEP = 0.02
+_STEP_BUDGET = 2**19  # steps a period a default step may take
+_BOX_GROWTH = 1.25  # the box corner grows by this factor where a field points out
+_BOX_TRIES = 100  # 1.25**100 ~ 5e9: past the default divergence bound
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 _FLOW_SAMPLE_SEED = 99
 _FLOW_STRICTNESS = 1e-9
 _TRAJECTORY_DIVERGED = "trajectory norm exceeded divergence bound"
@@ -304,15 +314,77 @@ def _float_joint_pass(system: SeasonalSystem, x, step, bound) -> tuple:
     return np.array((j, a)), np.array(((f00, f01), (f10, f11))), least
 
 
-def _default_step(system: SeasonalSystem, step) -> float:
-    """The given step, checked, or T / DEFAULT_STEPS_PER_PERIOD for None."""
+def _default_step(system: SeasonalSystem, step, starts) -> float:
+    """The given step, checked, or for None the step _sized_step gives for
+    these start states, a state (n,) or a (B, n) stack."""
     if step is None:
-        return system.period_T / DEFAULT_STEPS_PER_PERIOD
+        return _sized_step(system, starts)
     if not is_number(step):
         raise InvalidInputError(f"step must be a number, got {step!r}")
     if not (step > 0.0 and np.isfinite(step)):
         raise InvalidInputError(f"step must be positive, got {step}")
     return float(step)
+
+
+def _sized_step(system: SeasonalSystem, starts) -> float:
+    """The default step: the smaller of _STIFF_STEP / L and
+    _GROWTH_STEP / (mu G**(1/4)), refused past _STEP_BUDGET steps a period.
+
+    L bounds the spectral radius of every season's Jacobian at 0 and at the
+    corner y of a box [0, y] that holds the starts and that every field
+    points into (_box_corner), the stiffest the flow gets inside the box;
+    with no such box (a linear season) it is taken at 0 alone. mu is the
+    largest spectral abscissa of the seasons at 0 and G the e-folds of growth
+    a period compounds, the sum over seasons of duration times positive
+    abscissa. Past double range (G > log of the largest double) a linear
+    pass overflows whatever the step, so growth does not limit it.
+    """
+    zero = np.zeros(system.dimension)
+    jacobians = [piece.jacobian(zero) for piece in system.pieces]
+    corner = _box_corner(system, starts)
+    if corner is not None:
+        jacobians += [piece.jacobian(corner) for piece in system.pieces]
+    spectra = np.linalg.eigvals(as_matrix_stack(jacobians))
+    rate = float(np.abs(spectra).max())
+    step = _STIFF_STEP / rate if rate > 0.0 else math.inf
+    abscissas = np.maximum(spectra[: len(system.pieces)].real.max(axis=1), 0.0)
+    growth = float(system.schedule.durations() @ abscissas)
+    if 0.0 < growth <= _LOG_DOUBLE_MAX:
+        step = min(step, _GROWTH_STEP / (float(abscissas.max()) * growth**0.25))
+    period = system.period_T
+    steps = math.ceil(period / step) if step < period else 1
+    if steps > _STEP_BUDGET:
+        raise InvalidInputError(
+            f"the default RK4 step {step:.6g} needs {steps} steps a period (period {period:g}), "
+            f"more than the budget of {_STEP_BUDGET}; set a step with ode_step to run it"
+        )
+    return min(step, period)
+
+
+def _box_corner(system: SeasonalSystem, starts):
+    """A corner y >= max(1, starts) at which every season's field is <= 0,
+    grown by _BOX_GROWTH in each component where some field is positive,
+    or None within _BOX_TRIES growths. For a cooperative field the box
+    [0, y] is then forward-invariant.
+
+    A concave field has f(y) >= J(y) y >= J(top) y for y <= top, so by
+    Collatz-Wielandt no corner up to the largest reachable one, top, exists
+    when some J_k(top) has a positive spectral abscissa: a linear growing
+    season ends the search before it starts.
+    """
+    y = np.maximum(1.0, np.max(np.reshape(starts, (-1, system.dimension)), axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.array([piece.jacobian(y * _BOX_GROWTH**_BOX_TRIES) for piece in system.pieces])
+        if np.isfinite(top).all() and spectral_abscissa(top).max() > 0.0:
+            return None
+        for _ in range(_BOX_TRIES):
+            out = np.zeros(system.dimension, dtype=bool)
+            for piece in system.pieces:
+                out |= ~(piece.vector_field(y) <= 0.0)  # NaN counts as out
+            if not out.any():
+                return y
+            y = np.where(out, _BOX_GROWTH * y, y)
+    return None
 
 
 def _system(system) -> SeasonalSystem:
@@ -356,7 +428,7 @@ def integrate(
         raise InvalidInputError(f"t0 must be nonnegative, got {t0}")
     if t1 < t0:
         raise InvalidInputError("t1 must be >= t0")
-    step = _default_step(system, step)
+    step = _default_step(system, step, x0)
     columns = ([t0], *([value] for value in x0.tolist()))
     clamp = _Clamp(divergence_bound, columns, min_component=float(x0.min()))
     diverged = False
@@ -383,7 +455,7 @@ def poincare_map(
 ) -> np.ndarray:
     """State after exactly one period, started at phase zero."""
     x = _state(system, x)
-    step = _default_step(system, step)
+    step = _default_step(system, step, x)
     return _state_pass(system, x, 0.0, system.period_T, step, _Clamp(divergence_bound))
 
 
@@ -550,7 +622,7 @@ def poincare_jacobian(
     when that overflows double precision.
     """
     x = _state(system, x)
-    step = _default_step(system, step)
+    step = _default_step(system, step, x)
     if x.any():
         return _variational(system, x, step, divergence_bound)[1]
     _check_stability(system, step)
@@ -598,7 +670,7 @@ def find_periodic_orbit(
     may come back "undecided".
     """
     x = x0 = _state(system, x0).copy()
-    step = _default_step(system, step)
+    step = _default_step(system, step, x0)
     n = system.dimension
     lam = spectral_radius(poincare_jacobian(system, np.zeros(n), step=step))
     iterations = 0
@@ -761,9 +833,9 @@ def verify_flow_properties(
     margin is the least raw component of their unclamped RK4 flow, over the
     starts and every step. A row past the divergence bound raises
     DivergenceError."""
-    step = _default_step(_system(system), step)
-    sample_states, ordered_pairs = default_flow_samples(system.dimension)
+    sample_states, ordered_pairs = default_flow_samples(_system(system).dimension)
     points = np.array(sample_states + [s for pair in ordered_pairs for s in pair])
+    step = _default_step(system, step, points)
     mapped, dp, positivity_margin = _variational_stack(system, points, step)
 
     dp0_margin = float(dp[0].min())

@@ -8,7 +8,7 @@ m = T * (linearization at zero).
 
 import itertools
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -38,15 +38,7 @@ class SplitSchedule:
     def __post_init__(self):
         sig = tuple(float(v) for v in self.sigma)
         sigp = tuple(float(v) for v in self.sigma_prime)
-        if len(sig) != len(sigp) or not sig:
-            raise InvalidInputError("sigma and sigma_prime must have equal positive length")
-        allv = sig + sigp
-        if any(not (0.0 <= v <= 1.0) for v in allv):
-            raise InvalidInputError("schedule fractions must lie in [0, 1]")
-        if abs(sum(allv) - 1.0) > _MEMBERSHIP_TOL:
-            raise InvalidInputError(
-                f"schedule fractions must total 1, got {sum(allv)!r}"
-            )
+        _check_fractions(sig, sigp)
         object.__setattr__(self, "sigma", sig)
         object.__setattr__(self, "sigma_prime", sigp)
 
@@ -62,6 +54,21 @@ class SplitSchedule:
     def blocks(self) -> list:
         """Block durations, first block rightmost: an exp_products row over (m1, m2)."""
         return _blocks(self.sigma, self.sigma_prime)
+
+
+def _check_fractions(sig: tuple, sigp: tuple):
+    """Raise unless the float tuples sig and sigp make a schedule: equal
+    positive lengths, every fraction in [0, 1], a total within
+    _MEMBERSHIP_TOL of 1."""
+    if len(sig) != len(sigp) or not sig:
+        raise InvalidInputError("sigma and sigma_prime must have equal positive length")
+    allv = sig + sigp
+    if any(not (0.0 <= v <= 1.0) for v in allv):
+        raise InvalidInputError("schedule fractions must lie in [0, 1]")
+    if abs(sum(allv) - 1.0) > _MEMBERSHIP_TOL:
+        raise InvalidInputError(
+            f"schedule fractions must total 1, got {sum(allv)!r}"
+        )
 
 
 def single_block(theta: float) -> SplitSchedule:
@@ -207,43 +214,47 @@ def _optimize_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
     rng = np.random.default_rng(seed)
     scores = {}  # each pair sweep revisits the schedule it starts from
 
-    def score(schedules) -> list:
-        """sign * rho of each schedule; the ones not yet scored are one stack."""
-        keys = [(s.sigma, s.sigma_prime) for s in schedules]
+    def score(keys) -> list:
+        """sign * rho of each (sigma, sigma_prime); the ones not yet scored are one stack."""
         new = list(dict.fromkeys(key for key in keys if key not in scores))
         if new:
             products = exp_products(seasons, [_blocks(*key) for key in new], table)
             scores.update(zip(new, (sign * spectral_radii(products)).tolist()))
         return [scores[key] for key in keys]
 
-    def moves(schedule, which, i, j) -> list:
-        """The schedule with fractions i and j of `which` re-split at each of fracs."""
-        parts = getattr(schedule, which)
+    def moves(key, which, i, j) -> list:
+        """(sigma, sigma_prime) with fractions i and j of part `which` (0 for
+        sigma, 1 for sigma_prime) re-split at each of fracs, each checked as
+        SplitSchedule checks it, so a drifting total raises where it arises."""
+        parts = key[which]
         budget = parts[i] + parts[j]
         out = []
         for frac in fracs:
             trial = list(parts)
             trial[i] = budget * frac
             trial[j] = budget * (1.0 - frac)
-            out.append(replace(schedule, **{which: tuple(trial)}))
+            candidate = (tuple(trial), key[1]) if which == 0 else (key[0], tuple(trial))
+            _check_fractions(*candidate)
+            out.append(candidate)
         return out
 
     fracs = np.linspace(0.0, 1.0, resolution + 1).tolist()
     width = len(fracs)
-    current = [
+    starts = [
         SplitSchedule(
             sigma=tuple(theta / k for _ in range(k)),
             sigma_prime=tuple((1.0 - theta) / k for _ in range(k)),
         )
     ]
-    current += [random_schedule(theta, k, rng) for _ in range(restarts - 1)]
+    starts += [random_schedule(theta, k, rng) for _ in range(restarts - 1)]
+    current = [(s.sigma, s.sigma_prime) for s in starts]
     values = score(current)
     # the starts are polished in lockstep, each by its own moves: a start
     # stays live until a full pass improves nothing
     live = range(len(current))
     while live:
         improved = set()
-        for which in ("sigma", "sigma_prime"):
+        for which in (0, 1):
             for i in range(k):
                 for j in range(i + 1, k):
                     # an improvement moves only fractions i and j, which every
@@ -260,7 +271,7 @@ def _optimize_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
     for start, value in zip(current, values):
         if value > best_value:
             best, best_value = start, value
-    return best, sign * best_value
+    return SplitSchedule(*best), sign * best_value
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import warnings
+import time
 from pathlib import Path
 
 import numpy as np
@@ -266,14 +267,34 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["poincare", "simulate"])
     def test_unstable_rk4_step_is_usage_error(self, tmp_path, capsys, command):
-        # the pair's stiffest season eigenvalue at zero is -2.5, so the default
-        # step T / 2000 = 2.5 at T = 5000 puts h|lambda| = 6.25 past 2.785
-        payload = {k: v for k, v in INSECT.items() if k != "tolerances"}
-        scenario_path = write_scenario(tmp_path, {**payload, "period_T": 5000.0})
+        # the pair's stiffest season eigenvalue at zero is -2.5, so the step
+        # 2.5 puts h|lambda| = 6.25 past 2.785
+        payload = {**INSECT, "period_T": 5000.0, "tolerances": {"ode_step": 2.5}}
+        scenario_path = write_scenario(tmp_path, payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([command, "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
         assert "h*|lambda| = 6.25 exceeds its real stability bound 2.785" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["poincare", "simulate"])
+    def test_default_step_past_the_budget_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        # at T = 5000 the default step needs more than 2**19 steps a period:
+        # refused before any pass, with the ode_step override named
+        passes = []
+        for name in ("_rk4", "_rk4_power", "_float_state_pass", "_float_joint_pass"):
+            monkeypatch.setattr(simulate, name, lambda *args, _name=name: passes.append(_name))
+        payload = {k: v for k, v in INSECT.items() if k != "tolerances"}
+        scenario_path = write_scenario(tmp_path, {**payload, "period_T": 5000.0})
+        started = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert passes == []
+        err = capsys.readouterr().err
+        assert "steps a period" in err and "more than the budget of 524288" in err
+        assert "ode_step" in err
 
     def test_poincare_overflow_is_typed_error(self, tmp_path, capsys):
         # at T = 800 the growing season of DP(0) passes double range at theta 0.2

@@ -1,18 +1,30 @@
 """rho, its derivatives and the CLI reports at extreme periods, and against a
-50-digit oracle.
+50-digit oracle; the simulated period map and multiplier at long periods.
 
 The insect pair of the bundled scenario shares its Perron eigenvector between
 seasons, so theta* = 1/2 exactly at every period. Any numpy overflow or
 invalid-value warning fails these tests.
 """
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seasonthresh import find_threshold, rho, rho_prime, rho_second
+from seasonthresh import (
+    find_threshold,
+    poincare_jacobian,
+    poincare_map,
+    rho,
+    rho_prime,
+    rho_second,
+    simulate,
+)
 from seasonthresh.cli import main
+from seasonthresh.linalg import spectral_radius
+from seasonthresh.scenario import linearization_from_scenario, load_scenario, system_from_scenario
 
 from conftest import random_metzler_pair
 
@@ -30,6 +42,9 @@ INSECT = {
         "piF": {"b": 2.0, "h": 1.0, "dJ": 0.5, "cJ": 1.0, "dA": 0.5},
     },
 }
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def run_cli(tmp_path, command, period):
@@ -134,3 +149,49 @@ class TestMpmathOracle:
                     ):
                         ref = float(ref)
                         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (n, theta, got, ref)
+
+
+def bundled(name, period):
+    return dataclasses.replace(load_scenario(SCENARIOS / f"{name}.json"), period_T=period)
+
+
+class TestSimulationAtLongPeriods:
+    """The default RK4 step against a finer pass and the spectral multiplier
+    where the season lengths dwarf the rates: the step follows stiffness and
+    growth, not the period."""
+
+    def test_period_map_at_period_800(self):
+        # both seasons run to their equilibria: P(1, 1) is the favorable one,
+        # (3.4, 8.84); T / 2000 gives (1.010, 5.890). The reference is RK4 at a
+        # 16 times finer step (DOP853 blows up at this period)
+        system = system_from_scenario(bundled("insect_nonshared", 800.0), 0.4)
+        x = np.ones(2)
+        step = simulate._default_step(system, None, x)
+        mapped = poincare_map(system, x)
+        reference = poincare_map(system, x, step=step / 16)
+        assert np.abs(mapped - reference).max() <= 1e-6
+        assert np.abs(mapped - (3.4, 8.84)).max() <= 1e-6
+
+    # the thetas whose DP(0) factors stay in double range at each period
+    @pytest.mark.parametrize("name", ["insect_two_season", "insect_nonshared"])
+    @pytest.mark.parametrize("period, thetas", [
+        (800.0, np.linspace(0.0, 1.0, 11)), (2000.0, (0.5, 0.6, 0.7)),
+    ])
+    def test_insect_multiplier_matches_rho(self, name, period, thetas):
+        self.multiplier_matches_rho(bundled(name, period), thetas)
+
+    @pytest.mark.parametrize("period", [30.0, 100.0])
+    def test_matrices_multiplier_matches_rho(self, period):
+        # growth at rate 2 over the period: T / 2000 is 2.7e-7 (T = 30) and
+        # 1.1e-4 (T = 100) off at theta 0.3
+        self.multiplier_matches_rho(bundled("matrices_shared_eigenvector", period),
+                                    np.linspace(0.0, 1.0, 11))
+
+    @staticmethod
+    def multiplier_matches_rho(scenario, thetas):
+        lin = linearization_from_scenario(scenario)
+        for th in thetas:
+            system = system_from_scenario(scenario, th)
+            lam = spectral_radius(poincare_jacobian(system, np.zeros(2)))
+            reference = rho(lin, th)[0]
+            assert abs(lam - reference) <= 1e-6 * reference, (th, lam, reference)

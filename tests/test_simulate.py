@@ -190,10 +190,13 @@ class TestPropagatorAtZero:
         (name, period) for name in BUNDLED for period in (1e-6, 1e-4, 1.0, 3.5, 100.0)
     ] + [("insect_two_season", 800.0), ("insect_nonshared", 800.0)])
     def test_squaring_matches_step_by_step_pass(self, name, period):
+        # at the default step, the one poincare_jacobian takes; three thetas a
+        # setting, since the passes at T = 100 and 800 take 0.5-1.3 s each
         _, systems = bundled_systems(name, period)
-        for system in systems:
+        for system in systems[2::3]:
             squared = poincare_jacobian(system, np.zeros(2))
-            dp = simulate._variational(system, np.zeros(2), period / 2000)[1]
+            step = simulate._default_step(system, None, np.zeros(2))
+            dp = simulate._variational(system, np.zeros(2), step)[1]
             assert np.abs(squared - dp).max() <= 1e-12 * np.abs(dp).max()
 
     def test_propagator_follows_the_jacobian_at_zero(self):
@@ -206,19 +209,38 @@ class TestPropagatorAtZero:
             linearization_at_zero=np.array([[0.3, 0.1], [0.1, 0.2]]),
         )
         system = SeasonalSystem(schedule=SeasonalSchedule(1.0, (0.0, 1.0)), pieces=(piece,))
-        dp = simulate._variational(system, np.zeros(2), 1.0 / 2000)[1]
+        step = simulate._default_step(system, None, np.zeros(2))
+        dp = simulate._variational(system, np.zeros(2), step)[1]
         squared = poincare_jacobian(system, np.zeros(2))
         assert np.abs(squared - dp).max() <= 1e-12 * np.abs(dp).max()
 
     def test_unstable_step_raises_before_any_work(self, monkeypatch, pi_unfavorable,
                                                   pi_favorable):
-        # the default step T / 2000 = 2.5 puts h|lambda| = 2.5 * 2.5 past 2.785
+        # the step 2.5 puts h|lambda| = 2.5 * 2.5 past 2.785
         powers = []
         monkeypatch.setattr(simulate, "_rk4_power", lambda *args: powers.append(args))
         system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.7, 5000.0)
         with pytest.raises(InvalidInputError, match=r"h\*\|lambda\| = 6.25"):
-            poincare_jacobian(system, np.zeros(2))
+            poincare_jacobian(system, np.zeros(2), step=2.5)
         assert powers == []
+
+    @pytest.mark.parametrize("entry", [
+        poincare_map, poincare_jacobian, find_periodic_orbit, verify_flow_properties,
+        lambda system, x: integrate(system, x, 0.0, system.period_T),
+    ], ids=["poincare_map", "poincare_jacobian", "find_periodic_orbit", "verify_flow_properties",
+            "integrate"])
+    @pytest.mark.parametrize("start", [(0.0, 0.0), (1.0, 1.0)])
+    def test_default_step_past_the_budget_raises_before_any_work(self, monkeypatch, entry, start,
+                                                                 pi_unfavorable, pi_favorable):
+        # at T = 5000 the default step needs ~940 000 steps a period, past 2**19
+        passes = []
+        for name in ("_rk4", "_rk4_power", "_float_state_pass", "_float_joint_pass"):
+            monkeypatch.setattr(simulate, name, lambda *args, _name=name: passes.append(_name))
+        system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.7, 5000.0)
+        args = (system,) if entry is verify_flow_properties else (system, np.array(start))
+        with pytest.raises(InvalidInputError, match=r"needs \d+ steps a period .* ode_step"):
+            entry(*args)
+        assert passes == []
 
     @pytest.mark.parametrize("name", BUNDLED[:2])
     @pytest.mark.parametrize("period", [1e-6, 1e-4, 1.0, 100.0])

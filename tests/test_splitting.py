@@ -458,6 +458,35 @@ class TestBlockTable:
         optimize_split(m1, m2, 0.37, k, resolution=1, method="descent")
         assert len(schedules) == len(set(schedules))
 
+    @pytest.mark.parametrize("k, resolution", [(2, 3), (3, 3), (5, 3)])
+    def test_descent_drift_guard_fires_at_the_schedule_check(self, k, resolution, monkeypatch):
+        # with no slack on the total, a re-split whose parts do not add back to
+        # their budget exactly is refused where it is made, with the error
+        # SplitSchedule raises for it; one start walks the sweep in the order
+        # of the one-start reference, which builds every candidate as a
+        # SplitSchedule, so both raise for the same candidate
+        monkeypatch.setattr(splitting, "_MEMBERSHIP_TOL", 0.0)
+        fired = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            m1, m2 = random_metzler(rng, 2), random_metzler(rng, 2)
+            theta = float(rng.uniform(0.1, 0.9))
+            outcomes = []
+            for run in (optimize_split, _sequential_descent):
+                kwargs = {"method": "descent"} if run is optimize_split else {}
+                try:
+                    result = run(m1, m2, theta, k, "max", resolution, restarts=1, seed=seed, **kwargs)
+                    outcomes.append(result if run is optimize_split else result[0][:2])
+                except InvalidInputError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            try:  # the first start, before any move
+                SplitSchedule(sigma=(theta / k,) * k, sigma_prime=((1.0 - theta) / k,) * k)
+            except InvalidInputError:
+                continue
+            fired += isinstance(outcomes[0], str) and "must total 1" in outcomes[0]
+        assert fired  # in a move, not at the start
+
 
 class TestGelfandProbe:
     def test_commuting_pair_equality(self):
