@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DivergenceError, InconsistencyError, InvalidInputError, is_number
 from .insect import InsectPiece
-from .linalg import as_matrix_stack, as_square_matrix, spectral_abscissa, spectral_radius
+from .linalg import as_matrix_stack, as_square_matrix, spectral_radius
 from .seasonal import SeasonalSystem, season_index, season_indices
 
 DEFAULT_EXTINCTION_THRESHOLD = 1e-9
@@ -153,7 +153,6 @@ def _rk4(system: SeasonalSystem, x, t0, t1, step, rhs, settle):
     runs after every step and returns the state the next step starts from.
     A pass whose result leaves double range is an InvalidInputError.
     """
-    _check_stability(system, step)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         for a, b, piece, nsteps, h in _chunks(system, t0, t1, step):
             f = rhs(piece)
@@ -210,7 +209,6 @@ def _float_state_pass(system: SeasonalSystem, x, t0, t1, step, clamp: _Clamp) ->
     """_rk4 from t0 to t1 with clamp.settle after every step, on floats, the
     rates evaluated inline in insect._rates' operations; clamp.columns, if
     set, take each step's time, J and A."""
-    _check_stability(system, step)
     j, a = float(x[0]), float(x[1])
     least, clamps = clamp.min_component, clamp.clamp_count
     screen = _divergence_screen(clamp.bound)
@@ -265,7 +263,6 @@ def _float_joint_pass(system: SeasonalSystem, x, step, bound) -> tuple:
     hardware); the two agree wherever that product is exact, as with the
     bundled pairs' b and dA.
     """
-    _check_stability(system, step)
     j, a = float(x[0]), float(x[1])
     f00, f01, f10, f11 = 1.0, 0.0, 0.0, 1.0
     least = j if j < a else a
@@ -315,14 +312,16 @@ def _float_joint_pass(system: SeasonalSystem, x, step, bound) -> tuple:
 
 
 def _default_step(system: SeasonalSystem, step, starts) -> float:
-    """The given step, checked, or for None the step _sized_step gives for
-    these start states, a state (n,) or a (B, n) stack."""
+    """The given step, checked (_check_stability among the checks), or for
+    None the step _sized_step gives for these start states, a state (n,) or
+    a (B, n) stack, stable by construction (h L <= _STIFF_STEP)."""
     if step is None:
         return _sized_step(system, starts)
     if not is_number(step):
         raise InvalidInputError(f"step must be a number, got {step!r}")
     if not (step > 0.0 and np.isfinite(step)):
         raise InvalidInputError(f"step must be positive, got {step}")
+    _check_stability(system, step)
     return float(step)
 
 
@@ -365,25 +364,19 @@ def _box_corner(system: SeasonalSystem, starts):
     """A corner y >= max(1, starts) at which every season's field is <= 0,
     grown by _BOX_GROWTH in each component where some field is positive,
     or None within _BOX_TRIES growths. For a cooperative field the box
-    [0, y] is then forward-invariant.
-
-    A concave field has f(y) >= J(y) y >= J(top) y for y <= top, so by
-    Collatz-Wielandt no corner up to the largest reachable one, top, exists
-    when some J_k(top) has a positive spectral abscissa: a linear growing
-    season ends the search before it starts.
-    """
-    y = np.maximum(1.0, np.max(np.reshape(starts, (-1, system.dimension)), axis=0))
+    [0, y] is then forward-invariant."""
+    y = np.maximum(1.0, np.max(np.reshape(starts, (-1, system.dimension)), axis=0)).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        top = np.array([piece.jacobian(y * _BOX_GROWTH**_BOX_TRIES) for piece in system.pieces])
-        if np.isfinite(top).all() and spectral_abscissa(top).max() > 0.0:
-            return None
         for _ in range(_BOX_TRIES):
-            out = np.zeros(system.dimension, dtype=bool)
+            corner = np.array(y)
+            out = [False] * len(y)
             for piece in system.pieces:
-                out |= ~(piece.vector_field(y) <= 0.0)  # NaN counts as out
-            if not out.any():
-                return y
-            y = np.where(out, _BOX_GROWTH * y, y)
+                for i, rate in enumerate(piece.vector_field(corner).tolist()):
+                    if not rate <= 0.0:  # NaN counts as out
+                        out[i] = True
+            if not any(out):
+                return corner
+            y = [_BOX_GROWTH * v if grow else v for v, grow in zip(y, out)]
     return None
 
 
@@ -625,7 +618,6 @@ def poincare_jacobian(
     step = _default_step(system, step, x)
     if x.any():
         return _variational(system, x, step, divergence_bound)[1]
-    _check_stability(system, step)
     return _propagator_at_zero(system, step)
 
 

@@ -1,7 +1,7 @@
 import dataclasses
 import json
-import warnings
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np

@@ -225,21 +225,23 @@ class TestPropagatorAtZero:
         assert powers == []
 
     @pytest.mark.parametrize("entry", [
-        poincare_map, poincare_jacobian, find_periodic_orbit, verify_flow_properties,
-        lambda system, x: integrate(system, x, 0.0, system.period_T),
-    ], ids=["poincare_map", "poincare_jacobian", "find_periodic_orbit", "verify_flow_properties",
-            "integrate"])
-    @pytest.mark.parametrize("start", [(0.0, 0.0), (1.0, 1.0)])
-    def test_default_step_past_the_budget_raises_before_any_work(self, monkeypatch, entry, start,
+        lambda system: poincare_map(system, np.ones(2)),
+        lambda system: poincare_jacobian(system, np.zeros(2)),
+        lambda system: poincare_jacobian(system, np.ones(2)),
+        lambda system: find_periodic_orbit(system, np.ones(2)),
+        lambda system: integrate(system, np.ones(2), 0.0, system.period_T),
+        verify_flow_properties,
+    ], ids=["poincare_map", "poincare_jacobian_at_zero", "poincare_jacobian",
+            "find_periodic_orbit", "integrate", "verify_flow_properties"])
+    def test_default_step_past_the_budget_raises_before_any_work(self, monkeypatch, entry,
                                                                  pi_unfavorable, pi_favorable):
         # at T = 5000 the default step needs ~940 000 steps a period, past 2**19
         passes = []
         for name in ("_rk4", "_rk4_power", "_float_state_pass", "_float_joint_pass"):
             monkeypatch.setattr(simulate, name, lambda *args, _name=name: passes.append(_name))
         system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.7, 5000.0)
-        args = (system,) if entry is verify_flow_properties else (system, np.array(start))
         with pytest.raises(InvalidInputError, match=r"needs \d+ steps a period .* ode_step"):
-            entry(*args)
+            entry(system)
         assert passes == []
 
     @pytest.mark.parametrize("name", BUNDLED[:2])
