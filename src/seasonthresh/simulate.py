@@ -312,9 +312,10 @@ def _float_joint_pass(system: SeasonalSystem, x, step, bound) -> tuple:
 
 
 def _default_step(system: SeasonalSystem, step, starts) -> float:
-    """The given step, checked (_check_stability among the checks), or for
-    None the step _sized_step gives for these start states, a state (n,) or
-    a (B, n) stack, stable by construction (h L <= _STIFF_STEP)."""
+    """The given step, checked to be a positive number at which RK4 is
+    stable (_check_stability), or for None the step _sized_step gives for
+    these start states, a state (n,) or a (B, n) stack, which is stable by
+    construction (h L <= _STIFF_STEP)."""
     if step is None:
         return _sized_step(system, starts)
     if not is_number(step):
@@ -585,13 +586,20 @@ def _rk4_power(a: np.ndarray, h: float, n: int) -> tuple:
 def _propagator_at_zero(system: SeasonalSystem, step: float) -> np.ndarray:
     """DP(0): the product over the period's chunks of R(hA)^nsteps, A the
     chunk's Jacobian at zero, which is what the RK4 variational pass at zero
-    computes step by step."""
+    computes step by step. A product that overflows, or underflows to zero
+    (R has no real root, so only underflow brings it there), is an
+    InvalidInputError: a later chunk's growth cannot restore what it lost."""
     origin = np.zeros(system.dimension)
     product = (np.zeros((system.dimension,) * 2), True)
     with np.errstate(over="ignore", invalid="ignore"):
         for _, _, piece, nsteps, h in _chunks(system, 0.0, system.period_T, step):
             a = as_square_matrix(piece.jacobian(origin))
             product = _times(_rk4_power(a, h, nsteps), product)
+            if not product[1] and np.abs(product[0]).max() == 0.0:
+                raise InvalidInputError(
+                    "the RK4 propagator at zero underflowed double precision "
+                    f"(period {system.period_T:g})"
+                )
     dp = product[0] + np.eye(system.dimension) if product[1] else product[0]
     if not np.all(np.isfinite(dp)):
         raise InvalidInputError(

@@ -254,16 +254,30 @@ class TestPropagatorAtZero:
             reference = rho(lin, th)[0]
             assert abs(lam - reference) <= 1e-6 * reference
 
+    def test_underflow_is_a_typed_error(self, pi_unfavorable, pi_favorable):
+        # at T = 2000 and theta 0.8 rho = exp(-600) is a double, but the
+        # unfavorable season's factor exp(-800) is not: a typed error, not 0
+        system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.8, 2000.0)
+        lin = linearization_from_scenario(bundled_systems("insect_two_season", 2000.0)[0])
+        assert 0.0 < rho(lin, 0.8)[0] < 1e-250
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="underflowed double precision"):
+                poincare_jacobian(system, np.zeros(2))
+
     def test_overflow_is_a_typed_error(self):
-        # at theta <= 0.5 the growing season's factor passes double range
+        # at theta <= 0.5 the growing season's factor passes double range; at
+        # theta = 1 the one season's factor exp(-800) underflows to zero
         _, systems = bundled_systems("matrices_shared_eigenvector", 800.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for system in systems[2:6]:
                 with pytest.raises(InvalidInputError, match="overflowed double precision"):
                     poincare_jacobian(system, np.zeros(2))
-            for system in systems[6:]:
+            for system in systems[6:10]:
                 assert np.all(np.isfinite(poincare_jacobian(system, np.zeros(2))))
+            with pytest.raises(InvalidInputError, match="underflowed double precision"):
+                poincare_jacobian(systems[10], np.zeros(2))
 
 
 class TestStack:
