@@ -110,7 +110,7 @@ def run_sweep(scenario: Scenario, with_simulation: bool = False) -> list[SweepRo
             try:
                 rows += _sweep_rows(floquet.rho_profile(lin, [th], tol=tol, second=True))
             except Exception as exc:
-                rows.append(_error_row(th, exc))
+                rows.append(SweepRow(th, None, None, None, "", None, repr(exc)))
     if with_simulation:
         _simulate_lambdas(scenario, rows)
     return rows
@@ -126,13 +126,10 @@ def _sweep_rows(profile) -> list[SweepRow]:
     ]
 
 
-def _error_row(theta: float, exc: Exception) -> SweepRow:
-    return SweepRow(theta, None, None, None, "", None, repr(exc))
-
-
 def _simulate_lambdas(scenario: Scenario, rows: list):
     """Fill lambda_simulated of the rows without an error, in place; a row
-    whose system, DP(0) or spectral radius fails becomes an error row."""
+    whose system, DP(0) or spectral radius fails keeps its spectral columns,
+    with lambda_simulated empty and the failure in its error column."""
     step = scenario.tolerances.ode_step
     for i, row in enumerate(rows):
         if row.error:
@@ -142,7 +139,7 @@ def _simulate_lambdas(scenario: Scenario, rows: list):
             dp = simulate.poincare_jacobian(system, np.zeros(system.dimension), step=step)
             rows[i] = dataclasses.replace(row, lambda_simulated=spectral_radius(dp))
         except Exception as exc:
-            rows[i] = _error_row(row.theta, exc)
+            rows[i] = dataclasses.replace(row, error=repr(exc))
 
 
 def _cmd_floquet(scenario, args, out: Path):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateDiagonalizationError, InvalidInputError
 from .floquet import RhoProfile, TwoSeasonLinearization, metzler_perron
 from .insect import InsectParams, jacobian, r0
-from .linalg import as_square_matrix
+from .linalg import as_matrix_stack, as_square_matrix
 
 STRICTNESS = 1e-9
 _SHARED_ANGLE_TOL = 1e-8  # largest Perron-vector angle that counts as shared
@@ -205,7 +205,8 @@ class LeftOrderResult:
 
     eigen_order is w2 > w1 from the eigenvector itself; sum_order is the
     column-sum comparison s11 + s21 < s12 + s22. The two agree away from the
-    boundary case of exactly equal column sums.
+    boundary case of exactly equal column sums. For a (G, 2, 2) stack every
+    field is an array of shape (G,).
     """
 
     eigen_order: bool
@@ -214,27 +215,33 @@ class LeftOrderResult:
     ratio: float
     column_gap: float
 
+    @property
+    def disagreements(self) -> int:
+        """How many matrices off the boundary have orders that disagree."""
+        return int(np.count_nonzero((self.eigen_order != self.sum_order) & np.logical_not(self.boundary)))
+
 
 def left_eigenvector_order(s) -> LeftOrderResult:
-    m = as_square_matrix(s)
-    if m.shape != (2, 2):
+    """The left-vector order of a positive 2x2 matrix, or of each matrix of a
+    (G, 2, 2) stack, entry g with the bits of its own call."""
+    m = as_matrix_stack(s)
+    if m.shape[1:] != (2, 2):
         raise InvalidInputError("left_eigenvector_order expects a 2x2 matrix")
-    if np.any(m <= 0.0):
+    if (m <= 0.0).any():
         raise InvalidInputError("matrix must be entrywise positive")
     # the ratio is scale-free; dividing by the largest entry keeps the squares finite
-    k = m / m.max()
-    disc = (k[0, 0] - k[1, 1]) ** 2 + 4.0 * k[0, 1] * k[1, 0]
-    top = 0.5 * (k[0, 0] + k[1, 1] + math.sqrt(disc))
-    ratio = float((top - k[0, 0]) / k[1, 0])
-    gap = float((m[0, 1] + m[1, 1]) - (m[0, 0] + m[1, 0]))
-    scale = max(1.0, abs(m[0, 1] + m[1, 1]) + abs(m[0, 0] + m[1, 0]))
-    return LeftOrderResult(
-        eigen_order=ratio > 1.0,
-        sum_order=gap > 0.0,
-        boundary=abs(gap) <= 1e-12 * scale,
-        ratio=ratio,
-        column_gap=gap,
-    )
+    k00, k01, k10, k11 = (m / m.max(axis=(1, 2))[:, None, None]).reshape(-1, 4).T
+    # each difference squared as a float (pow), as a one-matrix call always was
+    squares = np.array([d**2 for d in (k00 - k11).tolist()])
+    top = 0.5 * (k00 + k11 + np.sqrt(squares + 4.0 * k01 * k10))
+    ratio = (top - k00) / k10
+    m00, m01, m10, m11 = m.reshape(-1, 4).T
+    gap = (m01 + m11) - (m00 + m10)
+    boundary = np.abs(gap) <= 1e-12 * np.maximum(1.0, np.abs(m01 + m11) + np.abs(m00 + m10))
+    if np.ndim(s) == 2:
+        ratio, gap = float(ratio[0]), float(gap[0])
+        return LeftOrderResult(ratio > 1.0, gap > 0.0, bool(boundary[0]), ratio, gap)
+    return LeftOrderResult(ratio > 1.0, gap > 0.0, boundary, ratio, gap)
 
 
 def left_order_certificate(profile: RhoProfile) -> ConditionCertificate:
@@ -245,19 +252,12 @@ def left_order_certificate(profile: RhoProfile) -> ConditionCertificate:
     """
     if profile.lin.dimension != 2:
         raise InvalidInputError("left-order certificate is specific to 2x2 systems")
-    margins = np.empty_like(profile.thetas)
-    agree = True
-    ordered = True
-    for i, m in enumerate(profile.monodromies):
-        result = left_eigenvector_order(m)
-        margins[i] = result.column_gap
-        ordered = ordered and result.eigen_order
-        if not result.boundary and result.eigen_order != result.sum_order:
-            agree = False
+    result = left_eigenvector_order(profile.monodromies)
+    agree = result.disagreements == 0
     return ConditionCertificate(
         condition="left_order",
-        holds=ordered and agree,
-        margins=margins,
+        holds=bool(result.eigen_order.all()) and agree,
+        margins=result.column_gap,
         theta_grid=profile.thetas,
         details={"oracles_agree": agree},
     )

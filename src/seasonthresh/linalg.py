@@ -269,7 +269,12 @@ def is_irreducible(a) -> bool:
     numerical one. The search runs on Python lists: these matrices are small,
     and a numpy call per node cost more than the search.
     """
-    rows = (as_square_matrix(a) != 0.0).tolist()
+    return strongly_connected((as_square_matrix(a) != 0.0).tolist())
+
+
+def strongly_connected(rows) -> bool:
+    """Whether the digraph with adjacency rows (lists of truth values) is
+    strongly connected: node 0 reaches every node, and every node reaches it."""
     return _reaches_all(rows) and _reaches_all(list(zip(*rows)))
 
 

@@ -46,14 +46,19 @@ class AutonomousPiece:
         return self.linearization_at_zero.shape[0]
 
     @classmethod
-    def linear(cls, a) -> "AutonomousPiece":
+    def linear(cls, a) -> "LinearPiece":
         """Piece with linear dynamics x' = A x, on a state or a (B, n) stack."""
         m = as_square_matrix(a)
-        return cls(
+        return LinearPiece(
             vector_field=lambda x, _m=m: _linear_field(_m, x),
             jacobian=lambda x, _m=m: _m,
             linearization_at_zero=m,
         )
+
+
+@dataclass(frozen=True)
+class LinearPiece(AutonomousPiece):
+    """A season x' = A x, A its linearization_at_zero, which determines it."""
 
 
 def _linear_field(m: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DivergenceError, InconsistencyError, InvalidInputError, is_number
 from .insect import InsectPiece
 from .linalg import as_matrix_stack, as_square_matrix, spectral_radius
-from .seasonal import SeasonalSystem, season_index, season_indices
+from .seasonal import LinearPiece, SeasonalSystem, season_index, season_indices
 
 DEFAULT_EXTINCTION_THRESHOLD = 1e-9
 DEFAULT_DIVERGENCE_BOUND = 1e9
@@ -55,6 +55,8 @@ _GROWTH_STEP = 0.02
 _STEP_BUDGET = 2**19  # steps a period a default step may take
 _BOX_GROWTH = 1.25  # the box corner grows by this factor where a field points out
 _BOX_TRIES = 100  # 1.25**100 ~ 5e9: past the default divergence bound
+_STIFFNESS_ENTRIES = 64  # (pieces, start) whose stiffness _stiffness keeps
+_STIFFNESS: dict = {}
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 _FLOW_SAMPLE_SEED = 99
 _FLOW_STRICTNESS = 1e-9
@@ -337,17 +339,12 @@ def _sized_step(system: SeasonalSystem, starts) -> float:
     largest spectral abscissa of the seasons at 0 and G the e-folds of growth
     a period compounds, the sum over seasons of duration times positive
     abscissa. Past double range (G > log of the largest double) a linear
-    pass overflows whatever the step, so growth does not limit it.
+    pass overflows whatever the step, so growth does not limit it. L and the
+    abscissas do not depend on the season lengths, so _stiffness keeps them.
     """
-    zero = np.zeros(system.dimension)
-    jacobians = [piece.jacobian(zero) for piece in system.pieces]
-    corner = _box_corner(system, starts)
-    if corner is not None:
-        jacobians += [piece.jacobian(corner) for piece in system.pieces]
-    spectra = np.linalg.eigvals(as_matrix_stack(jacobians))
-    rate = float(np.abs(spectra).max())
+    start = tuple(np.maximum(1.0, np.max(np.reshape(starts, (-1, system.dimension)), axis=0)).tolist())
+    rate, abscissas = _stiffness(system.pieces, start)
     step = _STIFF_STEP / rate if rate > 0.0 else math.inf
-    abscissas = np.maximum(spectra[: len(system.pieces)].real.max(axis=1), 0.0)
     growth = float(system.schedule.durations() @ abscissas)
     if 0.0 < growth <= _LOG_DOUBLE_MAX:
         step = min(step, _GROWTH_STEP / (float(abscissas.max()) * growth**0.25))
@@ -361,17 +358,49 @@ def _sized_step(system: SeasonalSystem, starts) -> float:
     return min(step, period)
 
 
-def _box_corner(system: SeasonalSystem, starts):
-    """A corner y >= max(1, starts) at which every season's field is <= 0,
-    grown by _BOX_GROWTH in each component where some field is positive,
-    or None within _BOX_TRIES growths. For a cooperative field the box
-    [0, y] is then forward-invariant."""
-    y = np.maximum(1.0, np.max(np.reshape(starts, (-1, system.dimension)), axis=0)).tolist()
+def _stiffness(pieces: tuple, start: tuple) -> tuple:
+    """L and the seasons' positive abscissas at 0 for _sized_step, from the
+    box search that begins at the corner start, kept in a table of up to
+    _STIFFNESS_ENTRIES (pieces, start), emptied when full. An insect piece
+    is known by its parameters, a linear one by its matrix's bits and any
+    other piece by its identity; the kept entry holds its pieces, so no
+    other piece takes that identity while it is kept."""
+    key = (tuple(map(_piece_key, pieces)), start)
+    if key not in _STIFFNESS:
+        zero = np.zeros(len(start))
+        jacobians = [piece.jacobian(zero) for piece in pieces]
+        corner = _box_corner(pieces, start)
+        if corner is not None:
+            jacobians += [piece.jacobian(corner) for piece in pieces]
+        spectra = np.linalg.eigvals(as_matrix_stack(jacobians))
+        rate = float(np.abs(spectra).max())
+        abscissas = np.maximum(spectra[: len(pieces)].real.max(axis=1), 0.0)
+        abscissas.flags.writeable = False  # every later call reads this array
+        if len(_STIFFNESS) >= _STIFFNESS_ENTRIES:
+            _STIFFNESS.clear()
+        _STIFFNESS[key] = (pieces, rate, abscissas)
+    return _STIFFNESS[key][1:]
+
+
+def _piece_key(piece):
+    if isinstance(piece, InsectPiece):
+        return piece.params
+    if isinstance(piece, LinearPiece):
+        return piece.linearization_at_zero.shape, piece.linearization_at_zero.tobytes()
+    return id(piece)
+
+
+def _box_corner(pieces: tuple, start: tuple):
+    """A corner y >= start at which every piece's field is <= 0, grown by
+    _BOX_GROWTH in each component where some field is positive, or None
+    within _BOX_TRIES growths. For a cooperative field the box [0, y] is then
+    forward-invariant."""
+    y = list(start)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_BOX_TRIES):
             corner = np.array(y)
             out = [False] * len(y)
-            for piece in system.pieces:
+            for piece in pieces:
                 for i, rate in enumerate(piece.vector_field(corner).tolist()):
                     if not rate <= 0.0:  # NaN counts as out
                         out[i] = True

@@ -94,9 +94,8 @@ def _absorb_drift(sigma, sigma_prime) -> tuple:
 def _random_simplex(total: float, k: int, rng) -> tuple:
     if k == 1:
         return (total,)
-    cuts = np.sort(rng.uniform(0.0, total, k - 1))
-    parts = np.diff(np.concatenate([[0.0], cuts, [total]]))
-    return tuple(float(p) for p in parts)
+    cuts = sorted(rng.uniform(0.0, total, k - 1).tolist())
+    return tuple(b - a for a, b in zip([0.0, *cuts], [*cuts, total]))
 
 
 def split_monodromy(m1, m2, schedule: SplitSchedule) -> np.ndarray:

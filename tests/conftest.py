@@ -1,8 +1,33 @@
 import numpy as np
 import pytest
 
-from seasonthresh import InsectParams, TwoSeasonLinearization, jacobian
+from seasonthresh import InsectParams, TwoSeasonLinearization, jacobian, splitting
+from seasonthresh.linalg import is_irreducible
 from seasonthresh.verify_suite import random_metzler
+
+
+def reference_metzler(rng, n, scale=3.0):
+    """random_metzler one numpy try at a time: clamp the draw, then test it."""
+    while True:
+        a = rng.uniform(-scale, scale, (n, n))
+        off = ~np.eye(n, dtype=bool)
+        a[off] = np.maximum(a[off], 0.0)
+        if is_irreducible(a):
+            return a
+
+
+def reference_schedule(theta, k, rng):
+    """random_schedule with each simplex cut by np.sort and np.diff."""
+
+    def simplex(total):
+        if k == 1:
+            return (total,)
+        cuts = np.sort(rng.uniform(0.0, total, k - 1))
+        return tuple(float(p) for p in np.diff(np.concatenate([[0.0], cuts, [total]])))
+
+    sigma = simplex(theta)
+    sigma_prime = simplex(1.0 - theta)
+    return splitting.SplitSchedule(sigma, splitting._absorb_drift(sigma, sigma_prime))
 
 
 def random_metzler_pair(rng, n, period=1.0, scale=3.0):

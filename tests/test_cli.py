@@ -330,6 +330,16 @@ class TestCommands:
         assert [row[0] for row in rows if row[5]] == [
             "0.60000000000000009", "0.80000000000000004", "0.90000000000000002"
         ]
+        # a failed DP(0) leaves the row's spectral columns as plain floquet writes them
+        spectral = tmp_path / "spectral"
+        assert main(["floquet", "--scenario", str(scenario_path), "--out", str(spectral),
+                     "--grid", "11"]) == 1
+        plain = [line.split(",") for line in (spectral / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[:5] for row in rows] == [row[:5] for row in plain]
+        for row in rows:
+            if row[0] in overflowed:
+                assert row[1] and row[2] and row[3] and row[4] in ("persistent", "extinct")
+                assert row[5] == ""
 
     def test_simulate_command(self, tmp_path):
         scenario_path = write_scenario(tmp_path, INSECT)

@@ -22,7 +22,7 @@ from seasonthresh import (
     rho_prime,
     rho_profile,
 )
-from seasonthresh.conditions import ordering_form
+from seasonthresh.conditions import LeftOrderResult, ordering_form
 from seasonthresh.errors import DegenerateDiagonalizationError, InvalidInputError
 
 from conftest import random_metzler_pair
@@ -233,6 +233,17 @@ class TestParameterHypotheses:
         assert not check_hyp_alternative(pi_unfavorable, pi_unfavorable).holds
 
 
+def reference_left_order(m):
+    """left_eigenvector_order of one matrix, on numpy scalars as first written."""
+    k = m / m.max()
+    disc = (k[0, 0] - k[1, 1]) ** 2 + 4.0 * k[0, 1] * k[1, 0]
+    top = 0.5 * (k[0, 0] + k[1, 1] + math.sqrt(disc))
+    ratio = float((top - k[0, 0]) / k[1, 0])
+    gap = float((m[0, 1] + m[1, 1]) - (m[0, 0] + m[1, 0]))
+    scale = max(1.0, abs(m[0, 1] + m[1, 1]) + abs(m[0, 0] + m[1, 0]))
+    return LeftOrderResult(ratio > 1.0, gap > 0.0, abs(gap) <= 1e-12 * scale, ratio, gap)
+
+
 class TestLeftEigenvectorOrder:
     def test_increasing_example(self):
         result = left_eigenvector_order(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -260,6 +271,39 @@ class TestLeftEigenvectorOrder:
     def test_requires_positive_entries(self):
         with pytest.raises(InvalidInputError):
             left_eigenvector_order(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(InvalidInputError):
+            left_eigenvector_order(np.array([np.ones((2, 2)), [[1.0, 0.0], [1.0, 1.0]]]))
+
+    def test_stack_matches_one_matrix_reference(self):
+        # every field of every stacked entry has the bits of the one-matrix
+        # formula; among them column gaps of exactly 0 and equal entries
+        rng = np.random.default_rng(5)
+        cases = [
+            rng.uniform(0.05, 5.0, (2000, 2, 2)),
+            rng.uniform(0.05, 5.0, (200, 2, 2)) * 10.0 ** rng.integers(-300, 300, (200, 1, 1)),
+            [[[1.0, 2.0], [3.0, 2.0]], [[0.5, 0.25], [0.25, 0.5]], [[1e-300, 3e-300], [2e-300, 1e-300]]],
+            [np.full((2, 2), c) for c in (1e-300, 1e-5, 1.0, 3.7, 1e300)],
+            [[[a, b], [b, a]] for a, b in rng.uniform(0.05, 5.0, (50, 2)).tolist()],
+            [[[1.0, 1.0 + 1e-12], [1.0, 1.0]], [[1.0, 1.0 + 1e-11], [1.0, 1.0]]],
+        ]
+        boundary = 0
+        for stack in cases:
+            stack = np.asarray(stack, dtype=float)
+            result = left_eigenvector_order(stack)
+            for g, m in enumerate(stack):
+                expected = reference_left_order(m)
+                assert left_eigenvector_order(m) == expected
+                got = LeftOrderResult(
+                    bool(result.eigen_order[g]), bool(result.sum_order[g]), bool(result.boundary[g]),
+                    float(result.ratio[g]), float(result.column_gap[g]),
+                )
+                assert got == expected
+                assert math.copysign(1.0, got.column_gap) == math.copysign(1.0, expected.column_gap)
+                boundary += expected.boundary
+            assert result.disagreements == sum(
+                not r.boundary and r.eigen_order != r.sum_order for r in map(reference_left_order, stack)
+            )
+        assert boundary >= 60
 
     def test_grid_certificate_on_insect_pair(self, insect_linearization):
         cert = left_order_certificate(rho_profile(insect_linearization, GRID7))

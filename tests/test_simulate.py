@@ -244,6 +244,27 @@ class TestPropagatorAtZero:
             entry(system)
         assert passes == []
 
+    def test_stiffness_is_sized_once_a_season_pair_and_start(self, monkeypatch):
+        # every theta and period of a bundled pair shares one box search and
+        # eigen-solve for each start, and each step has the bits of a step
+        # sized afresh
+        corners = []
+        box_corner = simulate._box_corner
+        monkeypatch.setattr(simulate, "_box_corner", lambda *args: corners.append(args) or box_corner(*args))
+        monkeypatch.setattr(simulate, "_STIFFNESS", {})
+        starts = (np.zeros(2), np.array([2.0, 0.5]), np.array([[0.5, 3.0], [2.0, 0.0]]))
+        systems = [system for name in BUNDLED for period in (0.01, 1.0, 3.5, 800.0)
+                   for system in bundled_systems(name, period)[1]]
+        fresh = []
+        for system in systems:
+            for x in starts:
+                simulate._STIFFNESS.clear()
+                fresh.append(simulate._default_step(system, None, x))
+        corners.clear()
+        simulate._STIFFNESS.clear()
+        assert [simulate._default_step(system, None, x) for system in systems for x in starts] == fresh
+        assert sorted(start for _, start in corners) == [(1.0, 1.0)] * 3 + [(2.0, 1.0)] * 3 + [(2.0, 3.0)] * 3
+
     @pytest.mark.parametrize("name", BUNDLED[:2])
     @pytest.mark.parametrize("period", [1e-6, 1e-4, 1.0, 100.0])
     def test_multiplier_matches_rho(self, name, period):

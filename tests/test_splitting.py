@@ -19,7 +19,7 @@ from seasonthresh.errors import InvalidInputError
 from seasonthresh.linalg import mat_exp, spectral_abscissa, spectral_radius
 from seasonthresh.splitting import SplitSchedule, random_schedule, single_block
 
-from conftest import random_metzler
+from conftest import random_metzler, reference_schedule
 
 K = np.array([[0.0, 1.0], [1.0, 0.0]])
 SHARED_M1 = K - 2.0 * np.eye(2)  # mu = -1
@@ -49,6 +49,19 @@ class TestSplitSchedule:
             assert abs(schedule.theta - theta) <= 1e-12
             total = sum(schedule.sigma) + sum(schedule.sigma_prime)
             assert abs(total - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_random_schedule_matches_sort_and_diff_reference(self, k):
+        # the cuts sorted and differenced on floats: the same bits and draws
+        for seed in range(50):
+            drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for theta in (0.05, 0.4, float(np.random.default_rng(seed).uniform(0.0, 1.0)), 0.95):
+                schedule = random_schedule(theta, k, drawn)
+                expected = reference_schedule(theta, k, reference)
+                assert schedule.sigma == expected.sigma
+                assert schedule.sigma_prime == expected.sigma_prime
+                assert all(type(v) is float for v in schedule.sigma + schedule.sigma_prime)
+            assert drawn.bit_generator.state == reference.bit_generator.state
 
 
 class TestSplitMonodromy:

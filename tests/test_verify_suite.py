@@ -2,7 +2,9 @@
 
 Each reference below is a check written one problem at a time with the
 public calls (rho, rho_prime, rho_second, split_monodromy,
-gelfand_bound_probe), on the same random draws in the same order.
+gelfand_bound_probe, left_eigenvector_order), on the same random draws in
+the same order, each drawn one numpy try at a time (reference_metzler,
+reference_schedule).
 """
 
 from pathlib import Path
@@ -10,10 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seasonthresh import floquet, simulate, splitting, verify_suite
+from seasonthresh import conditions, floquet, simulate, verify_suite
 from seasonthresh.linalg import spectral_abscissa, spectral_radius
 from seasonthresh.scenario import linearization_from_scenario, load_scenario, system_from_scenario
+from seasonthresh.splitting import gelfand_bound_probe, split_monodromy
 from seasonthresh.verify_suite import VerifyRow, random_metzler
+
+from conftest import reference_metzler, reference_schedule
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 BUNDLED = ("insect_two_season", "insect_nonshared", "matrices_shared_eigenvector")
@@ -27,7 +32,7 @@ def derivatives(scenario, rng):
     worst = 0.0
     for _ in range(8):
         n = int(rng.integers(2, 4))
-        lin = floquet.TwoSeasonLinearization(random_metzler(rng, n), random_metzler(rng, n), 1.0)
+        lin = floquet.TwoSeasonLinearization(reference_metzler(rng, n), reference_metzler(rng, n), 1.0)
         for th in (0.2, 0.5, 0.8):
             h = 1e-5
             fd = (floquet.rho(lin, th + h)[0] - floquet.rho(lin, th - h)[0]) / (2 * h)
@@ -40,7 +45,7 @@ def second_derivatives(scenario, rng):
     worst = 0.0
     for _ in range(5):
         n = int(rng.integers(2, 4))
-        lin = floquet.TwoSeasonLinearization(random_metzler(rng, n), random_metzler(rng, n), 1.0)
+        lin = floquet.TwoSeasonLinearization(reference_metzler(rng, n), reference_metzler(rng, n), 1.0)
         for th in (0.3, 0.6):
             h = 1e-4
             fd = (floquet.rho(lin, th + h)[0] - 2 * floquet.rho(lin, th)[0]
@@ -51,7 +56,7 @@ def second_derivatives(scenario, rng):
 
 
 def shared_eigenvector_form(scenario, rng):
-    base = random_metzler(rng, 3)
+    base = reference_metzler(rng, 3)
     lin = floquet.TwoSeasonLinearization(base - 2.0 * np.eye(3), base + 1.0 * np.eye(3), 1.0)
     mu1, mu2 = spectral_abscissa(lin.m1), spectral_abscissa(lin.m2)
     worst = 0.0
@@ -71,13 +76,22 @@ def poincare_consistency(scenario, rng):
     return _row("poincare_vs_monodromy", worst <= 1e-6, f"worst rel gap {worst:.3e}")
 
 
+def left_order(scenario, rng):
+    disagreements = 0
+    for _ in range(500):
+        result = conditions.left_eigenvector_order(rng.uniform(0.05, 5.0, (2, 2)))
+        if not result.boundary and result.eigen_order != result.sum_order:
+            disagreements += 1
+    return _row("left_order_equivalence", disagreements == 0, f"{disagreements} disagreements / 500")
+
+
 def split_invariance(scenario, rng):
-    base = random_metzler(rng, 2)
+    base = reference_metzler(rng, 2)
     m1, m2 = base - 1.5 * np.eye(2), base + 0.5 * np.eye(2)
     values = []
     for _ in range(50):
-        schedule = splitting.random_schedule(0.4, int(rng.integers(1, 5)), rng)
-        values.append(spectral_radius(splitting.split_monodromy(m1, m2, schedule)))
+        schedule = reference_schedule(0.4, int(rng.integers(1, 5)), rng)
+        values.append(spectral_radius(split_monodromy(m1, m2, schedule)))
     spread = (max(values) - min(values)) / max(values)
     return _row("split_invariance", spread <= 1e-9, f"relative spread {spread:.3e}")
 
@@ -86,10 +100,10 @@ def gelfand(scenario, rng):
     count = 0
     for _ in range(200):
         n = int(rng.integers(2, 4))
-        m1 = random_metzler(rng, n)
-        m2 = random_metzler(rng, n)
-        schedule = splitting.random_schedule(float(rng.uniform(0.2, 0.8)), int(rng.integers(1, 4)), rng)
-        count += splitting.gelfand_bound_probe(m1, m2, [schedule]).violation_count
+        m1 = reference_metzler(rng, n)
+        m2 = reference_metzler(rng, n)
+        schedule = reference_schedule(float(rng.uniform(0.2, 0.8)), int(rng.integers(1, 4)), rng)
+        count += gelfand_bound_probe(m1, m2, [schedule]).violation_count
     return VerifyRow("gelfand_probe", "info", f"{count} bound violations / 200 (informational)")
 
 
@@ -98,6 +112,7 @@ REFERENCES = {
     verify_suite._check_second_derivatives: second_derivatives,
     verify_suite._check_shared_eigenvector_form: shared_eigenvector_form,
     verify_suite._check_poincare_consistency: poincare_consistency,
+    verify_suite._check_left_order: left_order,
     verify_suite._check_split_invariance: split_invariance,
     verify_suite._check_gelfand: gelfand,
 }
@@ -119,3 +134,15 @@ def test_stacked_checks_match_per_problem_calls(name, seed):
             assert check(scenario, stacked) == check(scenario, reference)
         assert stacked.bit_generator.state == reference.bit_generator.state
     assert compared == len(REFERENCES)
+
+
+@pytest.mark.parametrize("scale", (1.0, 3.0))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_random_metzler_matches_one_try_reference(n, scale):
+    # the same matrix bits, after the same draws, as clamping every try
+    for seed in range(50):
+        drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            a = random_metzler(drawn, n, scale)
+            assert a.tobytes() == reference_metzler(reference, n, scale).tobytes()
+        assert drawn.bit_generator.state == reference.bit_generator.state
