@@ -10,14 +10,18 @@ Commands:
   verify     run the self-verification suite -> verify.csv
 
 Outputs are deterministic: identical scenarios produce byte-identical files.
-Numbers are printed with 17 significant digits, CSV is comma-separated with
-LF line endings.
+CSV is comma-separated with LF line endings and numbers to 17 significant
+digits. JSON is json.dumps(indent=2, sort_keys=True) text:
+floats as their shortest round-trip repr, and a non-finite value as the
+string "inf", "-inf" or "nan".
 """
 
 import argparse
 import dataclasses
-import json
+import functools
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -40,25 +44,53 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+def _json(obj, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it at
+    indentation pad, after conversion: numpy arrays and scalars become their
+    Python values, dataclasses the dict of their fields, dict keys str, and
+    a non-finite float its repr string ("inf", "-inf", "nan")."""
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else f'"{float.__repr__(obj)}"'
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        sep = f",\n{inner}"
+        try:  # a list of floats is one join; of float reprs only inf and nan hold an "n"
+            body = sep.join(map(float.__repr__, obj))
+        except TypeError:  # an entry is not a float
+            body = None
+        if body is None or "n" in body:
+            body = sep.join([_json(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(obj, np.ndarray):
+        return _json(obj.tolist(), pad)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        body = f",\n{inner}".join([f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in items])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, np.generic) and not isinstance(value := obj.item(), np.generic):
+        return _json(value, pad)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload):
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    path.write_text(text, newline="\n")
+    path.write_text(_json(payload, "") + "\n", newline="\n")
 
 
 def _write_csv(path: Path, header, rows, row_format=None):
@@ -300,7 +332,10 @@ _DISPATCH = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args returns a
+    fresh Namespace each call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="seasonthresh",
         description="Seasonal extinction/persistence threshold toolkit",

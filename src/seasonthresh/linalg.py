@@ -256,10 +256,10 @@ def ordered_products(blocks) -> np.ndarray:
 
 
 def is_metzler(a) -> bool:
-    """True iff every off-diagonal entry is >= 0."""
+    """True iff every off-diagonal entry is >= 0: every negative entry is on
+    the diagonal."""
     m = as_square_matrix(a)
-    off = m - np.diag(np.diag(m))
-    return bool(np.all(off >= 0.0))
+    return bool(np.count_nonzero(m < 0.0) == np.count_nonzero(m.diagonal() < 0.0))
 
 
 def is_irreducible(a) -> bool:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DivergenceError, InconsistencyError, InvalidInputError, is_number
 from .insect import InsectPiece
-from .linalg import as_matrix_stack, as_square_matrix, spectral_radius
+from .linalg import as_matrix_stack, as_square_matrix, is_metzler, spectral_abscissa, spectral_radius
 from .seasonal import LinearPiece, SeasonalSystem, season_index, season_indices
 
 DEFAULT_EXTINCTION_THRESHOLD = 1e-9
@@ -55,6 +55,9 @@ _GROWTH_STEP = 0.02
 _STEP_BUDGET = 2**19  # steps a period a default step may take
 _BOX_GROWTH = 1.25  # the box corner grows by this factor where a field points out
 _BOX_TRIES = 100  # 1.25**100 ~ 5e9: past the default divergence bound
+# a linear Metzler season whose abscissa passes this share of its largest
+# entry grows some component of every y > 0, rounding of A y included
+_BOX_FREE_ABSCISSA = 1e-6
 _STIFFNESS_ENTRIES = 64  # (pieces, start) whose stiffness _stiffness keeps
 _STIFFNESS: dict = {}
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
@@ -394,7 +397,10 @@ def _box_corner(pieces: tuple, start: tuple):
     """A corner y >= start at which every piece's field is <= 0, grown by
     _BOX_GROWTH in each component where some field is positive, or None
     within _BOX_TRIES growths. For a cooperative field the box [0, y] is then
-    forward-invariant."""
+    forward-invariant. A linear Metzler season with a positive abscissa at
+    0 has no such corner (_no_box), and the search is not made."""
+    if any(map(_no_box, pieces)):
+        return None
     y = list(start)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_BOX_TRIES):
@@ -408,6 +414,15 @@ def _box_corner(pieces: tuple, start: tuple):
                 return corner
             y = [_BOX_GROWTH * v if grow else v for v, grow in zip(y, out)]
     return None
+
+
+def _no_box(piece) -> bool:
+    """Whether piece is a season x' = A x, A Metzler with s(A) > 0: then no
+    y > 0 has A y <= 0 (Collatz-Wielandt), so every growth of the box fails."""
+    if not isinstance(piece, LinearPiece):
+        return False
+    a = piece.linearization_at_zero
+    return is_metzler(a) and spectral_abscissa(a) > _BOX_FREE_ABSCISSA * float(np.abs(a).max())
 
 
 def _system(system) -> SeasonalSystem:

@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,30 @@ def reference_schedule(theta, k, rng):
     sigma = simplex(theta)
     sigma_prime = simplex(1.0 - theta)
     return splitting.SplitSchedule(sigma, splitting._absorb_drift(sigma, sigma_prime))
+
+
+def reference_jsonable(obj):
+    """A report payload as plain JSON values: numpy arrays and scalars as
+    their Python values, dataclasses as the dict of their fields, dict keys
+    as str, and a non-finite float as its repr string."""
+    if isinstance(obj, np.ndarray):
+        return [reference_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: reference_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    return obj
+
+
+def reference_json(obj) -> str:
+    """The report file text of a payload, by json.dumps."""
+    return json.dumps(reference_jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
 def random_metzler_pair(rng, n, period=1.0, scale=3.0):

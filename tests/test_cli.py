@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -7,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seasonthresh import cli, floquet, simulate
+from conftest import reference_json
+from seasonthresh import cli, conditions, floquet, simulate
 from seasonthresh.cli import main, run_sweep
 from seasonthresh.errors import ScenarioError
 from seasonthresh.scenario import (
@@ -15,6 +19,10 @@ from seasonthresh.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SCENARIOS = SRC.parent / "scenarios"
+BUNDLED = ("insect_two_season", "insect_nonshared", "matrices_shared_eigenvector")
 
 INSECT = {
     "mode": "insect",
@@ -437,3 +445,173 @@ class TestCommands:
                      "--theta", "0.75"]) == 0
         result = json.loads((out / "poincare.json").read_text())
         assert result["classification"] == "extinction"
+
+
+@dataclasses.dataclass
+class Leaf:
+    label: str
+    value: object
+
+
+@dataclasses.dataclass(frozen=True)
+class Node:
+    children: tuple
+    meta: dict
+
+
+# strings the writer must escape as json.dumps does: quotes, backslashes,
+# control characters, DEL, non-ASCII text and a lone surrogate
+STRINGS = ["", "theta*", 'a "quoted" word', "back\\slash", "tab\there\nnew line",
+           "\x00\x1f\x7f", "caf\u00e9 \u03b8* \u2264 \u03c1", "\U0001f41b", "\ud800"]
+FLOATS = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+          0.1, 1.0 / 3.0, 1e16, 123456789.0, -2.5e-7, float("inf"), float("-inf"), float("nan")]
+NUMPY_SCALARS = [np.float64, np.float32, np.float16, np.int8, np.int16, np.int32, np.int64,
+                 np.uint8, np.uint16, np.uint32, np.uint64, np.bool_]
+
+
+def random_leaf(rng):
+    kind = int(rng.integers(8))
+    if kind == 0:
+        return FLOATS[rng.integers(len(FLOATS))] if rng.random() < 0.5 else \
+            float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 1:
+        return int(rng.integers(-10**6, 10**6)) * int(rng.choice([1, 2**40]))
+    if kind == 2:
+        return [True, False, None][rng.integers(3)]
+    if kind == 3:
+        return STRINGS[rng.integers(len(STRINGS))]
+    if kind == 4:
+        scalar = NUMPY_SCALARS[rng.integers(len(NUMPY_SCALARS))]
+        value = FLOATS[rng.integers(len(FLOATS))] if scalar in (np.float64, np.float32, np.float16) \
+            else rng.integers(0, 100)
+        with np.errstate(over="ignore"):  # a large double is inf as a float32 or float16
+            return scalar(value)
+    if kind == 5:
+        shape = [(0,), (5,), (2, 3), (1, 0)][rng.integers(4)]
+        values = rng.normal(size=shape)
+        if values.size and rng.random() < 0.3:
+            values.flat[0] = FLOATS[rng.integers(len(FLOATS))]
+        return values.astype([float, int, bool, np.float32][rng.integers(4)])
+    # a float list, as margins and grids are, now and then with a bool or an int in it
+    values = [float(v) for v in rng.normal(size=rng.integers(1, 6))]
+    if rng.random() < 0.5:
+        values.insert(int(rng.integers(len(values) + 1)), [True, 0, 7, -0.0][rng.integers(4)])
+    return values
+
+
+def random_payload(rng, depth=0):
+    if depth >= 4 or rng.random() < 0.3:
+        return random_leaf(rng)
+    kind = int(rng.integers(5))
+    children = [random_payload(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+    if kind == 0:
+        return children
+    if kind == 1:
+        return tuple(children)
+    if kind == 2:
+        keys = [STRINGS[rng.integers(len(STRINGS))] + str(i) for i in range(len(children))]
+        return dict(zip(keys, children))
+    if kind == 3:
+        return Leaf(STRINGS[rng.integers(len(STRINGS))], children[0] if children else None)
+    return Node(tuple(children), {"depth": depth, 7: children[:1]})
+
+
+class TestReportWriter:
+    """_write_json writes the bytes of json.dumps(indent=2, sort_keys=True)."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_every_cli_payload_matches_json_dumps(self, tmp_path, monkeypatch, name, capsys):
+        written = []
+        write = cli._write_json
+        monkeypatch.setattr(cli, "_write_json", lambda path, payload: written.append((path, payload))
+                            or write(path, payload))
+        scenario = str(SCENARIOS / f"{name}.json")
+        for command in ("threshold", "check", "poincare", "split"):
+            assert main([command, "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        assert main(["poincare", "--scenario", scenario, "--out", str(tmp_path / "low"),
+                     "--theta", "0.3"]) == 0
+        kinds = [type(payload) for _, payload in written]
+        assert kinds == [floquet.ThresholdReport, list, simulate.PoincareResult, dict,
+                         simulate.PoincareResult]
+        assert {type(cert) for cert in written[1][1]} == {conditions.ConditionCertificate}
+        for path, payload in written:
+            assert path.read_text() == reference_json(payload)
+
+    def test_random_payloads_match_json_dumps(self, tmp_path):
+        rng = np.random.default_rng(18)
+        path = tmp_path / "payload.json"
+        for _ in range(300):
+            payload = random_payload(rng)
+            cli._write_json(path, payload)
+            assert path.read_bytes() == reference_json(payload).encode()
+
+    def test_empty_containers_and_edge_floats(self, tmp_path):
+        payload = {"a": [], "b": {}, "c": (), "d": [-0.0, 5e-324, True, 1, 1.5],
+                   "e": np.zeros((0, 2)), "f": Leaf("", [])}
+        path = tmp_path / "payload.json"
+        cli._write_json(path, payload)
+        assert path.read_text() == reference_json(payload)
+        assert '"a": [],' in path.read_text() and '"b": {},' in path.read_text()
+
+    def test_non_finite_values_are_repr_strings(self, tmp_path):
+        # a numpy scalar inf was written as a bare Infinity, which is not JSON
+        payload = {"a": np.float64("inf"), "b": float("inf"), "c": np.float32("nan"),
+                   "d": np.array([-np.inf, 1.0]), "e": [np.float64("-inf"), float("nan")]}
+        path = tmp_path / "payload.json"
+        cli._write_json(path, payload)
+        assert json.loads(path.read_text()) == {
+            "a": "inf", "b": "inf", "c": "nan", "d": ["-inf", 1.0], "e": ["-inf", "nan"],
+        }
+        assert "Infinity" not in path.read_text() and "NaN" not in path.read_text()
+
+    @pytest.mark.parametrize("value", [np.longdouble(1.5), np.complex128(1j), 1j, object()])
+    def test_what_json_cannot_write_is_a_type_error(self, tmp_path, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            reference_json([value])
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._write_json(tmp_path / "payload.json", [value])
+
+
+class TestParserReuse:
+    """One parser serves every cli.main call of a process, and keeps nothing
+    from one call to the next."""
+
+    JOBS = [
+        ["floquet", "--with-simulation", "--grid", "6"],
+        ["threshold", "--grid", "11", "--tol", "1e-8"],
+        ["poincare", "--theta", "0.3", "--tol", "1e-10"],
+        ["threshold", "--grid", "eleven"],  # argparse rejects it: exit 2
+        ["floquet"],
+        ["threshold"],
+        ["check", "--grid", "7"],
+    ]
+
+    def test_each_call_matches_a_fresh_process(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+        scenario = str(SCENARIOS / "insect_nonshared.json")
+        runs = {}
+        for side in ("in_process", "fresh"):
+            (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / "in_process")
+        for i, job in enumerate(self.JOBS):
+            argv = [*job, "--scenario", scenario, "--out", f"r{i}"]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            runs[i] = [(code, captured.out, captured.err)]
+            done = subprocess.run(
+                [sys.executable, "-m", "seasonthresh.cli", *argv], cwd=tmp_path / "fresh",
+                env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+            )
+            runs[i].append((done.returncode, done.stdout, done.stderr))
+        assert [run[0][0] for run in runs.values()] == [0, 0, 0, 2, 0, 0, 0]
+        for i, (in_process, fresh) in runs.items():
+            assert in_process == fresh, self.JOBS[i]
+            here, there = tmp_path / "in_process" / f"r{i}", tmp_path / "fresh" / f"r{i}"
+            files = sorted(p.name for p in here.glob("*")) if here.exists() else []
+            assert files == (sorted(p.name for p in there.glob("*")) if there.exists() else [])
+            for name in files:
+                assert (here / name).read_bytes() == (there / name).read_bytes(), (self.JOBS[i], name)
+        assert "invalid int value: 'eleven'" in runs[3][0][2]

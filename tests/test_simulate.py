@@ -265,6 +265,38 @@ class TestPropagatorAtZero:
         assert [simulate._default_step(system, None, x) for system in systems for x in starts] == fresh
         assert sorted(start for _, start in corners) == [(1.0, 1.0)] * 3 + [(2.0, 1.0)] * 3 + [(2.0, 3.0)] * 3
 
+    @pytest.mark.parametrize("period, theta, bits", [
+        (3.5, 0.1, "0x1.9da944c3ac036p-8"), (3.5, 0.5, "0x1.df23fa8a74a6ap-8"),
+        (3.5, 0.9, "0x1.663db98d08d25p-7"), (800.0, 0.1, "0x1.1111111111111p-6"),
+        (800.0, 0.9, "0x1.7089380241edfp-9"),
+    ])
+    def test_growing_linear_season_skips_the_box_search(self, monkeypatch, period, theta, bits):
+        # the bundled matrices pair's favorable season [[1, 1], [1, 1]] is
+        # Metzler with abscissa 2, so no y > 0 has M y <= 0 and all 100
+        # growths of the box would fail: sizing evaluates no field, and each
+        # step keeps the bits of the full search (pinned from it)
+        scenario = dataclasses.replace(
+            load_scenario(SCENARIOS / "matrices_shared_eigenvector.json"), period_T=period)
+        system = system_from_scenario(scenario, theta)
+        fields = []
+        pieces = tuple(dataclasses.replace(
+            piece, vector_field=lambda x, _f=piece.vector_field: fields.append(x) or _f(x))
+            for piece in system.pieces)
+        system = dataclasses.replace(system, pieces=pieces)
+        fields.clear()
+        monkeypatch.setattr(simulate, "_STIFFNESS", {})
+        start = (1.0, 1.0)
+        assert [simulate._no_box(piece) for piece in pieces] == [False, True]
+        for x in (np.zeros(2), np.array([2.0, 0.5])):
+            simulate._STIFFNESS.clear()
+            assert simulate._default_step(system, None, x).hex() == bits
+        assert fields == []
+        monkeypatch.setattr(simulate, "_no_box", lambda piece: False)
+        assert simulate._box_corner(pieces, start) is None
+        assert len(fields) == 2 * simulate._BOX_TRIES
+        simulate._STIFFNESS.clear()
+        assert simulate._default_step(system, None, np.zeros(2)).hex() == bits
+
     @pytest.mark.parametrize("name", BUNDLED[:2])
     @pytest.mark.parametrize("period", [1e-6, 1e-4, 1.0, 100.0])
     def test_multiplier_matches_rho(self, name, period):
