@@ -38,6 +38,8 @@ class InsectParams:
     def __post_init__(self):
         for name in _PARAM_NAMES:
             value = getattr(self, name)
+            if type(value) is float and math.isfinite(value) and value >= 0.0:
+                continue  # a scenario's parameters arrive checked and as floats
             if not is_number(value):
                 raise InvalidInputError(f"parameter {name} must be a number, got {value!r}")
             if not (np.isfinite(value) and value >= 0.0):

@@ -233,16 +233,23 @@ def exp_products(seasons, durations, table: dict) -> np.ndarray:
     the blocks missing from it are exponentiated in one stacked mat_exp call
     and added, so calls over the same seasons that share a table compute
     each block once. Every factor has the bits of its own mat_exp call.
+
+    Each season's columns are keyed by one np.unique, so only the distinct
+    durations meet the table, and the (L, G, n, n) blocks are one integer
+    take from the stack of distinct exponentials. 0.0 and -0.0 share a key,
+    as they do in a dict: both exponentials are the identity, bit for bit.
     """
+    d = np.asarray(durations, dtype=float)
     count = len(seasons)
-    rows = [
-        [(l % count, d) for l, d in enumerate(row)]
-        for row in np.asarray(durations, dtype=float).tolist()
-    ]
-    missing = list(dict.fromkeys(key for row in rows for key in row if key not in table))
+    keys, index = [], np.empty(d.shape, dtype=np.intp)
+    for s in range(count):
+        values, inverse = np.unique(d[:, s::count], return_inverse=True)
+        index[:, s::count] = inverse.reshape(len(d), -1) + len(keys)
+        keys += [(s, v) for v in values.tolist()]
+    missing = [key for key in keys if key not in table]
     if missing:
-        table.update(zip(missing, mat_exp([d * seasons[s] for s, d in missing])))
-    return ordered_products(np.array([[table[row[l]] for row in rows] for l in range(len(rows[0]))]))
+        table.update(zip(missing, mat_exp([v * seasons[s] for s, v in missing])))
+    return ordered_products(np.array([table[key] for key in keys])[index.T])
 
 
 def ordered_products(blocks) -> np.ndarray:

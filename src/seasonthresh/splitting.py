@@ -87,8 +87,18 @@ def _absorb_drift(sigma, sigma_prime) -> tuple:
     fraction, clamped at 0: a zero last fraction and a negative drift would
     otherwise leave the unit interval, and the clamp stays inside
     _MEMBERSHIP_TOL of a total of 1."""
-    drift = 1.0 - (sum(sigma) + sum(sigma_prime))
+    drift = 1.0 - (_sum(sigma) + _sum(sigma_prime))
     return sigma_prime[:-1] + (max(0.0, sigma_prime[-1] + drift),)
+
+
+def _sum(parts):
+    """The parts added left to right from 0.0, as Python 3.11's sum adds
+    floats (3.12+ compensates it), so a drift has the same bits on every
+    version. Given a (rows, K) array's transpose, each row's sum."""
+    total = 0.0
+    for part in parts:
+        total = total + part
+    return total
 
 
 def _random_simplex(total: float, k: int, rng) -> tuple:
@@ -148,10 +158,11 @@ def optimize_split(
     carries no optimality guarantee.
 
     Both methods exponentiate each distinct block once per call and form
-    their products in stacks. The grid streams its cells in row-major order
-    (unfavorable composition outer) into stacks of at most
+    their products in stacks. The grid scans its cells in row-major order
+    (unfavorable composition outer) in stacks of at most
     linalg._STACK_ENTRIES // n^2 schedules, one stacked eigen-solve each,
-    and keeps the first best cell. Descent polishes all its starts in
+    builds each stack's durations from the composition arrays and keeps the
+    first best cell. Descent polishes all its starts in
     lockstep: each sweep position's candidates of every start still
     improving are one stack, and each distinct schedule is scored once. k,
     resolution and restarts must be ints (not bools) and at least 1.
@@ -183,27 +194,32 @@ def _optimize_grid(m1, m2, theta, k, mode, resolution):
     seasons = _season_pair(m1, m2)
     table = {}
     sign = 1.0 if mode == "max" else -1.0
-    unfavorable = [
-        tuple(theta * c / resolution for c in wu) for wu in _compositions(resolution, k)
-    ]
-    favorable = [
-        tuple((1.0 - theta) * c / resolution for c in wf) for wf in _compositions(resolution, k)
-    ]
-    # row-major: one unfavorable composition against every favorable one
-    grid = ((sigma, _absorb_drift(sigma, sp)) for sigma in unfavorable for sp in favorable)
+    weights = np.array(list(_compositions(resolution, k)), dtype=float)
+    unfavorable = theta * weights / resolution
+    favorable = (1.0 - theta) * weights / resolution
+    # the fraction sums of _absorb_drift's drift, column by column
+    totals = [_sum(parts.T) for parts in (unfavorable, favorable)]
     size = max(1, linalg._STACK_ENTRIES // len(seasons[0]) ** 2)
     best = None
     best_value = -np.inf
-    while stack := list(itertools.islice(grid, size)):
-        products = exp_products(seasons, [_blocks(*cell) for cell in stack], table)
-        values = sign * spectral_radii(products)
+    # row-major: one unfavorable composition against every favorable one,
+    # each stack's rows built from their cell numbers
+    for start in range(0, cells, size):
+        u, f = np.divmod(np.arange(start, min(start + size, cells)), len(weights))
+        rows = np.empty((len(u), 2 * k))
+        rows[:, 0::2] = unfavorable[u]
+        rows[:, 1::2] = favorable[f]
+        drift = 1.0 - (totals[0][u] + totals[1][f])
+        # max(0.0, x) as _absorb_drift takes it: + 0.0 turns -0.0 into 0.0
+        rows[:, -1] = np.maximum(0.0, rows[:, -1] + drift) + 0.0
+        values = sign * spectral_radii(exp_products(seasons, rows, table))
         # argmax takes a stack's first maximum and the strict > keeps an
         # earlier stack's: the first best cell of a row-major scan
         i = int(np.argmax(values))
         if values[i] > best_value:
             best_value = float(values[i])
-            best = stack[i]
-    return SplitSchedule(*best), sign * best_value
+            best = rows[i].tolist()
+    return SplitSchedule(best[0::2], best[1::2]), sign * best_value
 
 
 def _optimize_descent(m1, m2, theta, k, mode, resolution, restarts, seed):

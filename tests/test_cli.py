@@ -13,7 +13,7 @@ import pytest
 from conftest import reference_json
 from seasonthresh import cli, conditions, floquet, simulate
 from seasonthresh.cli import main, run_sweep
-from seasonthresh.errors import ScenarioError
+from seasonthresh.errors import InvalidInputError, ScenarioError
 from seasonthresh.scenario import (
     load_scenario,
     scenario_from_dict,
@@ -85,6 +85,26 @@ class TestLoadScenario:
         payload["insect"]["piU"]["dA"] = -0.5
         with pytest.raises(ScenarioError, match="insect.piU.dA"):
             load_scenario(write_scenario(tmp_path, payload))
+
+    @pytest.mark.parametrize("value, error, message", [
+        # infinity passes the scenario's own >= 0 check and is refused by InsectParams
+        (float("inf"), InvalidInputError, "parameter cJ must be >= 0, got inf"),
+        (float("nan"), ScenarioError, "insect.piF.cJ: must be >= 0, got nan"),
+        (-0.5, ScenarioError, "insect.piF.cJ: must be >= 0, got -0.5"),
+        (True, ScenarioError, "insect.piF.cJ: expected a number"),
+        ("1.0", ScenarioError, "insect.piF.cJ: expected a number"),
+    ], ids=["inf", "nan", "negative", "bool", "string"])
+    def test_bad_insect_parameter_message_and_exit_code(self, tmp_path, capsys, value, error,
+                                                         message):
+        payload = json.loads(json.dumps(INSECT))
+        payload["insect"]["piF"]["cJ"] = value
+        scenario_path = write_scenario(tmp_path, payload)
+        with pytest.raises(error) as caught:
+            load_scenario(scenario_path)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+        assert main(["threshold", "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_both_sections_rejected(self, tmp_path):
         payload = dict(INSECT)

@@ -1,5 +1,8 @@
+import functools
 import itertools
 import math
+import operator
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -180,18 +183,31 @@ class TestOptimizeSplit:
             optimize_split(SHARED_M1, SHARED_M2, 0.5, 5, resolution=5)
 
 
-def _grid_cells(theta, k, resolution):
-    """Every grid schedule in scan order, the drift absorbed by the last fraction."""
-    weights = sorted(
+def _grid_weights(k, resolution):
+    """The integer compositions of resolution into k parts, in ascending order."""
+    return sorted(
         w for w in itertools.product(range(resolution + 1), repeat=k) if sum(w) == resolution
     )
+
+
+def _grid_cell(theta, resolution, wu, wf):
+    """The grid schedule of compositions wu and wf, the drift absorbed by the
+    last fraction; each sum runs left to right from 0.0, as Python 3.11's sum
+    adds floats (3.12+ compensates it)."""
+    sigma = tuple(theta * c / resolution for c in wu)
+    sigma_prime = [(1.0 - theta) * c / resolution for c in wf]
+    drift = 1.0 - (functools.reduce(operator.add, sigma, 0.0)
+                   + functools.reduce(operator.add, sigma_prime, 0.0))
+    sigma_prime[-1] = max(0.0, sigma_prime[-1] + drift)
+    return SplitSchedule(sigma=sigma, sigma_prime=tuple(sigma_prime))
+
+
+def _grid_cells(theta, k, resolution):
+    """Every grid schedule in scan order, the drift absorbed by the last fraction."""
+    weights = _grid_weights(k, resolution)
     for wu in weights:
         for wf in weights:
-            sigma = tuple(theta * c / resolution for c in wu)
-            sigma_prime = [(1.0 - theta) * c / resolution for c in wf]
-            drift = 1.0 - (sum(sigma) + sum(sigma_prime))
-            sigma_prime[-1] = max(0.0, sigma_prime[-1] + drift)
-            yield SplitSchedule(sigma=sigma, sigma_prime=tuple(sigma_prime))
+            yield _grid_cell(theta, resolution, wu, wf)
 
 
 def _brute_force_grid(m1, m2, theta, k, mode, resolution):
@@ -329,6 +345,115 @@ class TestExpProducts:
         assert len(table) == 6
         assert first.tobytes() == fresh[:2].tobytes()
         assert second.tobytes() == fresh.tobytes()
+
+    def test_array_durations_match_row_lists(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        m1 = random_metzler(rng, 3)
+        m2 = random_metzler(rng, 3)
+        # column 0 holds 0.0 and -0.0; 0.25 is a duration of both seasons
+        rows = [
+            [0.0, 0.25, 0.25, 0.5],
+            [-0.0, 0.25, 0.5, 0.25],
+            [0.25, 0.0, -0.0, 0.75],
+            [0.5, 0.25, 0.0, 0.25],
+        ]
+        lists = linalg.exp_products((m1, m2), rows, {})
+        table = {}
+        stacked = linalg.exp_products((m1, m2), np.array(rows), table)
+        assert stacked.tobytes() == lists.tobytes()
+        for row, product in zip(rows, stacked):
+            schedule = SplitSchedule(sigma=row[0::2], sigma_prime=row[1::2])
+            assert product.tobytes() == split_monodromy(m1, m2, schedule).tobytes()
+            assert np.array_equal(product, _sequential_product(m1, m2, schedule))
+        # a duration shared by the seasons is two keys with two exponentials,
+        # and 0.0 and -0.0 are one key a season, both the identity
+        assert table[(0, 0.25)].tobytes() == mat_exp(0.25 * m1).tobytes()
+        assert table[(1, 0.25)].tobytes() == mat_exp(0.25 * m2).tobytes()
+        assert not np.array_equal(table[(0, 0.25)], table[(1, 0.25)])
+        assert sorted(table) == [(0, 0.0), (0, 0.25), (0, 0.5),
+                                 (1, 0.0), (1, 0.25), (1, 0.5), (1, 0.75)]
+        for s, m in enumerate((m1, m2)):
+            assert table[(s, 0.0)].tobytes() == np.eye(3).tobytes()
+            assert mat_exp(-0.0 * m).tobytes() == np.eye(3).tobytes()
+        # a pre-filled table is read, not recomputed or replaced
+        prefilled = {(0, 0.25): table[(0, 0.25)], (1, 0.0): table[(1, 0.0)]}
+        kept = dict(prefilled)
+        calls = _count_mat_exp(monkeypatch)
+        again = linalg.exp_products((m1, m2), np.array(rows), prefilled)
+        assert again.tobytes() == lists.tobytes()
+        assert calls == [5]
+        assert all(prefilled[key] is value for key, value in kept.items())
+
+    @pytest.mark.parametrize("form", [list, np.array])
+    def test_nan_duration_raises_the_non_finite_error(self, form):
+        rng = np.random.default_rng(89)
+        m1 = random_metzler(rng, 2)
+        m2 = random_metzler(rng, 2)
+        table = {(0, 0.5): mat_exp(0.5 * m1)}
+        rows = [[0.5, 0.25, 0.0, 0.25], [0.5, float("nan"), 0.0, 0.5]]
+        with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
+            linalg.exp_products((m1, m2), form(rows), table)
+        assert list(table) == [(0, 0.5)]
+
+
+class TestGridDurations:
+    """The durations rows the grid hands exp_products, stack by stack, against
+    the one-cell-at-a-time reference, with the products and their radii
+    stubbed out: only the rows are under test here."""
+
+    @staticmethod
+    def _check_rows(monkeypatch, theta, k, resolution, every=1):
+        """Run the grid with each row at a multiple of `every` (and each
+        stack's last row) compared by repr against _grid_cell; the stack sizes."""
+        weights = _grid_weights(k, resolution)
+        sizes = []
+
+        def recorded(seasons, durations, table):
+            start = sum(sizes)
+            sizes.append(len(durations))
+            assert isinstance(durations, np.ndarray) and durations.shape == (len(durations), 2 * k)
+            for i in sorted({*range(-start % every, len(durations), every), len(durations) - 1}):
+                u, f = divmod(start + i, len(weights))
+                want = _grid_cell(theta, resolution, weights[u], weights[f]).blocks
+                assert [repr(d) for d in durations[i].tolist()] == [repr(d) for d in want]
+            return np.zeros((len(durations),) + seasons[0].shape)
+
+        monkeypatch.setattr(splitting, "exp_products", recorded)
+        monkeypatch.setattr(splitting, "spectral_radii", lambda stack: np.zeros(len(stack)))
+        optimize_split(SHARED_M1, SHARED_M2, theta, k, resolution=resolution)
+        assert sum(sizes) == len(weights) ** 2
+        return sizes
+
+    @pytest.mark.parametrize("resolution", [6, 9, 20])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("theta", [0.2, 0.37, 0.65])
+    def test_rows_equal_reference_cells(self, theta, k, resolution, monkeypatch):
+        # the 3.1M cells of K = 4 at resolution 20 are checked at every
+        # 997th row: the reference takes ~10 us a cell
+        every = 997 if (k, resolution) == (4, 20) else 1
+        self._check_rows(monkeypatch, theta, k, resolution, every)
+
+    @pytest.mark.parametrize("theta", [-0.0, 1.0])
+    def test_signed_zero_and_end_thetas(self, theta, monkeypatch):
+        # theta = -0.0 makes every unfavorable fraction -0.0 in the reference
+        self._check_rows(monkeypatch, theta, 3, 6)
+
+    def test_stack_size_bound(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_STACK_ENTRIES", 64)
+        sizes = self._check_rows(monkeypatch, 0.37, 3, 6)
+        assert sizes == [16] * 49  # 784 cells, 64 // 2^2 rows a stack
+
+    def test_grid_holds_one_stack_of_durations(self, monkeypatch):
+        # K = 4 at resolution 20 is 3.1M cells, whose durations would take
+        # 200 MB at once; a stack of them is 4096 rows at n = 2
+        tracemalloc.start()
+        try:
+            sizes = self._check_rows(monkeypatch, 0.37, 4, 20, every=50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(sizes) == 4096
+        assert peak < 8 * 2**20
 
 
 class TestSplitDrift:
