@@ -38,11 +38,9 @@ class InsectParams:
     def __post_init__(self):
         for name in _PARAM_NAMES:
             value = getattr(self, name)
-            if type(value) is float and math.isfinite(value) and value >= 0.0:
-                continue  # a scenario's parameters arrive checked and as floats
             if not is_number(value):
                 raise InvalidInputError(f"parameter {name} must be a number, got {value!r}")
-            if not (np.isfinite(value) and value >= 0.0):
+            if not (math.isfinite(value) and value >= 0.0):
                 raise InvalidInputError(f"parameter {name} must be >= 0, got {value}")
             object.__setattr__(self, name, float(value))
 

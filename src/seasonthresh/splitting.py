@@ -87,18 +87,8 @@ def _absorb_drift(sigma, sigma_prime) -> tuple:
     fraction, clamped at 0: a zero last fraction and a negative drift would
     otherwise leave the unit interval, and the clamp stays inside
     _MEMBERSHIP_TOL of a total of 1."""
-    drift = 1.0 - (_sum(sigma) + _sum(sigma_prime))
+    drift = 1.0 - (sum(sigma) + sum(sigma_prime))
     return sigma_prime[:-1] + (max(0.0, sigma_prime[-1] + drift),)
-
-
-def _sum(parts):
-    """The parts added left to right from 0.0, as Python 3.11's sum adds
-    floats (3.12+ compensates it), so a drift has the same bits on every
-    version. Given a (rows, K) array's transpose, each row's sum."""
-    total = 0.0
-    for part in parts:
-        total = total + part
-    return total
 
 
 def _random_simplex(total: float, k: int, rng) -> tuple:
@@ -197,8 +187,9 @@ def _optimize_grid(m1, m2, theta, k, mode, resolution):
     weights = np.array(list(_compositions(resolution, k)), dtype=float)
     unfavorable = theta * weights / resolution
     favorable = (1.0 - theta) * weights / resolution
-    # the fraction sums of _absorb_drift's drift, column by column
-    totals = [_sum(parts.T) for parts in (unfavorable, favorable)]
+    # Python's sum of each composition, as _absorb_drift's drift takes it, so
+    # the rows keep its bits on every version (3.12+ compensates float sums)
+    totals = [np.array([sum(row) for row in parts.tolist()]) for parts in (unfavorable, favorable)]
     size = max(1, linalg._STACK_ENTRIES // len(seasons[0]) ** 2)
     best = None
     best_value = -np.inf

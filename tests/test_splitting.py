@@ -1,7 +1,5 @@
-import functools
 import itertools
 import math
-import operator
 import tracemalloc
 from dataclasses import replace
 
@@ -183,31 +181,18 @@ class TestOptimizeSplit:
             optimize_split(SHARED_M1, SHARED_M2, 0.5, 5, resolution=5)
 
 
-def _grid_weights(k, resolution):
-    """The integer compositions of resolution into k parts, in ascending order."""
-    return sorted(
-        w for w in itertools.product(range(resolution + 1), repeat=k) if sum(w) == resolution
-    )
-
-
-def _grid_cell(theta, resolution, wu, wf):
-    """The grid schedule of compositions wu and wf, the drift absorbed by the
-    last fraction; each sum runs left to right from 0.0, as Python 3.11's sum
-    adds floats (3.12+ compensates it)."""
-    sigma = tuple(theta * c / resolution for c in wu)
-    sigma_prime = [(1.0 - theta) * c / resolution for c in wf]
-    drift = 1.0 - (functools.reduce(operator.add, sigma, 0.0)
-                   + functools.reduce(operator.add, sigma_prime, 0.0))
-    sigma_prime[-1] = max(0.0, sigma_prime[-1] + drift)
-    return SplitSchedule(sigma=sigma, sigma_prime=tuple(sigma_prime))
-
-
 def _grid_cells(theta, k, resolution):
     """Every grid schedule in scan order, the drift absorbed by the last fraction."""
-    weights = _grid_weights(k, resolution)
+    weights = sorted(
+        w for w in itertools.product(range(resolution + 1), repeat=k) if sum(w) == resolution
+    )
     for wu in weights:
         for wf in weights:
-            yield _grid_cell(theta, resolution, wu, wf)
+            sigma = tuple(theta * c / resolution for c in wu)
+            sigma_prime = [(1.0 - theta) * c / resolution for c in wf]
+            drift = 1.0 - (sum(sigma) + sum(sigma_prime))
+            sigma_prime[-1] = max(0.0, sigma_prime[-1] + drift)
+            yield SplitSchedule(sigma=sigma, sigma_prime=tuple(sigma_prime))
 
 
 def _brute_force_grid(m1, m2, theta, k, mode, resolution):
@@ -404,25 +389,47 @@ class TestGridDurations:
     @staticmethod
     def _check_rows(monkeypatch, theta, k, resolution, every=1):
         """Run the grid with each row at a multiple of `every` (and each
-        stack's last row) compared by repr against _grid_cell; the stack sizes."""
-        weights = _grid_weights(k, resolution)
+        stack's last row) compared by repr with the reference cell; the stack
+        sizes. Every row is compared in turn with _grid_cells; a sample of a
+        grid too large to walk, with _sampled_cell."""
+        reference = _grid_cells(theta, k, resolution)
+        weights = sorted(
+            w for w in itertools.product(range(resolution + 1), repeat=k) if sum(w) == resolution
+        )
         sizes = []
 
         def recorded(seasons, durations, table):
             start = sum(sizes)
             sizes.append(len(durations))
             assert isinstance(durations, np.ndarray) and durations.shape == (len(durations), 2 * k)
-            for i in sorted({*range(-start % every, len(durations), every), len(durations) - 1}):
-                u, f = divmod(start + i, len(weights))
-                want = _grid_cell(theta, resolution, weights[u], weights[f]).blocks
-                assert [repr(d) for d in durations[i].tolist()] == [repr(d) for d in want]
+            if every == 1:
+                cells = enumerate(itertools.islice(reference, len(durations)))
+            else:
+                picked = sorted({*range(-start % every, len(durations), every), len(durations) - 1})
+                cells = ((i, TestGridDurations._sampled_cell(theta, resolution, weights, start + i))
+                         for i in picked)
+            for i, cell in cells:
+                assert [repr(d) for d in durations[i].tolist()] == [repr(d) for d in cell.blocks]
             return np.zeros((len(durations),) + seasons[0].shape)
 
         monkeypatch.setattr(splitting, "exp_products", recorded)
         monkeypatch.setattr(splitting, "spectral_radii", lambda stack: np.zeros(len(stack)))
         optimize_split(SHARED_M1, SHARED_M2, theta, k, resolution=resolution)
         assert sum(sizes) == len(weights) ** 2
+        if every == 1:
+            assert next(reference, None) is None
         return sizes
+
+    @staticmethod
+    def _sampled_cell(theta, resolution, weights, cell):
+        """The grid cell of row-major number `cell`, built as _grid_cells
+        builds it."""
+        wu, wf = (weights[i] for i in divmod(cell, len(weights)))
+        sigma = tuple(theta * c / resolution for c in wu)
+        sigma_prime = [(1.0 - theta) * c / resolution for c in wf]
+        drift = 1.0 - (sum(sigma) + sum(sigma_prime))
+        sigma_prime[-1] = max(0.0, sigma_prime[-1] + drift)
+        return SplitSchedule(sigma=sigma, sigma_prime=tuple(sigma_prime))
 
     @pytest.mark.parametrize("resolution", [6, 9, 20])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
