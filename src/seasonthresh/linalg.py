@@ -248,7 +248,8 @@ def exp_products(seasons, durations, table: dict) -> np.ndarray:
         keys += [(s, v) for v in values.tolist()]
     missing = [key for key in keys if key not in table]
     if missing:
-        table.update(zip(missing, mat_exp([v * seasons[s] for s, v in missing])))
+        scaled = np.array([v for _, v in missing])[:, None, None] * np.asarray(seasons)[[s for s, _ in missing]]
+        table.update(zip(missing, mat_exp(scaled)))
     return ordered_products(np.array([table[key] for key in keys])[index.T])
 
 

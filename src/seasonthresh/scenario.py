@@ -90,6 +90,15 @@ def _check_keys(mapping: dict, allowed: set, where: str):
     _require(not unknown, f"{where}: unknown key(s) {sorted(unknown)}")
 
 
+def _float(value, where: str) -> float:
+    """A checked number as a float; a JSON integer beyond the float range is
+    refused with its key, not left to raise OverflowError."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ScenarioError(f"{where}: too large for a float") from exc
+
+
 def _parse_params(raw: dict, where: str) -> InsectParams:
     _check_keys(raw, set(_PARAM_KEYS), where)
     missing = [k for k in _PARAM_KEYS if k not in raw]
@@ -99,14 +108,14 @@ def _parse_params(raw: dict, where: str) -> InsectParams:
         value = raw[key]
         _require(is_number(value), f"{where}.{key}: expected a number")
         _require(value >= 0.0, f"{where}.{key}: must be >= 0, got {value}")
-        values[key] = float(value)
+        values[key] = _float(value, f"{where}.{key}")
     return InsectParams(**values)
 
 
 def _parse_matrix(raw, where: str) -> tuple:
     try:
         m = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where}: not a numeric matrix ({exc})") from exc
     _require(m.ndim == 2 and m.shape[0] == m.shape[1] and m.shape[0] >= 1,
              f"{where}: must be a square matrix, got shape {m.shape}")
@@ -158,7 +167,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         grid = tuple(np.linspace(0.0, 1.0, grid_raw))
     elif isinstance(grid_raw, (list, tuple)):
         _require(all(is_number(g) for g in grid_raw), "theta_grid: values must be numbers")
-        grid = tuple(float(g) for g in grid_raw)
+        grid = tuple(_float(g, "theta_grid") for g in grid_raw)
         _require(all(0.0 <= g <= 1.0 for g in grid), "theta_grid: values must lie in [0, 1]")
         _require(len(grid) >= 1, "theta_grid: must not be empty")
     else:
@@ -172,7 +181,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             value = tol_raw[key]
             _require(is_number(value) and value > 0.0,
                      f"tolerances.{key}: must be a positive number, got {value!r}")
-            tol_values[key] = float(value)
+            tol_values[key] = _float(value, f"tolerances.{key}")
     tolerances = Tolerances(**tol_values)
 
     split_raw = raw.get("split", {})
@@ -192,7 +201,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     return Scenario(
         mode=mode,
-        period_T=float(period),
+        period_T=_float(period, "period_T"),
         pi_unfavorable=pi_u,
         pi_favorable=pi_f,
         m1=m1,

@@ -152,10 +152,15 @@ def optimize_split(
     (unfavorable composition outer) in stacks of at most
     linalg._STACK_ENTRIES // n^2 schedules, one stacked eigen-solve each,
     builds each stack's durations from the composition arrays and keeps the
-    first best cell. Descent polishes all its starts in
-    lockstep: each sweep position's candidates of every start still
-    improving are one stack, and each distinct schedule is scored once. k,
-    resolution and restarts must be ints (not bools) and at least 1.
+    first best cell. Descent sweeps each start on its own and scores ahead:
+    a round stacks the next sweep positions of every live start, built from
+    its current schedule (the moves it makes if none before them improves),
+    at most linalg._STACK_ENTRIES // n^2 rows a stack, and each start then
+    takes its positions in order up to the first that improves. So each
+    start makes the moves it would make alone, the result and any error are
+    those of a lockstep sweep of all starts, and each distinct schedule is
+    scored once. k, resolution and restarts must be ints (not bools) and at
+    least 1.
     """
     if mode not in ("max", "min"):
         raise InvalidInputError(f"mode must be 'max' or 'min', got {mode!r}")
@@ -218,34 +223,62 @@ def _optimize_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
     table = {}
     sign = 1.0 if mode == "max" else -1.0
     rng = np.random.default_rng(seed)
-    scores = {}  # each pair sweep revisits the schedule it starts from
+    size = max(1, linalg._STACK_ENTRIES // len(seasons[0]) ** 2)
+    # sign * rho by row bytes, -0.0 keyed as 0.0 as a tuple key has it: each
+    # pass revisits the schedule it starts from. A row that overflows scores
+    # nan and keeps its error, raised only if the sweep comes to the row
+    scores, errors = {}, {}
 
-    def score(keys) -> list:
-        """sign * rho of each (sigma, sigma_prime); the ones not yet scored are one stack."""
-        new = list(dict.fromkeys(key for key in keys if key not in scores))
-        if new:
-            products = exp_products(seasons, [_blocks(*key) for key in new], table)
-            scores.update(zip(new, (sign * spectral_radii(products)).tolist()))
-        return [scores[key] for key in keys]
+    def score(rows) -> tuple[list, dict]:
+        """The score of each row of a (rows, 2K) durations array, and the
+        errors of its rows that have one by row index; the rows not yet
+        scored go in stacks of at most `size`."""
+        keys = (rows + 0.0).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        new = {key: at for at, key in enumerate(keys) if key not in scores}
+        names, fresh = list(new), list(new.values())
+        for first in range(0, len(fresh), size):
+            part = rows[fresh[first:first + size]]
+            try:
+                values = (sign * spectral_radii(exp_products(seasons, part, table))).tolist()
+            except InvalidInputError:
+                values = [alone(key, row) for key, row in zip(names[first:], part)]
+            scores.update(zip(names[first:first + size], values))
+        failed = {at: errors[key] for at, key in enumerate(keys) if key in errors} if errors else {}
+        return list(map(scores.__getitem__, keys)), failed
 
-    def moves(key, which, i, j) -> list:
-        """(sigma, sigma_prime) with fractions i and j of part `which` (0 for
-        sigma, 1 for sigma_prime) re-split at each of fracs, each checked as
-        SplitSchedule checks it, so a drifting total raises where it arises."""
-        parts = key[which]
-        budget = parts[i] + parts[j]
-        out = []
-        for frac in fracs:
-            trial = list(parts)
-            trial[i] = budget * frac
-            trial[j] = budget * (1.0 - frac)
-            candidate = (tuple(trial), key[1]) if which == 0 else (key[0], tuple(trial))
-            _check_fractions(*candidate)
-            out.append(candidate)
+    def alone(key, row) -> float:
+        """One row's score; a row that overflows scores nan and keeps
+        (False, error) if a block overflows, (True, error) if only its
+        product does, the order in which one stack raises them."""
+        product = None
+        try:
+            product = exp_products(seasons, row[None], table)
+            return float(sign * spectral_radii(product)[0])
+        except InvalidInputError as exc:
+            errors[key] = (product is not None, exc)
+            return np.nan
+
+    def moves(base, columns) -> np.ndarray:
+        """The candidates of each row of base at its (i, j) durations columns:
+        i and j re-split at each of fracs, as budget * frac and
+        budget * (1.0 - frac), `width` rows a base row."""
+        out = base.repeat(width, axis=0)
+        every = np.arange(len(out))
+        first, second = columns.repeat(width, axis=0).T
+        budget = out[every, first] + out[every, second]
+        out[every, first] = budget * np.tile(fracs, len(base))
+        out[every, second] = budget * np.tile(1.0 - fracs, len(base))
         return out
 
-    fracs = np.linspace(0.0, 1.0, resolution + 1).tolist()
+    fracs = np.linspace(0.0, 1.0, resolution + 1)
     width = len(fracs)
+    # sweep position (which, i, j) re-splits durations columns 2i + which and
+    # 2j + which: fractions i and j of sigma (which 0) or of sigma_prime
+    pairs = np.array(
+        [(2 * i + which, 2 * j + which) for which in (0, 1) for i in range(k) for j in range(i + 1, k)],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    order = np.r_[0:2 * k:2, 1:2 * k:2]  # sigma, then sigma_prime, as _check_fractions sums
     starts = [
         SplitSchedule(
             sigma=tuple(theta / k for _ in range(k)),
@@ -253,31 +286,83 @@ def _optimize_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
         )
     ]
     starts += [random_schedule(theta, k, rng) for _ in range(restarts - 1)]
-    current = [(s.sigma, s.sigma_prime) for s in starts]
-    values = score(current)
-    # the starts are polished in lockstep, each by its own moves: a start
-    # stays live until a full pass improves nothing
-    live = range(len(current))
+    current = np.array([s.blocks for s in starts])
+    values, failed = score(current)
+    if failed:
+        raise min(failed.values(), key=lambda f: f[0])[1]
+    # each start sweeps on its own, so it makes the moves it would make
+    # alone: it is at position cursor[s] of its pass passes[s], moved[s]
+    # tells whether that pass has improved, and it leaves after a pass that
+    # improves nothing. It scores ahead[s] positions a round: a whole pass
+    # at first, then as many as it took to improve, doubled after a round
+    # with no move. An error is kept with its place in a lockstep sweep of
+    # all starts, (pass, position, 0, start) for a check and
+    # (pass, position, 1, stage) for a score, and the first is raised
+    cursor, passes, moved = [0] * restarts, [0] * restarts, [False] * restarts
+    ahead = [len(pairs)] * restarts
+    failures = []
+    live = list(range(restarts)) if len(pairs) else []
     while live:
-        improved = set()
-        for which in (0, 1):
-            for i in range(k):
-                for j in range(i + 1, k):
-                    # an improvement moves only fractions i and j, which every
-                    # candidate sets itself: the sweep is fixed up front
-                    groups = [moves(current[s], which, i, j) for s in live]
-                    scored = score([c for group in groups for c in group])
-                    for at, (s, group) in enumerate(zip(live, groups)):
-                        for candidate, v in zip(group, scored[at * width:(at + 1) * width]):
-                            if v > values[s] + 1e-14:
-                                current[s], values[s] = candidate, v
-                                improved.add(s)
-        live = sorted(improved)
+        # a round scores the next positions of each live start from its
+        # current row: the moves it makes if none before them improves. A
+        # round's rows stay near one stack
+        cap = max(1, size // (width * len(live)))
+        spans = [(s, cursor[s], min(len(pairs), cursor[s] + min(cap, ahead[s]))) for s in live]
+        where = np.concatenate([np.arange(a, b) for _, a, b in spans])
+        rows = moves(current[np.repeat(live, [b - a for _, a, b in spans])], pairs[where])
+        scored, failed = score(rows)
+        inrange = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1).tolist()
+        ordered = rows[:, order].tolist()
+        kept, at = [], 0
+        for s, first, last in spans:
+            failure, improved = None, False
+            # the start's positions in order, up to the first that improves:
+            # each one's candidates checked as SplitSchedule checks them,
+            # then compared in order against the running best
+            for q in range(first, last):
+                lo = at + (q - first) * width
+                group = range(lo, lo + width)
+                # _check_fractions' tests, abs(total - 1.0) > tol taken as
+                # max - 1.0 and 1.0 - min; a refused group is checked again
+                # candidate by candidate for the error
+                totals = list(map(sum, ordered[lo:lo + width]))
+                if (not all(inrange[lo:lo + width]) or max(totals) - 1.0 > _MEMBERSHIP_TOL
+                        or 1.0 - min(totals) > _MEMBERSHIP_TOL):
+                    try:
+                        for c in group:
+                            _check_fractions(tuple(rows[c, 0::2].tolist()), tuple(rows[c, 1::2].tolist()))
+                    except InvalidInputError as exc:
+                        failure = (passes[s], q, 0, s), exc
+                        break
+                refused = [failed[c] for c in group if c in failed] if failed else None
+                if refused:
+                    stage, exc = min(refused, key=lambda f: f[0])
+                    failure = (passes[s], q, 1, stage), exc
+                    break
+                cursor[s] = q + 1
+                for c in group:
+                    if scored[c] > values[s] + 1e-14:
+                        current[s], values[s], improved = rows[c], scored[c], True
+                if improved:
+                    break
+            at += (last - first) * width
+            ahead[s] = cursor[s] - first if improved else 2 * (last - first)
+            moved[s] = moved[s] or improved
+            if failure:
+                failures.append(failure)
+            elif cursor[s] < len(pairs):
+                kept.append(s)
+            elif moved[s]:
+                cursor[s], passes[s], moved[s] = 0, passes[s] + 1, False
+                kept.append(s)
+        live = kept
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     best, best_value = None, -np.inf
-    for start, value in zip(current, values):
+    for row, value in zip(current, values):
         if value > best_value:
-            best, best_value = start, value
-    return SplitSchedule(*best), sign * best_value
+            best, best_value = row, value
+    return SplitSchedule(best[0::2].tolist(), best[1::2].tolist()), sign * best_value
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,29 @@ class TestLoadScenario:
         assert main(["threshold", "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_huge_integer_insect_parameter_names_its_key(self, tmp_path, capsys):
+        # a JSON integer beyond the float range passes the number checks and
+        # used to raise an untyped OverflowError from float()
+        payload = json.loads(json.dumps(INSECT))
+        payload["insect"]["piF"]["cJ"] = 10**400
+        scenario_path = write_scenario(tmp_path, payload)
+        message = "insect.piF.cJ: too large for a float"
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(scenario_path)
+        assert str(caught.value) == message
+        assert main(["threshold", "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("where, patch", [
+        ("period_T", {"period_T": 10**400}),
+        ("theta_grid", {"theta_grid": [0.0, 10**400]}),
+        ("tolerances.ode_step", {"tolerances": {"ode_step": 10**400}}),
+        ("matrices.m1", {"matrices": {"m1": [[10**400, 1.0], [1.0, -2.0]], "m2": MATRICES["matrices"]["m2"]}}),
+    ], ids=["period_T", "theta_grid", "tolerances", "matrix"])
+    def test_huge_integer_names_its_key(self, where, patch):
+        with pytest.raises(ScenarioError, match=f"^{where}: "):
+            scenario_from_dict({**MATRICES, **patch})
+
     def test_both_sections_rejected(self, tmp_path):
         payload = dict(INSECT)
         payload["matrices"] = MATRICES["matrices"]

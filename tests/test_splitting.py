@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -283,6 +284,77 @@ def _sequential_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
     seeds = [SplitSchedule(sigma=(theta / k,) * k, sigma_prime=((1.0 - theta) / k,) * k)]
     seeds += [random_schedule(theta, k, rng) for _ in range(restarts - 1)]
     return [polish(start) for start in seeds]
+
+
+def _lockstep_descent(m1, m2, theta, k, mode, resolution, restarts, seed):
+    """Descent as it was before its sweep turned speculative, kept as the
+    reference its results and errors are held to: all starts are polished in
+    lockstep, each sweep position's candidates of every live start one stack,
+    every candidate built as a tuple pair and checked where it is made."""
+    seasons = splitting._season_pair(m1, m2)
+    table = {}
+    sign = 1.0 if mode == "max" else -1.0
+    rng = np.random.default_rng(seed)
+    scores = {}  # each pair sweep revisits the schedule it starts from
+
+    def score(keys) -> list:
+        """sign * rho of each (sigma, sigma_prime); the ones not yet scored are one stack."""
+        new = list(dict.fromkeys(key for key in keys if key not in scores))
+        if new:
+            products = linalg.exp_products(seasons, [splitting._blocks(*key) for key in new], table)
+            scores.update(zip(new, (sign * linalg.spectral_radii(products)).tolist()))
+        return [scores[key] for key in keys]
+
+    def moves(key, which, i, j) -> list:
+        """(sigma, sigma_prime) with fractions i and j of part `which` (0 for
+        sigma, 1 for sigma_prime) re-split at each of fracs, each checked as
+        SplitSchedule checks it, so a drifting total raises where it arises."""
+        parts = key[which]
+        budget = parts[i] + parts[j]
+        out = []
+        for frac in fracs:
+            trial = list(parts)
+            trial[i] = budget * frac
+            trial[j] = budget * (1.0 - frac)
+            candidate = (tuple(trial), key[1]) if which == 0 else (key[0], tuple(trial))
+            splitting._check_fractions(*candidate)
+            out.append(candidate)
+        return out
+
+    fracs = np.linspace(0.0, 1.0, resolution + 1).tolist()
+    width = len(fracs)
+    starts = [
+        SplitSchedule(
+            sigma=tuple(theta / k for _ in range(k)),
+            sigma_prime=tuple((1.0 - theta) / k for _ in range(k)),
+        )
+    ]
+    starts += [random_schedule(theta, k, rng) for _ in range(restarts - 1)]
+    current = [(s.sigma, s.sigma_prime) for s in starts]
+    values = score(current)
+    # the starts are polished in lockstep, each by its own moves: a start
+    # stays live until a full pass improves nothing
+    live = range(len(current))
+    while live:
+        improved = set()
+        for which in (0, 1):
+            for i in range(k):
+                for j in range(i + 1, k):
+                    # an improvement moves only fractions i and j, which every
+                    # candidate sets itself: the sweep is fixed up front
+                    groups = [moves(current[s], which, i, j) for s in live]
+                    scored = score([c for group in groups for c in group])
+                    for at, (s, group) in enumerate(zip(live, groups)):
+                        for candidate, v in zip(group, scored[at * width:(at + 1) * width]):
+                            if v > values[s] + 1e-14:
+                                current[s], values[s] = candidate, v
+                                improved.add(s)
+        live = sorted(improved)
+    best, best_value = None, -np.inf
+    for start, value in zip(current, values):
+        if value > best_value:
+            best, best_value = start, value
+    return SplitSchedule(*best), sign * best_value
 
 
 def _sequential_product(m1, m2, schedule):
@@ -631,6 +703,211 @@ class TestBlockTable:
                 continue
             fired += isinstance(outcomes[0], str) and "must total 1" in outcomes[0]
         assert fired  # in a move, not at the start
+
+
+def _outcome(run, *args, **kwargs) -> str:
+    """repr of a run's (schedule, value), or its error's type and message."""
+    try:
+        return repr(run(*args, **kwargs))
+    except ValueError as exc:  # InvalidInputError, and numpy's own
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestSpeculativeDescent:
+    """Descent scores each start's remaining sweep ahead in one stack; every
+    result and every error must be the lockstep reference's."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 5, 6])
+    def test_equals_lockstep_reference(self, n, k):
+        rng = np.random.default_rng(400 + 10 * n + k)
+        m1 = random_metzler(rng, n)
+        m2 = random_metzler(rng, n)
+        # -0.0 gives -0.0 starts; 1.0 leaves sigma_prime all zero; theta
+        # -0.0 with more than one start fails in numpy's uniform on both
+        for theta in (-0.0, 1.0, float(rng.uniform(0.1, 0.9))):
+            settings = itertools.product((1, 3, 10), (1, 3, 8))
+            for at, (resolution, restarts) in enumerate(settings):
+                mode = ("max", "min")[at % 2]
+                got = _outcome(
+                    optimize_split, m1, m2, theta, k, mode=mode, resolution=resolution,
+                    method="descent", restarts=restarts, seed=5,
+                )
+                assert got == _outcome(_lockstep_descent, m1, m2, theta, k, mode, resolution, restarts, 5)
+
+    def test_check_errors_equal_lockstep_reference(self, monkeypatch):
+        # with no slack on the total most re-splits are refused; the error
+        # raised is the one the lockstep sweep meets first, in (pass,
+        # position, start, frac) order, though the starts walk apart
+        monkeypatch.setattr(splitting, "_MEMBERSHIP_TOL", 0.0)
+        raised = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, k = int(rng.integers(2, 5)), int(rng.choice([2, 3, 5, 6]))
+            m1, m2 = random_metzler(rng, n), random_metzler(rng, n)
+            theta = float(rng.uniform(0.1, 0.9))
+            resolution, restarts = int(rng.choice([1, 3, 10])), int(rng.choice([3, 8]))
+            mode = ("max", "min")[seed % 2]
+            got = _outcome(
+                optimize_split, m1, m2, theta, k, mode=mode, resolution=resolution,
+                method="descent", restarts=restarts, seed=seed,
+            )
+            assert got == _outcome(_lockstep_descent, m1, m2, theta, k, mode, resolution, restarts, seed)
+            raised += "must total 1" in got
+        assert raised >= 10
+
+    def test_score_errors_raise_where_the_lockstep_sweep_raises(self, monkeypatch):
+        # a stand-in exp_products refuses the stacks holding chosen rows, as
+        # mat_exp refuses an overflowing block, or makes their products
+        # infinite, which spectral_radii refuses. Rows only the speculative
+        # sweep scores must not raise; rows both sweeps reach raise the
+        # error the lockstep sweep meets first. With no slack on the total,
+        # check errors mix in, which a lockstep position raises before it
+        # scores anything
+        exp_products = linalg.exp_products
+        poison, seen = {}, []
+
+        def poisoned(seasons, durations, table):
+            rows = [tuple(row) for row in np.asarray(durations).tolist()]
+            seen.extend(rows)
+            if any(poison.get(row) == 0 for row in rows):
+                raise InvalidInputError("matrix exponential overflowed double precision")
+            products = exp_products(seasons, durations, table)
+            products[[poison.get(row) == 1 for row in rows]] = np.inf
+            return products
+
+        monkeypatch.setattr(linalg, "exp_products", poisoned)
+        monkeypatch.setattr(splitting, "exp_products", poisoned)
+        outcomes = collections.Counter()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n, k = int(rng.integers(2, 5)), int(rng.choice([3, 5]))
+            m1, m2 = random_metzler(rng, n), random_metzler(rng, n)
+            theta = float(rng.uniform(0.1, 0.9))
+            resolution, restarts = int(rng.choice([1, 3])), int(rng.choice([3, 8]))
+            mode = ("max", "min")[seed % 2]
+            args = (m1, m2, theta, k, mode, resolution, restarts, seed)
+            kwargs = {"mode": mode, "resolution": resolution, "method": "descent",
+                      "restarts": restarts, "seed": seed}
+            monkeypatch.setattr(splitting, "_MEMBERSHIP_TOL", 0.0 if seed % 3 == 0 else 1e-12)
+            poison.clear()
+            seen.clear()
+            want = _outcome(_lockstep_descent, *args)
+            reached = list(dict.fromkeys(seen))
+            seen.clear()
+            assert _outcome(optimize_split, m1, m2, theta, k, **kwargs) == want
+            # every row scored ahead and never reached refused: no change
+            poison.update((row, int(rng.integers(2))) for row in set(seen) - set(reached))
+            assert _outcome(optimize_split, m1, m2, theta, k, **kwargs) == want
+            outcomes["ahead", bool(poison)] += 1
+            # one in twenty reached rows refused too, each at one of the two
+            # stages, so that starts walking apart meet them out of order
+            for at in rng.choice(len(reached), size=-(-len(reached) // 20), replace=False):
+                poison[reached[at]] = int(rng.integers(2))
+            want = _outcome(_lockstep_descent, *args)
+            assert _outcome(optimize_split, m1, m2, theta, k, **kwargs) == want
+            outcomes[want.split(":")[0], want.split(":")[1][:16]] += 1
+        assert outcomes["ahead", True] >= 10
+        assert outcomes["InvalidInputError", " matrix exponent"] >= 3
+        assert outcomes["InvalidInputError", " matrix has non-"] >= 3
+        assert outcomes["InvalidInputError", " schedule fracti"] >= 3
+
+    def test_a_check_error_comes_before_a_score_error_at_one_position(self, monkeypatch):
+        # the lockstep sweep checks every start's candidates at a position
+        # before it scores any of them: where the equal split's re-split
+        # first drifts, its error is raised although the random start's
+        # candidates there are refused. The seasons commute, so no start moves
+        monkeypatch.setattr(splitting, "_MEMBERSHIP_TOL", 0.0)
+        k, theta = 4, 0.3
+        positions = [(which, i, j) for which in (0, 1) for i, j in itertools.combinations(range(k), 2)]
+
+        def moves(schedule, position):
+            which, i, j = position
+            parts = [schedule.sigma, schedule.sigma_prime]
+            budget = parts[which][i] + parts[which][j]
+            for frac in (0.0, 1.0):
+                trial = list(parts[which])
+                trial[i], trial[j] = budget * frac, budget * (1.0 - frac)
+                candidate = list(parts)
+                candidate[which] = tuple(trial)
+                yield tuple(candidate)
+
+        def drifts(candidate):
+            try:
+                splitting._check_fractions(*candidate)
+            except InvalidInputError:
+                return True
+            return False
+
+        exp_products, poison = linalg.exp_products, set()
+
+        def poisoned(seasons, durations, table):
+            if poison & {tuple(row) for row in np.asarray(durations).tolist()}:
+                raise InvalidInputError("matrix exponential overflowed double precision")
+            return exp_products(seasons, durations, table)
+
+        monkeypatch.setattr(linalg, "exp_products", poisoned)
+        monkeypatch.setattr(splitting, "exp_products", poisoned)
+        first = SplitSchedule(sigma=(theta / k,) * k, sigma_prime=((1.0 - theta) / k,) * k)
+        checked = 0
+        for seed in range(40):
+            try:
+                second = random_schedule(theta, k, np.random.default_rng(seed))
+            except InvalidInputError:  # drifts as it is drawn
+                continue
+            at = next(p for p in positions if any(map(drifts, moves(first, p))))
+            poison = {tuple(splitting._blocks(*candidate)) for candidate in moves(second, at)}
+            want = _outcome(_lockstep_descent, SHARED_M1, SHARED_M2, theta, k, "max", 1, 2, seed)
+            got = _outcome(optimize_split, SHARED_M1, SHARED_M2, theta, k, resolution=1,
+                           method="descent", restarts=2, seed=seed)
+            assert got == want
+            checked += "must total 1" in want
+        assert checked >= 10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacks_stay_within_the_bound(self, n, monkeypatch):
+        monkeypatch.setattr(linalg, "_STACK_ENTRIES", 64)
+        bound = 64 // n**2
+        rng = np.random.default_rng(500 + n)
+        m1 = random_metzler(rng, n)
+        m2 = random_metzler(rng, n)
+        sizes = _record_stacks(monkeypatch)
+        for k, resolution in ((5, 3), (6, 1), (5, 10)):
+            sizes.clear()
+            got = _outcome(optimize_split, m1, m2, 0.37, k, resolution=resolution, method="descent", seed=9)
+            assert got == _outcome(_lockstep_descent, m1, m2, 0.37, k, "max", resolution, 8, 9)
+            assert len(sizes) > 1
+            assert max(sizes) <= bound
+
+    def test_descent_holds_bounded_stacks_at_n50(self, monkeypatch):
+        # K = 5 at resolution 10 scores 20 positions of 11 candidates a pass;
+        # unbounded, one start's first round would be 220 rows of ten
+        # 50 x 50 blocks, ~44 MB, against a bound of 6 rows a stack. A start
+        # then looks one position ahead, so it scores what the lockstep
+        # sweep scores and no more
+        rng = np.random.default_rng(71)
+        m1 = random_metzler(rng, 50) / 50
+        m2 = random_metzler(rng, 50) / 50
+        exp_products, lockstep_rows = linalg.exp_products, []
+
+        def recorded(seasons, durations, table):
+            lockstep_rows.extend(durations)
+            return exp_products(seasons, durations, table)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "exp_products", recorded)
+            want = repr(_lockstep_descent(m1, m2, 0.4, 5, "max", 10, 1, 2))
+        sizes = _record_stacks(monkeypatch)
+        tracemalloc.start()
+        try:
+            got = optimize_split(m1, m2, 0.4, 5, resolution=10, method="descent", restarts=1, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repr(got) == want
+        assert max(sizes) <= linalg._STACK_ENTRIES // 50**2
+        assert sum(sizes) == len(lockstep_rows)
+        assert peak < 16e6
 
 
 class TestGelfandProbe:
