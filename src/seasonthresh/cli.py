@@ -4,7 +4,7 @@ Commands:
   floquet    sweep rho and its derivatives over the theta grid -> sweep.csv
   threshold  locate the critical season fraction -> threshold.json
   check      evaluate all applicable certificates -> certificates.json
-  simulate   integrate the seasonal system -> trajectory.csv
+  simulate   integrate the seasonal system -> trajectory.csv (<= 256 rows a period)
   poincare   iterate the period map to classify the orbit -> poincare.json
   split      optimize the multiplier over split schedules -> split.json
   verify     run the self-verification suite -> verify.csv
@@ -34,6 +34,7 @@ from .verify_suite import run_verification
 
 COMMANDS = ("floquet", "threshold", "check", "simulate", "poincare", "split", "verify")
 SIMULATE_PERIODS = 10
+SIMULATE_ROWS_PER_PERIOD = 256  # trajectory.csv rows a period, besides the season knots
 
 
 def _fmt(value) -> str:
@@ -235,6 +236,23 @@ def _cmd_check(scenario, args, out: Path):
     return 0
 
 
+def _kept_rows(season_tags: np.ndarray) -> np.ndarray:
+    """Indices of the trajectory rows simulate writes: the first and the last,
+    every k-th, k the least stride that leaves at most SIMULATE_ROWS_PER_PERIOD
+    rows a period over the whole trajectory, and every row whose season differs
+    from a neighbour's, so each season knot is kept whichever side it is
+    tagged. Below that many steps a period k is 1 and every row is kept."""
+    steps = len(season_tags) - 1
+    stride = max(1, -(-steps // (SIMULATE_PERIODS * SIMULATE_ROWS_PER_PERIOD)))
+    keep = np.zeros(len(season_tags), dtype=bool)
+    keep[::stride] = True
+    knot = season_tags[1:] != season_tags[:-1]
+    keep[1:] |= knot
+    keep[:-1] |= knot
+    keep[-1] = True
+    return np.flatnonzero(keep)
+
+
 def _cmd_simulate(scenario, args, out: Path):
     theta = _require_theta(scenario, args.theta)
     system = system_from_scenario(scenario, theta)
@@ -250,8 +268,10 @@ def _cmd_simulate(scenario, args, out: Path):
     else:
         state_names = [f"x{i+1}" for i in range(system.dimension)]
     header = ["time", *state_names, "season"]
+    kept = _kept_rows(trajectory.season_tags)
     rows = list(zip(
-        trajectory.times.tolist(), *trajectory.states.T.tolist(), trajectory.season_tags.tolist()
+        trajectory.times[kept].tolist(), *trajectory.states[kept].T.tolist(),
+        trajectory.season_tags[kept].tolist(),
     ))
     row_format = ",".join(["%.17g"] * (1 + system.dimension) + ["%d"])
     _write_csv(out / "trajectory.csv", header, rows, row_format)

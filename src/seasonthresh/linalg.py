@@ -256,10 +256,12 @@ def exp_products(seasons, durations, table: dict) -> np.ndarray:
 def ordered_products(blocks) -> np.ndarray:
     """blocks[L - 1] @ ... @ blocks[1] @ blocks[0] for an (L, G, n, n) array:
     G ordered products, the first block rightmost, formed as G-stacks, so
-    product g has the bits of its own blocks[:, g] alone."""
+    product g has the bits of its own blocks[:, g] alone. A product that
+    overflows is left non-finite, with no warning, for the caller's check."""
     product = blocks[0]
-    for block in blocks[1:]:
-        product = block @ product
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks[1:]:
+            product = block @ product
     return product
 
 

@@ -25,6 +25,7 @@ system at a given theta.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -109,6 +110,7 @@ def _parse_params(raw: dict, where: str) -> InsectParams:
         _require(is_number(value), f"{where}.{key}: expected a number")
         _require(value >= 0.0, f"{where}.{key}: must be >= 0, got {value}")
         values[key] = _float(value, f"{where}.{key}")
+        _require(math.isfinite(values[key]), f"{where}.{key}: must be finite, got {value}")
     return InsectParams(**values)
 
 

@@ -77,6 +77,7 @@ def single_block(theta: float) -> SplitSchedule:
 
 def random_schedule(theta: float, k: int, rng) -> SplitSchedule:
     """Uniform-ish random member of the split-schedule set for given theta."""
+    theta = theta + 0.0  # -0.0 as 0.0, as numpy refuses uniform(0.0, -0.0); other thetas keep their bits
     sigma = _random_simplex(theta, k, rng)
     sigma_prime = _random_simplex(1.0 - theta, k, rng)
     return SplitSchedule(sigma=sigma, sigma_prime=_absorb_drift(sigma, sigma_prime))

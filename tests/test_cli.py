@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from conftest import reference_json
 from seasonthresh import cli, conditions, floquet, simulate
 from seasonthresh.cli import main, run_sweep
-from seasonthresh.errors import InvalidInputError, ScenarioError
+from seasonthresh.errors import ScenarioError
 from seasonthresh.scenario import (
     load_scenario,
     scenario_from_dict,
@@ -87,13 +88,15 @@ class TestLoadScenario:
             load_scenario(write_scenario(tmp_path, payload))
 
     @pytest.mark.parametrize("value, error, message", [
-        # infinity passes the scenario's own >= 0 check and is refused by InsectParams
-        (float("inf"), InvalidInputError, "parameter cJ must be >= 0, got inf"),
+        # infinity passes the >= 0 check; it was refused only by InsectParams,
+        # as an InvalidInputError that did not name the key
+        (float("inf"), ScenarioError, "insect.piF.cJ: must be finite, got inf"),
+        (float("-inf"), ScenarioError, "insect.piF.cJ: must be >= 0, got -inf"),
         (float("nan"), ScenarioError, "insect.piF.cJ: must be >= 0, got nan"),
         (-0.5, ScenarioError, "insect.piF.cJ: must be >= 0, got -0.5"),
         (True, ScenarioError, "insect.piF.cJ: expected a number"),
         ("1.0", ScenarioError, "insect.piF.cJ: expected a number"),
-    ], ids=["inf", "nan", "negative", "bool", "string"])
+    ], ids=["inf", "minus_inf", "nan", "negative", "bool", "string"])
     def test_bad_insect_parameter_message_and_exit_code(self, tmp_path, capsys, value, error,
                                                          message):
         payload = json.loads(json.dumps(INSECT))
@@ -427,6 +430,17 @@ class TestCommands:
         result = json.loads((out / "split.json").read_text())
         assert all(0.0 <= f <= 1.0 for f in result["sigma"] + result["sigma_prime"])
 
+    def test_split_descent_at_signed_zero_theta(self, tmp_path, capsys):
+        # descent drew its random starts by numpy's uniform(0.0, -0.0), whose
+        # untyped ValueError ended main in a traceback
+        scenario_path = write_scenario(tmp_path, {**MATRICES, "split": {"K": 5, "resolution": 1}})
+        out = tmp_path / "out"
+        argv = ["split", "--scenario", str(scenario_path), "--out", str(out), "--theta", "-0.0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        result = json.loads((out / "split.json").read_text())
+        assert result["sigma"] == [0.0] * 5
+
     def test_row_errors_give_exit_code_one(self, tmp_path):
         # the exponential overflows at this period: rows record the failure
         payload = {
@@ -488,6 +502,77 @@ class TestCommands:
                      "--theta", "0.75"]) == 0
         result = json.loads((out / "poincare.json").read_text())
         assert result["classification"] == "extinction"
+
+
+def step_lines(trajectory, rows=None) -> list:
+    """trajectory.csv's data lines for the given rows of a trajectory (all
+    of them by default): each value to 17 significant digits, then the season."""
+    rows = range(len(trajectory.times)) if rows is None else rows
+    return [
+        ",".join([*(format(v, ".17g") for v in (trajectory.times[i], *trajectory.states[i])),
+                  str(trajectory.season_tags[i])])
+        for i in rows
+    ]
+
+
+class TestSimulateRows:
+    """simulate writes the first and last rows, every k-th, and the season
+    knots of the trajectory integrate returns, at most 256 rows a period
+    besides the knots, each with its bytes."""
+
+    @staticmethod
+    def run(monkeypatch, tmp_path, capsys, scenario_path):
+        """(the trajectory integrate returned, trajectory.csv's lines)."""
+        returned = []
+        integrate = simulate.integrate
+        monkeypatch.setattr(simulate, "integrate",
+                            lambda *args, **kwargs: returned.append(integrate(*args, **kwargs))
+                            or returned[-1])
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert f"({len(lines) - 1} samples," in capsys.readouterr().out
+        [trajectory] = returned
+        return trajectory, lines
+
+    def test_rows_are_integrate_rows_at_period_100(self, tmp_path, monkeypatch, capsys):
+        # the default step takes ~18 700 steps a period here
+        payload = {key: value for key, value in INSECT.items() if key != "tolerances"}
+        scenario_path = write_scenario(tmp_path, {**payload, "period_T": 100.0})
+        trajectory, lines = self.run(monkeypatch, tmp_path, capsys, scenario_path)
+        assert lines[0] == "time,J,A,season"
+        # a written time is the 17-digit form of a step's time, so it finds its row
+        kept = np.searchsorted(trajectory.times, [float(line.split(",")[0]) for line in lines[1:]])
+        assert step_lines(trajectory, kept) == lines[1:]
+        kept = kept.tolist()
+        steps = len(trajectory.times) - 1
+        assert kept == sorted(set(kept))
+        assert kept[0] == 0 and kept[-1] == steps
+        tags = trajectory.season_tags
+        changes = np.flatnonzero(tags[1:] != tags[:-1])
+        # at theta and at the end of each period: the last row, at 10 T, has
+        # the next period's first season
+        assert len(changes) == 2 * cli.SIMULATE_PERIODS
+        knots = {*changes.tolist(), *(changes + 1).tolist()}
+        assert knots <= set(kept)
+        periods = np.floor(trajectory.times / 100.0).astype(int)
+        per_period = collections.Counter(periods[i] for i in kept if i not in knots)
+        assert max(per_period[p] for p in range(cli.SIMULATE_PERIODS)) <= 256
+        assert len(kept) <= 256 * cli.SIMULATE_PERIODS + len(knots) + 1 < steps // 50
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_scenarios_keep_every_row(self, tmp_path, monkeypatch, capsys, name):
+        trajectory, lines = self.run(monkeypatch, tmp_path, capsys, SCENARIOS / f"{name}.json")
+        assert lines[1:] == step_lines(trajectory)
+
+    def test_knot_rows_kept_whichever_side_they_are_tagged(self):
+        steps = 7 * cli.SIMULATE_PERIODS * 256  # a stride of 7
+        tags = np.ones(steps + 1, dtype=int)
+        tags[1000:3000] = 2  # row 1000 is tagged as the season it starts, 2999 as the one it ends
+        kept = cli._kept_rows(tags).tolist()
+        assert kept == sorted({*range(0, steps + 1, 7), 999, 1000, 2999, 3000, steps})
+        assert cli._kept_rows(tags[:-1]).tolist()[-1] == steps - 1
+        assert cli._kept_rows(tags[:1]).tolist() == [0]
 
 
 @dataclasses.dataclass

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from seasonthresh.linalg import (
     is_irreducible,
     is_metzler,
     mat_exp,
+    ordered_products,
     perron_pair,
     spectral_abscissa,
     spectral_radius,
@@ -216,6 +218,13 @@ class TestStacks:
         stack = np.array([[[2.0, 1.0], [1.0, 2.0]], bad])
         with pytest.raises(error):
             perron_pair(stack)
+
+    def test_ordered_products_overflow_without_warning(self):
+        blocks = np.array([np.full((1, 2, 2), 1e200), np.full((1, 2, 2), 1e200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            product = ordered_products(blocks)
+        assert not np.isfinite(product).any()
 
     def test_mat_exp_stack_overflow_raises(self):
         with pytest.raises(InvalidInputError):

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -180,6 +181,30 @@ class TestOptimizeSplit:
     def test_grid_requires_small_k(self):
         with pytest.raises(InvalidInputError):
             optimize_split(SHARED_M1, SHARED_M2, 0.5, 5, resolution=5)
+
+    def test_descent_takes_signed_zero_theta(self):
+        # numpy's uniform refused the range [0.0, -0.0] of the random starts
+        # with an untyped ValueError; -0.0 now draws the starts of 0.0
+        rng = np.random.default_rng(29)
+        m1, m2 = random_metzler(rng, 2), random_metzler(rng, 2)
+        got = optimize_split(m1, m2, -0.0, 5, method="descent", restarts=3)
+        positive = optimize_split(m1, m2, 0.0, 5, method="descent", restarts=3)
+        assert got[1] == positive[1]
+        assert all(f == 0.0 for f in got[0].sigma)
+        assert got[0].sigma_prime == positive[0].sigma_prime
+
+    def test_random_schedule_of_signed_zero_draws_as_zero(self):
+        got = random_schedule(-0.0, 4, np.random.default_rng(3))
+        assert got == random_schedule(0.0, 4, np.random.default_rng(3))
+
+    def test_overflowing_product_is_typed_error_without_warning(self):
+        # each of the starts' favorable blocks is ~exp(200), their product
+        # ~exp(1000); the product used to warn "overflow encountered in matmul"
+        m2 = np.full((2, 2), 1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
+                optimize_split(-np.eye(2), m2, 0.5, 5, method="descent", restarts=3)
 
 
 def _grid_cells(theta, k, resolution):
@@ -723,8 +748,8 @@ class TestSpeculativeDescent:
         rng = np.random.default_rng(400 + 10 * n + k)
         m1 = random_metzler(rng, n)
         m2 = random_metzler(rng, n)
-        # -0.0 gives -0.0 starts; 1.0 leaves sigma_prime all zero; theta
-        # -0.0 with more than one start fails in numpy's uniform on both
+        # -0.0 gives -0.0 equal-split starts and random starts drawn as at
+        # 0.0; 1.0 leaves sigma_prime all zero
         for theta in (-0.0, 1.0, float(rng.uniform(0.1, 0.9))):
             settings = itertools.product((1, 3, 10), (1, 3, 8))
             for at, (resolution, restarts) in enumerate(settings):
