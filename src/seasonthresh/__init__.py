@@ -23,7 +23,6 @@ from .floquet import (
     find_threshold,
     log_convexity_probe,
     monodromy,
-    monodromy_general,
     rho,
     rho_prime,
     rho_profile,
@@ -54,9 +53,7 @@ from .seasonal import (
     AutonomousPiece,
     SeasonalSchedule,
     SeasonalSystem,
-    ValidationReport,
     season_index,
-    validate_structure,
 )
 from .simulate import (
     FlowPropertyReport,

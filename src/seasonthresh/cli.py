@@ -376,6 +376,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise ScenarioError(f"--tol must be a finite positive number, got {args.tol}")
+        if args.seed < 0:
+            raise ScenarioError(f"--seed must be >= 0, got {args.seed}")
         if args.grid is not None:
             if args.grid < 2:
                 raise ScenarioError(f"--grid must be >= 2, got {args.grid}")

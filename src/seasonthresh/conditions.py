@@ -231,9 +231,8 @@ def left_eigenvector_order(s) -> LeftOrderResult:
         raise InvalidInputError("matrix must be entrywise positive")
     # the ratio is scale-free; dividing by the largest entry keeps the squares finite
     k00, k01, k10, k11 = (m / m.max(axis=(1, 2))[:, None, None]).reshape(-1, 4).T
-    # each difference squared as a float (pow), as a one-matrix call always was
-    squares = np.array([d**2 for d in (k00 - k11).tolist()])
-    top = 0.5 * (k00 + k11 + np.sqrt(squares + 4.0 * k01 * k10))
+    diff = k00 - k11
+    top = 0.5 * (k00 + k11 + np.sqrt(diff * diff + 4.0 * k01 * k10))
     ratio = (top - k00) / k10
     m00, m01, m10, m11 = m.reshape(-1, 4).T
     gap = (m01 + m11) - (m00 + m10)

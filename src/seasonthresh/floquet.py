@@ -40,14 +40,13 @@ from .linalg import (
     _matvec,
     as_matrix_stack,
     as_square_matrix,
-    exp_products,
     is_irreducible,
     is_metzler,
     mat_exp,
+    ordered_products,
     perron_pair,
     spectral_abscissa,
 )
-from .seasonal import SeasonalSystem
 
 DEFAULT_PERRON_TOL = 1e-12
 DEFAULT_BISECT_TOL = 1e-10
@@ -112,7 +111,8 @@ def _cycle(lin: TwoSeasonLinearization, thetas: np.ndarray) -> tuple[np.ndarray,
     """(log_scale, shifted) at each theta of a 1-D array, with
     log_scale = T (theta mu1 + (1 - theta) mu2) and
     shifted = exp((1 - theta) T (m2 - mu2)) exp(theta T (m1 - mu1)), the
-    monodromy divided by exp(log_scale). The 2G exponentials are one call."""
+    monodromy divided by exp(log_scale). The 2G exponentials are one call,
+    their G products one ordered_products call."""
     outside = np.flatnonzero(~((thetas >= 0.0) & (thetas <= 1.0)))
     if outside.size:
         raise InvalidInputError(f"theta must lie in [0, 1], got {thetas[outside[0]]}")
@@ -121,8 +121,7 @@ def _cycle(lin: TwoSeasonLinearization, thetas: np.ndarray) -> tuple[np.ndarray,
     d1 = thetas * t
     d2 = (1.0 - thetas) * t
     factors = mat_exp(np.concatenate([d1[:, None, None] * a1, d2[:, None, None] * a2]))
-    g_count = len(thetas)
-    return d1 * mu1 + d2 * mu2, factors[g_count:] @ factors[:g_count]
+    return d1 * mu1 + d2 * mu2, ordered_products(factors.reshape((2, len(thetas)) + a1.shape))
 
 
 def _unshift(log_scale: np.ndarray, shifted: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -146,12 +145,6 @@ def monodromy(lin: TwoSeasonLinearization, theta: float) -> np.ndarray:
     product; InvalidInputError when it leaves double precision range."""
     thetas = np.array([theta], dtype=float)
     return _unshift(*_cycle(lin, thetas), thetas)[0]
-
-
-def monodromy_general(system: SeasonalSystem) -> np.ndarray:
-    """Ordered product of per-season exponentials; rightmost factor is season 1."""
-    seasons = [piece.linearization_at_zero for piece in system.pieces]
-    return exp_products(seasons, [system.schedule.durations()], {})[0]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ system at a given theta.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -224,33 +224,6 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     return scenario_from_dict(raw)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Inverse of scenario_from_dict, for round-tripping."""
-    out: dict = {"mode": scenario.mode, "period_T": scenario.period_T}
-    if scenario.mode == "insect":
-        out["insect"] = {
-            "piU": asdict(scenario.pi_unfavorable),
-            "piF": asdict(scenario.pi_favorable),
-        }
-    else:
-        out["matrices"] = {
-            "m1": [list(row) for row in scenario.m1],
-            "m2": [list(row) for row in scenario.m2],
-        }
-    if scenario.theta is not None:
-        out["theta"] = scenario.theta
-    out["theta_grid"] = list(scenario.theta_grid)
-    out["tolerances"] = {
-        k: v for k, v in asdict(scenario.tolerances).items() if v is not None
-    }
-    out["split"] = {
-        "K": scenario.split.k,
-        "resolution": scenario.split.resolution,
-        "mode": scenario.split.mode,
-    }
-    return out
 
 
 def linearization_from_scenario(scenario: Scenario) -> TwoSeasonLinearization:

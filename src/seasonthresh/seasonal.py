@@ -1,24 +1,20 @@
-"""Periodic piecewise-autonomous systems and their structural hypotheses.
+"""Periodic piecewise-autonomous systems.
 
 A system of period T is a list of autonomous pieces, the k-th active while
-the fractional part of t/T lies in [theta_{k-1}, theta_k). Structural checks
-(cooperativity, positivity, concavity, irreducibility at zero) are sample
-based: they certify the hypotheses on a finite grid, nothing more.
+the fractional part of t/T lies in [theta_{k-1}, theta_k). The structural
+hypotheses on the pieces are checked through the flow they generate, by
+simulate.verify_flow_properties.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_square_matrix, is_irreducible
+from .linalg import as_square_matrix
 
 _ZERO_FIELD_TOL = 1e-12
-_SAMPLE_COUNT = 50
-_SAMPLE_SEED = 2718
-_STRUCTURE_TOL = 1e-9  # violation allowed before a sampled hypothesis fails
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -141,126 +137,3 @@ def season_indices(schedule: SeasonalSchedule, times) -> np.ndarray:
     k = np.searchsorted(bp, frac, side="right")
     # frac rounded up to 1.0: belongs to the last nonempty season
     return np.where(k < len(bp), k, np.flatnonzero(np.diff(bp) > 0.0)[-1] + 1)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Sampled checks of the structural hypotheses.
-
-    Margins are the worst (most violating) values seen; positive margins mean
-    the inequality held with room to spare.
-    """
-
-    metzler_at_samples: bool
-    positive: bool
-    concave_at_samples: bool
-    irreducible_at_zero: bool
-    margins: dict = field(default_factory=dict)
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.metzler_at_samples
-            and self.positive
-            and self.concave_at_samples
-            and self.irreducible_at_zero
-        )
-
-
-def default_sample_states(dimension: int):
-    """Random nonnegative states in [0, 10]^N plus axis boundary points."""
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    states = [rng.uniform(0.0, 10.0, dimension) for _ in range(_SAMPLE_COUNT)]
-    for i in range(dimension):
-        for r in (0.5, 2.0):
-            e = np.zeros(dimension)
-            e[i] = r
-            states.append(e)
-    states.append(np.zeros(dimension))
-    return states
-
-
-def validate_structure(
-    system: SeasonalSystem,
-    sample_states: Sequence[np.ndarray] | None = None,
-) -> ValidationReport:
-    """Check Metzler / positivity / concavity / irreducibility on samples."""
-    n = system.dimension
-    if sample_states is None:
-        sample_states = default_sample_states(n)
-    samples = [np.asarray(s, dtype=float) for s in sample_states]
-    for s in samples:
-        if s.shape != (n,):
-            raise InvalidInputError(f"sample of shape {s.shape} does not match dimension {n}")
-        if np.any(s < 0.0):
-            raise InvalidInputError("sample states must be nonnegative")
-
-    metzler_margin = np.inf
-    for piece in system.pieces:
-        for s in samples:
-            j = as_square_matrix(piece.jacobian(s))
-            off = j[~np.eye(n, dtype=bool)]
-            if off.size:
-                metzler_margin = min(metzler_margin, float(off.min()))
-
-    positive_margin = np.inf
-    for piece in system.pieces:
-        for s in samples:
-            for i in range(n):
-                boundary = s.copy()
-                boundary[i] = 0.0
-                fi = float(np.asarray(piece.vector_field(boundary))[i])
-                positive_margin = min(positive_margin, fi)
-
-    concave_margin = np.inf
-    pairs = ordered_pairs(samples)
-    for piece in system.pieces:
-        for x, y in pairs:
-            diff = as_square_matrix(piece.jacobian(x)) - as_square_matrix(piece.jacobian(y))
-            concave_margin = min(concave_margin, float(diff.min()))
-
-    irreducible = all(is_irreducible(p.linearization_at_zero) for p in system.pieces)
-
-    margins = {
-        "metzler": metzler_margin,
-        "positive": positive_margin,
-        "concave": concave_margin,
-        "ordered_pairs": len(pairs),
-    }
-    return ValidationReport(
-        metzler_at_samples=metzler_margin >= -_STRUCTURE_TOL,
-        positive=positive_margin >= -_STRUCTURE_TOL,
-        concave_at_samples=concave_margin >= -_STRUCTURE_TOL,
-        irreducible_at_zero=irreducible,
-        margins=margins,
-    )
-
-
-def ordered_pairs(samples) -> list:
-    """All (x, y) pairs from the list with x strictly below y componentwise."""
-    pairs = []
-    for x in samples:
-        for y in samples:
-            if x is not y and np.all(x < y):
-                pairs.append((x, y))
-    return pairs
-
-
-def jacobian_consistency(piece: AutonomousPiece, states) -> float:
-    """Worst entrywise gap between the Jacobian and a central finite difference."""
-    worst = 0.0
-    for s in states:
-        s = np.asarray(s, dtype=float)
-        n = s.size
-        j = as_square_matrix(piece.jacobian(s))
-        fd = np.empty_like(j)
-        for k in range(n):
-            dp = s.copy()
-            dm = s.copy()
-            dp[k] += _FD_STEP
-            dm[k] -= _FD_STEP
-            fd[:, k] = (
-                np.asarray(piece.vector_field(dp)) - np.asarray(piece.vector_field(dm))
-            ) / (2.0 * _FD_STEP)
-        worst = max(worst, float(np.max(np.abs(j - fd))))
-    return worst

@@ -877,8 +877,8 @@ def verify_flow_properties(
     margin is the least raw component of their unclamped RK4 flow, over the
     starts and every step. A row past the divergence bound raises
     DivergenceError."""
-    sample_states, ordered_pairs = default_flow_samples(_system(system).dimension)
-    points = np.array(sample_states + [s for pair in ordered_pairs for s in pair])
+    sample_states, pairs = default_flow_samples(_system(system).dimension)
+    points = np.array(sample_states + [s for pair in pairs for s in pair])
     step = _default_step(system, step, points)
     mapped, dp, positivity_margin = _variational_stack(system, points, step)
 

@@ -234,9 +234,11 @@ class TestParameterHypotheses:
 
 
 def reference_left_order(m):
-    """left_eigenvector_order of one matrix, on numpy scalars as first written."""
+    """left_eigenvector_order of one matrix, on numpy scalars, the difference
+    squared as an IEEE product as the stacked form squares it."""
     k = m / m.max()
-    disc = (k[0, 0] - k[1, 1]) ** 2 + 4.0 * k[0, 1] * k[1, 0]
+    diff = k[0, 0] - k[1, 1]
+    disc = diff * diff + 4.0 * k[0, 1] * k[1, 0]
     top = 0.5 * (k[0, 0] + k[1, 1] + math.sqrt(disc))
     ratio = float((top - k[0, 0]) / k[1, 0])
     gap = float((m[0, 1] + m[1, 1]) - (m[0, 0] + m[1, 0]))

@@ -226,6 +226,18 @@ class TestAsSeasonalSystem:
             system.pieces[1].linearization_at_zero, jacobian(pi_favorable, np.zeros(2))
         )
 
+    def test_jacobian_matches_central_difference(self, pi_unfavorable, pi_favorable):
+        # each piece's Jacobian against a central difference of its field
+        system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.4, 1.0)
+        h = 1e-6
+        for piece in system.pieces:
+            for state in (np.array([0.5, 1.0]), np.array([2.0, 3.0])):
+                fd = np.column_stack([
+                    (piece.vector_field(state + h * e) - piece.vector_field(state - h * e)) / (2.0 * h)
+                    for e in np.eye(2)
+                ])
+                assert np.max(np.abs(piece.jacobian(state) - fd)) <= 1e-5
+
     def test_negative_parameter_rejected(self):
         with pytest.raises(InvalidInputError):
             InsectParams(b=-1.0, h=0.5, dJ=1.0, cJ=1.0, dA=1.0)

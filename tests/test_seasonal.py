@@ -7,10 +7,8 @@ from seasonthresh import (
     SeasonalSystem,
     as_seasonal_system,
     season_index,
-    validate_structure,
 )
 from seasonthresh.errors import InvalidInputError
-from seasonthresh.seasonal import jacobian_consistency, ordered_pairs
 
 
 @pytest.fixture
@@ -85,59 +83,6 @@ class TestAutonomousPiece:
         x = np.array([1.0, 2.0])
         assert np.allclose(piece.vector_field(x), a @ x)
         assert np.allclose(piece.jacobian(x), a)
-
-    def test_jacobian_consistency_fd(self, pi_unfavorable, pi_favorable):
-        system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.4, 1.0)
-        states = [np.array([0.5, 1.0]), np.array([2.0, 3.0])]
-        for piece in system.pieces:
-            assert jacobian_consistency(piece, states) <= 1e-5
-
-
-class TestValidateStructure:
-    def test_insect_system_passes(self, pi_unfavorable, pi_favorable):
-        system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.5, 1.0)
-        report = validate_structure(system)
-        assert report.all_ok
-        assert report.margins["ordered_pairs"] > 0
-
-    def test_linear_metzler_system_passes(self):
-        a = np.array([[-2.0, 1.0], [1.0, -3.0]])
-        system = SeasonalSystem(
-            schedule=SeasonalSchedule(1.0, (0.0, 1.0)),
-            pieces=(AutonomousPiece.linear(a),),
-        )
-        report = validate_structure(system)
-        assert report.all_ok
-        # linear: concavity holds with equality
-        assert report.margins["concave"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_non_metzler_piece_flagged(self):
-        a = np.array([[-1.0, -1.0], [0.0, -1.0]])
-        system = SeasonalSystem(
-            schedule=SeasonalSchedule(1.0, (0.0, 1.0)),
-            pieces=(AutonomousPiece.linear(a),),
-        )
-        report = validate_structure(system)
-        assert not report.metzler_at_samples
-
-    def test_dimension_mismatch_rejected(self, pi_unfavorable, pi_favorable):
-        system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.5, 1.0)
-        with pytest.raises(InvalidInputError):
-            validate_structure(system, sample_states=[np.zeros(3)])
-
-    def test_negative_samples_rejected(self, pi_unfavorable, pi_favorable):
-        system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.5, 1.0)
-        with pytest.raises(InvalidInputError):
-            validate_structure(system, sample_states=[np.array([-1.0, 0.0])])
-
-
-class TestOrderedPairs:
-    def test_only_strict_pairs(self):
-        samples = [np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([2.0, 0.5])]
-        pairs = ordered_pairs(samples)
-        assert len(pairs) == 1
-        x, y = pairs[0]
-        assert np.all(x < y)
 
 
 class TestSystemConstruction:
