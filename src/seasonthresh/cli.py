@@ -11,7 +11,8 @@ Commands:
 
 Outputs are deterministic: identical scenarios produce byte-identical files.
 CSV is comma-separated with LF line endings and numbers to 17 significant
-digits. JSON is json.dumps(indent=2, sort_keys=True) text:
+digits; a field holding a comma, a quote or a line break is quoted, its
+quotes doubled (RFC 4180). JSON is json.dumps(indent=2, sort_keys=True) text:
 floats as their shortest round-trip repr, and a non-finite value as the
 string "inf", "-inf" or "nan".
 """
@@ -38,11 +39,14 @@ SIMULATE_ROWS_PER_PERIOD = 256  # trajectory.csv rows a period, besides the seas
 
 
 def _fmt(value) -> str:
+    """value as a report writes it; a text holding a comma, a quote or a line
+    break is quoted, its quotes doubled, as a CSV field (RFC 4180)."""
     if value is None:
         return ""
     if isinstance(value, float):
         return format(value, ".17g")
-    return str(value)
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def _json(obj, pad: str) -> str:
@@ -177,18 +181,10 @@ def _simulate_lambdas(scenario: Scenario, rows: list):
 
 def _cmd_floquet(scenario, args, out: Path):
     rows = run_sweep(scenario, with_simulation=args.with_simulation)
-    header = ["theta", "rho", "rho_prime", "rho_second", "classification"]
-    if args.with_simulation:
-        header.append("lambda_simulated")
-    header.append("error")
-    csv_rows = []
-    for r in rows:
-        row = [r.theta, r.rho, r.rho_prime, r.rho_second, r.classification]
-        if args.with_simulation:
-            row.append(r.lambda_simulated)
-        row.append(r.error)
-        csv_rows.append(row)
-    _write_csv(out / "sweep.csv", header, csv_rows)
+    header = [f.name for f in dataclasses.fields(SweepRow)]
+    if not args.with_simulation:
+        header.remove("lambda_simulated")
+    _write_csv(out / "sweep.csv", header, [[getattr(r, name) for name in header] for r in rows])
     errors = sum(1 for r in rows if r.error)
     print(f"floquet: wrote {out / 'sweep.csv'} ({len(rows)} rows, {errors} row errors)")
     return errors

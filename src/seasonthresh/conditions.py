@@ -4,8 +4,9 @@ plus the parameter hypotheses and the full 2-D insect threshold chain.
 Each check returns a ConditionCertificate whose margins are the worst slack
 seen; a certificate only holds when every required margin clears the
 strictness floor (open conditions with hair-thin margins are reported but
-not certified). The grid certificates judge a floquet.RhoProfile: its
-Perron pairs and monodromies are computed once and read by all of them.
+not certified). The grid certificates judge a floquet.RhoProfile: its (G, n)
+Perron vectors and (G, n, n) monodromies are computed once, and each
+certificate reads them in stacked products.
 """
 
 import math
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDiagonalizationError, InvalidInputError
-from .floquet import RhoProfile, TwoSeasonLinearization, metzler_perron
+from .floquet import RhoProfile, TwoSeasonLinearization, season_vectors
 from .insect import InsectParams, jacobian, r0
-from .linalg import as_matrix_stack, as_square_matrix
+from .linalg import _dot, _matvec, as_matrix_stack, as_square_matrix
 
 STRICTNESS = 1e-9
 _SHARED_ANGLE_TOL = 1e-8  # largest Perron-vector angle that counts as shared
@@ -46,17 +47,13 @@ def check_shared_eigenvector(
     _SHARED_ANGLE_TOL) certifies the condition, so `holds` is true when the best of the
     two margins is positive.
     """
-    _, v1, v1s = metzler_perron(lin.m1, tol=perron_tol)
-    _, v2, v2s = metzler_perron(lin.m2, tol=perron_tol)
-
-    def angle(x, y):
-        cx = x / np.linalg.norm(x)
-        cy = y / np.linalg.norm(y)
-        # chord form stays accurate near zero, unlike arccos of the dot
-        return float(2.0 * np.arcsin(min(1.0, 0.5 * np.linalg.norm(cx - cy))))
-
-    angle_right = angle(v1, v2)
-    angle_left = angle(v1s, v2s)
+    sides = np.array(season_vectors(lin, tol=perron_tol))  # [right, left][season]
+    unit = sides / np.sqrt(_dot(sides, sides))[..., None]
+    chord = unit[:, 0] - unit[:, 1]
+    # chord form stays accurate near zero, unlike arccos of the dot
+    angle_right, angle_left = (
+        float(2.0 * np.arcsin(min(1.0, 0.5 * c))) for c in np.sqrt(_dot(chord, chord)).tolist()
+    )
     margins = np.array([_SHARED_ANGLE_TOL - angle_right, _SHARED_ANGLE_TOL - angle_left])
     return ConditionCertificate(
         condition="shared_eigenvector",
@@ -84,15 +81,13 @@ def check_decrease_right(profile: RhoProfile, p=None) -> ConditionCertificate:
 
 def _check_decrease(profile, p, side) -> ConditionCertificate:
     """The right form on (S, V); the left form is the same on (S^T, V*)."""
-    lin, pairs = profile.lin, profile.perron_pairs
-    left = side == "left"
-    s = lin.s.T if left else lin.s
-    vectors = [pair.v_star if left else pair.v for pair in pairs]
+    lin, left = profile.lin, side == "left"
+    s, vectors = (lin.s.T, profile.v_star) if left else (lin.s, profile.v)
     details = {}
     if p is None:
-        margins = np.array([-float(np.max(s @ v)) for v in vectors])
+        margins = -_matvec(s, vectors).max(axis=1)
         if left:
-            details["certified_by"] = _sufficient_candidate_left(lin.s, pairs)
+            details["certified_by"] = _sufficient_candidate_left(lin.s, vectors, margins)
     else:
         p = as_square_matrix(p)
         try:
@@ -105,7 +100,8 @@ def _check_decrease(profile, p, side) -> ConditionCertificate:
             p_inv = p_inv.T
         else:
             static = -float(np.max(s @ p))
-        margins = np.array([min(static, float(np.min(p_inv @ v))) for v in vectors])
+        low = _matvec(p_inv, vectors).min(axis=1)
+        margins = np.where(low < static, low, static)  # min(static, low), as Python takes it
         details["static_margin"] = static
     return ConditionCertificate(
         condition=f"decrease_{side}",
@@ -116,16 +112,15 @@ def _check_decrease(profile, p, side) -> ConditionCertificate:
     )
 
 
-def _sufficient_candidate_left(s, pairs) -> str | None:
+def _sufficient_candidate_left(s, v_star, margins) -> str | None:
+    """The simplest p that certifies the left decrease; margins are the sharp form's."""
     if float(np.max(s)) < -STRICTNESS:
         return "identity"
     if s.shape[0] == 2:
         p = np.array([[1.0, 1.0], [0.0, 1.0]])
-        if float(np.max(p @ s)) < -STRICTNESS and all(
-            pair.v_star[1] - pair.v_star[0] > STRICTNESS for pair in pairs
-        ):
+        if float(np.max(p @ s)) < -STRICTNESS and np.all(v_star[:, 1] - v_star[:, 0] > STRICTNESS):
             return "triangular"
-    if all(float(np.max(s.T @ pair.v_star)) < -STRICTNESS for pair in pairs):
+    if np.all(margins > STRICTNESS):
         return "eigenvector_form"
     return None
 
@@ -142,9 +137,8 @@ def check_decrease_bilinear(profile: RhoProfile, p=None, q=None) -> ConditionCer
     if p.shape != q.shape or p.shape[0] != profile.lin.dimension:
         raise InvalidInputError("p and q must match the system dimension")
     entry_margin = float(np.min(p.T @ q - profile.lin.s))
-    eq_errors = np.array(
-        [float(np.linalg.norm(p @ pair.v_star + q @ pair.v)) for pair in profile.perron_pairs]
-    )
+    gap = _matvec(p, profile.v_star) + _matvec(q, profile.v)
+    eq_errors = np.sqrt(_dot(gap, gap))
     margins = np.minimum(entry_margin, _EQ_TOL - eq_errors)
     holds = entry_margin > STRICTNESS and bool(np.all(eq_errors <= _EQ_TOL))
     return ConditionCertificate(

@@ -335,15 +335,16 @@ def _above_one(log_rho) -> np.ndarray:
 @dataclass(frozen=True)
 class RhoProfile:
     """rho, log rho and the first two theta-derivatives of rho on a grid of
-    lin, with the Perron pairs and the monodromies (stacked as (G, n, n))
-    they come from."""
+    lin, with the Perron vectors v and v_star (stacked as (G, n)) and the
+    monodromies (stacked as (G, n, n)) they come from."""
 
     lin: TwoSeasonLinearization
     thetas: np.ndarray
     rho: np.ndarray
     rho_prime: np.ndarray
     rho_second: np.ndarray | None
-    perron_pairs: tuple
+    v: np.ndarray
+    v_star: np.ndarray
     monodromies: np.ndarray
     log_rho: np.ndarray
 
@@ -377,9 +378,8 @@ def rho_profile(
         rho=values,
         rho_prime=prime,
         rho_second=curved,
-        perron_pairs=tuple(
-            PerronPair(rho=float(x), v=v, v_star=w) for x, v, w in zip(values, ev.v, ev.v_star)
-        ),
+        v=ev.v,
+        v_star=ev.v_star,
         monodromies=_unshift(ev.log_scale, ev.shifted, ev.thetas),
         log_rho=ev.log_rho,
     )
@@ -541,8 +541,9 @@ def log_convexity_probe(
     thetas = np.asarray(thetas, dtype=float)
     log_rho = _evaluate(lin, thetas, tol).log_rho
     second = log_rho[2:] - 2.0 * log_rho[1:-1] + log_rho[:-2]
-    mu1, v1, v1s = metzler_perron(lin.m1, tol=tol)
-    mu2, v2, v2s = metzler_perron(lin.m2, tol=tol)
+    (v1, v2), (v1s, v2s) = season_vectors(lin, tol=tol)
+    mu1 = float((lin.m1 @ v1) @ v1s)
+    mu2 = float((lin.m2 @ v2) @ v2s)
     product = (mu2 - float((lin.m1 @ v2) @ v2s)) * (float((lin.m2 @ v1) @ v1s) - mu1)
     return LogConvexityReport(
         thetas=thetas,
@@ -556,22 +557,18 @@ def log_convexity_probe(
     )
 
 
-def metzler_perron(a, tol: float = DEFAULT_PERRON_TOL) -> tuple[float, np.ndarray, np.ndarray]:
-    """Spectral abscissa and Perron vectors of an irreducible Metzler matrix.
+def season_vectors(lin: TwoSeasonLinearization, tol: float = DEFAULT_PERRON_TOL) -> tuple:
+    """(v, v_star): the Perron vectors of m1 (row 0) and m2 (row 1), stacked
+    as (2, n), with ||v|| = 1 and <v, v_star> = 1, from one perron_pair call.
 
-    A - (min diag A - 1) I is nonnegative and irreducible with a positive
-    diagonal, hence primitive, and has A's eigenvectors, so its Perron pair
-    gives them; the abscissa is then the Rayleigh quotient on the matrix
-    itself. Returns (mu, v, v_star) with ||v|| = 1 and <v, v_star> = 1.
+    m - (min diag m - 1) I is nonnegative and irreducible with a positive
+    diagonal, hence primitive, and has m's eigenvectors, so its Perron pair
+    gives them.
     """
-    m = as_square_matrix(a)
-    if not is_metzler(m):
-        raise InvalidInputError("matrix is not Metzler")
-    if not is_irreducible(m):
-        raise InvalidInputError("matrix is not irreducible")
-    pair = perron_pair(m - (m.diagonal().min() - 1.0) * np.eye(m.shape[0]), tol=tol)
-    mu = float((m @ pair.v) @ pair.v_star)
-    return mu, pair.v, pair.v_star
+    seasons = np.array([lin.m1, lin.m2])
+    shift = seasons.diagonal(axis1=1, axis2=2).min(axis=1) - 1.0
+    pair = perron_pair(seasons - shift[:, None, None] * np.eye(lin.dimension), tol=tol)
+    return pair.v, pair.v_star
 
 
 @dataclass(frozen=True)
@@ -614,8 +611,7 @@ def timescale_asymptotics(
     corrections = np.array([evaluated_at(t).log_shifted[0] for t in t_values])
     log_rho_over_t = linear_rate + corrections / t_values
 
-    _, v1, v1s = metzler_perron(lin.m1, tol=tol)
-    _, v2, v2s = metzler_perron(lin.m2, tol=tol)
+    (v1, v2), (v1s, v2s) = season_vectors(lin, tol=tol)
     limit = float(np.log((v2s @ v1) * (v1s @ v2)))
 
     rho_small = float(np.exp(evaluated_at(t_small).log_rho[0]))

@@ -7,11 +7,12 @@ across a discontinuity inside a step. Within a chunk the active piece is
 resolved once, at the chunk midpoint. The step is fixed within a call: the
 caller's, or one sized from the system's own fields (see _sized_step).
 
-A pass steps one system, on a state of shape (n,) or on a (B, n) stack of
-states. Each row of a stack takes exactly the steps, and the arithmetic, of
-a pass from that state alone, so it has that pass's bits. A stack stops at
-the first step where any row passes the divergence bound, with the error of
-the lowest such row, which is the error that row's one-state pass raises.
+A pass steps one system, on a state of shape (n,) or, with linear pieces
+only, on a (B, n) stack of states. Each row of a stack takes exactly the
+steps, and the arithmetic, of a pass from that state alone, so it has that
+pass's bits. A stack stops at the first step where any row passes the
+divergence bound, with the error of the lowest such row, which is the
+error that row's one-state pass raises.
 
 At zero the variational pass is linear, so DP(0) takes no pass: it is the
 product of RK4's stability polynomial at each chunk's h*A, raised to the
@@ -541,37 +542,47 @@ def _variational(
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(x) and DP(x) at one state, raising where the base state passes the
     divergence bound."""
+    return _variational_row(system, x, step, divergence_bound)[:2]
+
+
+def _variational_row(system: SeasonalSystem, x: np.ndarray, step: float, bound: float) -> tuple:
+    """_variational's P(x) and DP(x), and the least raw base component over
+    the start and every step."""
     if _on_floats(system):
-        return _float_joint_pass(system, x, step, divergence_bound)[:2]
+        return _float_joint_pass(system, x, step, bound)
     n = len(x)
+    least = float(x.min())
 
     def settle(t, z):
+        nonlocal least
         base = z[:n]
-        if math.sqrt(base.dot(base)) > divergence_bound:  # the bits of np.linalg.norm
+        least = min(least, float(base.min()))
+        if math.sqrt(base.dot(base)) > bound:  # the bits of np.linalg.norm
             raise DivergenceError(_BASE_DIVERGED, time=t, state=base)
         return z
 
-    return _joint_pass(system, x, step, settle)
+    return (*_joint_pass(system, x, step, settle), least)
 
 
 def _variational_stack(
     system: SeasonalSystem, states: np.ndarray, step: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """P and DP at each row of a (B, n) stack of states, and the least raw
-    base component over the starts and every step, from one pass.
+    base component over the starts and every step.
 
-    The pass raises at the first step where a row's base state passes
-    DEFAULT_DIVERGENCE_BOUND, with that step's time and the base state of the
-    lowest such row: the error of that row's one-state pass. An insect
-    system takes one float pass per row, which gives the same.
+    A system of linear pieces makes one pass, which raises at the first step
+    where a row's base state passes DEFAULT_DIVERGENCE_BOUND, with that
+    step's time and the base state of the lowest such row: the error of that
+    row's one-state pass. Any other system takes one pass per row, which
+    gives the same.
     """
     n = states.shape[1]
     least = float(states.min())
-    if _on_floats(system):
+    if not all(isinstance(piece, LinearPiece) for piece in system.pieces):
         rows, first = [], None
         for x in states:
             try:
-                rows.append(_float_joint_pass(system, x, step, DEFAULT_DIVERGENCE_BOUND))
+                rows.append(_variational_row(system, x, step, DEFAULT_DIVERGENCE_BOUND))
             except DivergenceError as exc:
                 if first is None or exc.time < first.time:
                     first = exc

@@ -1,4 +1,5 @@
 import collections
+import csv
 import dataclasses
 import json
 import os
@@ -16,6 +17,7 @@ from seasonthresh import cli, conditions, floquet, simulate
 from seasonthresh.cli import main, run_sweep
 from seasonthresh.errors import ScenarioError
 from seasonthresh.scenario import load_scenario, scenario_from_dict
+from seasonthresh.verify_suite import run_verification
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCENARIOS = SRC.parent / "scenarios"
@@ -285,8 +287,8 @@ class TestCommands:
         assert main(["check", "--scenario", str(scenario_path), "--out", str(tmp_path),
                      "--grid", "7"]) == 0
         assert calls.count("monodromy") == monodromies
-        # one stacked pair for the grid, plus one per season for shared_eigenvector
-        assert calls.count("perron_pair") == 1 + 2
+        # one stacked pair for the grid, plus one for both seasons of shared_eigenvector
+        assert calls.count("perron_pair") == 1 + 1
 
     def test_floquet_with_simulation_is_one_pass(self, tmp_path, monkeypatch):
         lanes = []
@@ -705,6 +707,46 @@ class TestReportWriter:
             reference_json([value])
         with pytest.raises(TypeError, match="is not JSON serializable"):
             cli._write_json(tmp_path / "payload.json", [value])
+
+
+class TestCsvWriter:
+    """A CSV field holding a comma, a quote or a line break is quoted, its
+    quotes doubled (RFC 4180), so csv.reader reads every row back whole."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_verify_rows_read_back_whole(self, tmp_path, name):
+        path = SCENARIOS / f"{name}.json"
+        assert main(["verify", "--scenario", str(path), "--out", str(tmp_path), "--seed", "0"]) == 0
+        with open(tmp_path / "verify.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        expected = [[r.name, r.status, r.detail] for r in run_verification(load_scenario(path), seed=0)]
+        assert rows == [["check", "status", "detail"], *expected]
+        assert "," in dict((row[0], row[2]) for row in rows)["timescale_limits"]
+
+    def test_step_budget_errors_read_back_whole(self, tmp_path):
+        # past the default step's budget, each row's error names the period
+        # and the budget in one field that holds commas
+        raw = json.loads((SCENARIOS / "insect_two_season.json").read_text())
+        path = write_scenario(tmp_path, {**raw, "period_T": 3000.0})
+        out = tmp_path / "out"
+        assert main(["floquet", "--scenario", str(path), "--out", str(out),
+                     "--with-simulation", "--grid", "11"]) == 1
+        with open(out / "sweep.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        scenario = dataclasses.replace(load_scenario(path), theta_grid=tuple(np.linspace(0.0, 1.0, 11)))
+        expected = [r.error for r in run_sweep(scenario, with_simulation=True)]
+        assert len(rows) == 11 and all(len(row) == len(header) == 7 for row in rows)
+        assert [row[-1] for row in rows] == expected
+        assert any("more than the budget" in error and "," in error for error in expected)
+
+    def test_quoting(self, tmp_path):
+        fields = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "", 1.5, None, -0.0]
+        path = tmp_path / "rows.csv"
+        cli._write_csv(path, ["h"] * len(fields), [fields])
+        text = path.read_bytes().decode()
+        assert text.splitlines()[1].startswith('plain,"a,b","say ""hi""","two')
+        with open(path, newline="") as f:
+            assert list(csv.reader(f))[1] == [*fields[:6], "1.5", "", "-0"]
 
 
 class TestParserReuse:

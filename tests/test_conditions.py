@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from seasonthresh import (
     rho_prime,
     rho_profile,
 )
-from seasonthresh.conditions import LeftOrderResult, ordering_form
+from seasonthresh import floquet
+from seasonthresh.conditions import (
+    _EQ_TOL,
+    STRICTNESS,
+    ConditionCertificate,
+    LeftOrderResult,
+    ordering_form,
+)
 from seasonthresh.errors import DegenerateDiagonalizationError, InvalidInputError
 
 from conftest import random_metzler_pair
@@ -421,3 +429,142 @@ class TestInsectThresholdCertificate:
                     insect_pair_lin(pi_favorable, pi_unfavorable)):
             with pytest.raises(InvalidInputError, match="linearization"):
                 insect_threshold_certificate(pi_unfavorable, pi_favorable, rho_profile(lin, GRID7))
+
+
+# The decrease certificates as they read one grid point at a time: the
+# references the stacked forms must equal bit for bit.
+
+
+def reference_candidate_left(s, v_stars):
+    if float(np.max(s)) < -STRICTNESS:
+        return "identity"
+    if s.shape[0] == 2:
+        p = np.array([[1.0, 1.0], [0.0, 1.0]])
+        if float(np.max(p @ s)) < -STRICTNESS and all(w[1] - w[0] > STRICTNESS for w in v_stars):
+            return "triangular"
+    if all(float(np.max(s.T @ w)) < -STRICTNESS for w in v_stars):
+        return "eigenvector_form"
+    return None
+
+
+def reference_decrease(profile, p, side):
+    lin = profile.lin
+    left = side == "left"
+    s = lin.s.T if left else lin.s
+    vectors = list(profile.v_star if left else profile.v)
+    details = {}
+    if p is None:
+        margins = np.array([-float(np.max(s @ v)) for v in vectors])
+        if left:
+            details["certified_by"] = reference_candidate_left(lin.s, vectors)
+    else:
+        p_inv = np.linalg.inv(p)
+        if left:
+            static = -float(np.max(p @ lin.s))
+            p_inv = p_inv.T
+        else:
+            static = -float(np.max(s @ p))
+        margins = np.array([min(static, float(np.min(p_inv @ v))) for v in vectors])
+        details["static_margin"] = static
+    return ConditionCertificate(
+        condition=f"decrease_{side}",
+        holds=bool(np.all(margins > STRICTNESS)),
+        margins=margins,
+        theta_grid=profile.thetas,
+        details=details,
+    )
+
+
+def reference_bilinear(profile, p, q):
+    entry_margin = float(np.min(p.T @ q - profile.lin.s))
+    eq_errors = np.array(
+        [float(np.linalg.norm(p @ w + q @ v)) for v, w in zip(profile.v, profile.v_star)]
+    )
+    return ConditionCertificate(
+        condition="decrease_bilinear",
+        holds=entry_margin > STRICTNESS and bool(np.all(eq_errors <= _EQ_TOL)),
+        margins=np.minimum(entry_margin, _EQ_TOL - eq_errors),
+        theta_grid=profile.thetas,
+        details={"entry_margin": entry_margin, "max_eq_error": float(eq_errors.max())},
+    )
+
+
+def exact_repr(cert) -> str:
+    """repr of a certificate with every float at its shortest round-trip
+    digits, so equal text means equal bits (signed zeros included)."""
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        return repr(cert)
+
+
+def certificate_cases():
+    """(lin, label): random Metzler pairs at each n, and pairs built to be
+    certified by the identity, by the triangular p and by the sharp form."""
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 4, 6, 8):
+        for i in range(3):
+            yield random_metzler_pair(rng, n), f"random{n}-{i}"
+    m1 = np.array([[-2.0, 0.5], [0.5, -2.0]])
+    yield TwoSeasonLinearization(m1, m1 + np.array([[1.0, 0.5], [0.5, 1.0]]), 1.0), "identity"
+    yield insect_pair_lin(InsectParams(1.0, 0.5, 1.0, 1.0, 1.0),
+                          InsectParams(2.0, 1.0, 0.5, 1.0, 0.5)), "insect"
+    # S = -(2 I + a small off-diagonal of both signs): not entrywise negative
+    # at n = 3, where no triangular p is tried, yet S^T V* < 0
+    base = np.ones((3, 3)) + np.diag([-4.0, -3.0, -5.0])
+    shift = 2.0 * np.eye(3) + 0.3 * np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    yield TwoSeasonLinearization(base, base + shift, 1.0), "eigenvector_form"
+
+
+class TestStackedCertificates:
+    """The decrease certificates judge the whole grid by stacked products,
+    with the bits of their per-theta forms."""
+
+    @pytest.mark.parametrize("points", [1, 13, 101])
+    def test_equal_to_per_theta_forms(self, points):
+        grid = np.linspace(0.0, 1.0, points)
+        rng = np.random.default_rng(points)
+        certified_by = set()
+        for lin, label in certificate_cases():
+            n = lin.dimension
+            profile = rho_profile(lin, grid)
+            while True:
+                random_p = rng.uniform(-1.0, 1.0, (n, n))
+                if abs(np.linalg.det(random_p)) > 1e-3:
+                    break
+            for p in (None, np.eye(n), np.triu(np.ones((n, n))), random_p):
+                for side, check in (("left", check_decrease_left), ("right", check_decrease_right)):
+                    cert = check(profile, p=p)
+                    assert exact_repr(cert) == exact_repr(reference_decrease(profile, p, side)), label
+                    if p is None and side == "left":
+                        certified_by.add(cert.details["certified_by"])
+            for p, q in ((np.zeros((n, n)), np.zeros((n, n))),
+                         (random_p, rng.uniform(-1.0, 1.0, (n, n)))):
+                cert = check_decrease_bilinear(profile, p=p, q=q)
+                assert exact_repr(cert) == exact_repr(reference_bilinear(profile, p, q)), label
+        assert certified_by == {"identity", "triangular", "eigenvector_form", None}
+
+    def test_shared_eigenvector_equal_to_per_pair_form(self):
+        def angle(x, y):
+            cx = x / np.linalg.norm(x)
+            cy = y / np.linalg.norm(y)
+            return float(2.0 * np.arcsin(min(1.0, 0.5 * np.linalg.norm(cx - cy))))
+
+        for lin, label in certificate_cases():
+            (v1, v2), (v1s, v2s) = floquet.season_vectors(lin)
+            right, left = angle(v1, v2), angle(v1s, v2s)
+            cert = check_shared_eigenvector(lin)
+            assert (cert.details["angle_right"], cert.details["angle_left"]) == (right, left), label
+            assert exact_repr(cert.margins) == exact_repr(
+                np.array([cert.details["tol"] - right, cert.details["tol"] - left])
+            )
+
+    def test_shared_eigenvector_reads_one_stacked_pair(self, monkeypatch):
+        calls = []
+        original = floquet.perron_pair
+
+        def counted(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(floquet, "perron_pair", counted)
+        check_shared_eigenvector(random_metzler_pair(np.random.default_rng(5), 4))
+        assert calls == [(2, 4, 4)]

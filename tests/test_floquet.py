@@ -331,7 +331,7 @@ class TestRhoProfile:
         profile = rho_profile(insect_linearization, np.linspace(0.0, 1.0, 21), second=True)
         assert profile.strictly_decreasing
         assert profile.rho_second.shape == (21,)
-        assert len(profile.perron_pairs) == 21
+        assert len(profile.v) == 21
 
     def test_one_monodromy_and_pair_per_theta(self, insect_linearization, monkeypatch):
         calls = []
@@ -362,8 +362,8 @@ class TestRhoProfile:
             assert profile.rho[g] == value
             assert profile.rho_prime[g] == rho_prime(lin, float(th))
             assert profile.rho_second[g] == rho_second(lin, float(th))
-            assert np.array_equal(profile.perron_pairs[g].v, pair_alone.v)
-            assert np.array_equal(profile.perron_pairs[g].v_star, pair_alone.v_star)
+            assert np.array_equal(profile.v[g], pair_alone.v)
+            assert np.array_equal(profile.v_star[g], pair_alone.v_star)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_batch_equals_one_theta_calls_at_every_n(self, n):
@@ -379,8 +379,8 @@ class TestRhoProfile:
                 assert profile.rho[g] == value
                 assert profile.rho_prime[g] == rho_prime(lin, float(th))
                 assert profile.rho_second[g] == rho_second(lin, float(th))
-                assert np.array_equal(profile.perron_pairs[g].v, pair_alone.v)
-                assert np.array_equal(profile.perron_pairs[g].v_star, pair_alone.v_star)
+                assert np.array_equal(profile.v[g], pair_alone.v)
+                assert np.array_equal(profile.v_star[g], pair_alone.v_star)
 
     def test_carries_its_linearization_and_monodromies(self, insect_linearization):
         grid = np.linspace(0.0, 1.0, 5)
@@ -446,6 +446,48 @@ class TestTimescale:
     def test_t_values_must_increase(self, shifted_pair):
         with pytest.raises(InvalidInputError):
             timescale_asymptotics(shifted_pair, [2.0, 1.0])
+
+
+def season_pair_alone(m):
+    """One season's Perron pair from a one-matrix call, on m shifted to a
+    primitive nonnegative matrix."""
+    return perron_pair(m - (m.diagonal().min() - 1.0) * np.eye(len(m)))
+
+
+def season_cases():
+    rng = np.random.default_rng(800)
+    for name in BUNDLED:
+        yield bundled_linearization(name)
+    for n in (2, 3, 4, 6, 8):
+        for _ in range(4):
+            yield random_metzler_pair(rng, n)
+
+
+class TestSeasonVectors:
+    """Both seasons' Perron vectors come from one stacked perron_pair call,
+    each row with the bits of its season's own call."""
+
+    def test_rows_equal_one_matrix_calls(self):
+        for lin in season_cases():
+            v, v_star = floquet.season_vectors(lin)
+            assert v.shape == v_star.shape == (2, lin.dimension)
+            for k, m in enumerate((lin.m1, lin.m2)):
+                alone = season_pair_alone(m)
+                assert np.array_equal(v[k], alone.v)
+                assert np.array_equal(v_star[k], alone.v_star)
+
+    def test_probe_and_limit_read_the_one_matrix_pairs(self):
+        for lin in season_cases():
+            p1, p2 = map(season_pair_alone, (lin.m1, lin.m2))
+            mu1 = float((lin.m1 @ p1.v) @ p1.v_star)
+            mu2 = float((lin.m2 @ p2.v) @ p2.v_star)
+            product = (mu2 - float((lin.m1 @ p2.v) @ p2.v_star)) * (
+                float((lin.m2 @ p1.v) @ p1.v_star) - mu1
+            )
+            report = log_convexity_probe(lin, np.linspace(0.0, 1.0, 5))
+            assert (report.mu1, report.mu2, report.endpoint_slope_product) == (mu1, mu2, product)
+            limit = float(np.log((p2.v_star @ p1.v) * (p1.v_star @ p2.v)))
+            assert timescale_asymptotics(lin, [1.0], theta=0.5).limit_correction == limit
 
 
 class TestLinearizationValidation:

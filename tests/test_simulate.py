@@ -386,6 +386,59 @@ class TestStack:
         assert np.array_equal(stack.value.state, alone[1].state)
 
 
+def hand_built_system(m1, m2, period=1.5):
+    """Two seasons x' = m x whose fields take one state only: m @ x fails on
+    a (B, n) stack."""
+    pieces = tuple(
+        AutonomousPiece(vector_field=lambda x, m=m: m @ x, jacobian=lambda x, m=m: m,
+                        linearization_at_zero=m)
+        for m in (np.asarray(m1, dtype=float), np.asarray(m2, dtype=float))
+    )
+    return SeasonalSystem(SeasonalSchedule(period, (0.0, 0.37, 1.0)), pieces)
+
+
+class TestHandBuiltPieces:
+    """A system of pieces that are neither linear nor insect pieces takes
+    one-state passes wherever a stack of states is asked for."""
+
+    def test_stack_rows_are_one_state_passes(self):
+        system = hand_built_system([[-1.0, 0.5], [0.5, -2.0]], [[0.5, 1.0], [1.0, 0.2]])
+        states = np.random.default_rng(3).uniform(0.1, 2.0, (5, 2))
+        step = system.period_T / 200
+        mapped, jac, least = simulate._variational_stack(system, states, step)
+        for row, state in enumerate(states):
+            p, dp = simulate._variational(system, state, step)
+            assert same_bits(mapped[row], p) and same_bits(jac[row], dp)
+        # the flow stays positive, so integrate's unclamped states are the
+        # base states of the variational passes
+        lows = [integrate(system, x, 0.0, system.period_T, step=step).min_component for x in states]
+        assert least == min(lows)
+
+    def test_flow_properties(self):
+        system = hand_built_system([[-1.0, 0.5], [0.5, -2.0]], [[0.5, 1.0], [1.0, 0.2]])
+        report = verify_flow_properties(system, step=system.period_T / 200)
+        assert report.positivity and report.order and report.derivative_positive
+        assert report.derivative_boundary  # linear dynamics
+
+    def test_rows_raise_the_earliest_divergence(self):
+        # rows 1 and 2 pass the bound at one step, before row 0 does: the
+        # error is row 1's, as a stacked pass gives it
+        system = hand_built_system(20.0 * np.eye(2), 20.0 * np.eye(2), period=1.0)
+        states = np.array([[10.0, 10.0], [60.0, 60.0], [60.0, 60.000001]])
+        alone = []
+        for state in states:
+            with pytest.raises(DivergenceError) as info:
+                simulate._variational(system, state, 0.01)
+            alone.append(info.value)
+        assert alone[1].time == alone[2].time < alone[0].time
+        with pytest.raises(DivergenceError) as stack:
+            simulate._variational_stack(system, states, 0.01)
+        assert stack.value.time == alone[1].time
+        assert same_bits(stack.value.state, alone[1].state)
+        with pytest.raises(DivergenceError):
+            verify_flow_properties(system, step=0.01)
+
+
 class TestBadInputs:
     """A bad state, system or step is an InvalidInputError before any stepping."""
 
