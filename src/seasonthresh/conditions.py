@@ -90,6 +90,8 @@ def _check_decrease(profile, p, side) -> ConditionCertificate:
             details["certified_by"] = _sufficient_candidate_left(lin.s, vectors, margins)
     else:
         p = as_square_matrix(p)
+        if p.shape[0] != lin.dimension:
+            raise InvalidInputError("p must match the system dimension")
         try:
             p_inv = np.linalg.inv(p)
         except np.linalg.LinAlgError as exc:

@@ -15,8 +15,9 @@ and the second derivative follows from the constrained resolvent of
 (M - rho I) on the complement of the Perron direction.
 
 One evaluator, `_evaluate`, computes all of it for an array of theta at
-once. It never forms M: each season is shifted by its spectral abscissa mu_k,
-so M = exp(T (theta mu1 + (1 - theta) mu2)) P with P the product of the
+once, on one linearization or on a sequence of them of one dimension. It
+never forms M: each season is shifted by its spectral abscissa mu_k, so
+M = exp(T (theta mu1 + (1 - theta) mu2)) P with P the product of the
 shifted exponentials, whose entries stay within double range at any period,
 and log rho = log rho(P) + T (theta mu1 + (1 - theta) mu2). rho, rho' and
 rho'' themselves are formed only where a caller asks for them.
@@ -95,7 +96,12 @@ class TwoSeasonLinearization:
         return self.m1.shape[0]
 
     def with_period(self, period_T: float) -> "TwoSeasonLinearization":
-        return TwoSeasonLinearization(self.m1, self.m2, period_T)
+        """The same seasons at another period; their shifts, which do not
+        depend on the period, carry over once computed."""
+        copy = TwoSeasonLinearization(self.m1, self.m2, period_T)
+        if "_shifted_seasons" in self.__dict__:
+            copy.__dict__["_shifted_seasons"] = self._shifted_seasons
+        return copy
 
     @cached_property
     def _shifted_seasons(self) -> tuple:
@@ -107,12 +113,37 @@ class TwoSeasonLinearization:
         return mu1, mu2, self.m1 - mu1 * eye, self.m2 - mu2 * eye
 
 
+@dataclass(frozen=True)
+class _Stacked:
+    """A sequence of linearizations of one dimension, each repeated once per
+    theta: the attributes the evaluator reads, stacked one row per
+    (linearization, theta), linearization-major."""
+
+    m1: np.ndarray
+    m2: np.ndarray
+    period_T: np.ndarray
+    _shifted_seasons: tuple
+
+
+def _stacked(lins, count: int) -> _Stacked:
+    def rows(values) -> np.ndarray:
+        return np.repeat(np.array(values), count, axis=0)
+
+    return _Stacked(
+        rows([lin.m1 for lin in lins]),
+        rows([lin.m2 for lin in lins]),
+        rows([lin.period_T for lin in lins]),
+        tuple(map(rows, zip(*(lin._shifted_seasons for lin in lins)))),
+    )
+
+
 def _cycle(lin: TwoSeasonLinearization, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log_scale, shifted) at each theta of a 1-D array, with
     log_scale = T (theta mu1 + (1 - theta) mu2) and
     shifted = exp((1 - theta) T (m2 - mu2)) exp(theta T (m1 - mu1)), the
     monodromy divided by exp(log_scale). The 2G exponentials are one call,
-    their G products one ordered_products call."""
+    their G products one ordered_products call. lin may be _Stacked, one
+    row per theta."""
     outside = np.flatnonzero(~((thetas >= 0.0) & (thetas <= 1.0)))
     if outside.size:
         raise InvalidInputError(f"theta must lie in [0, 1], got {thetas[outside[0]]}")
@@ -121,7 +152,7 @@ def _cycle(lin: TwoSeasonLinearization, thetas: np.ndarray) -> tuple[np.ndarray,
     d1 = thetas * t
     d2 = (1.0 - thetas) * t
     factors = mat_exp(np.concatenate([d1[:, None, None] * a1, d2[:, None, None] * a2]))
-    return d1 * mu1 + d2 * mu2, ordered_products(factors.reshape((2, len(thetas)) + a1.shape))
+    return d1 * mu1 + d2 * mu2, ordered_products(factors.reshape((2, len(thetas)) + a1.shape[-2:]))
 
 
 def _unshift(log_scale: np.ndarray, shifted: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -171,27 +202,47 @@ class _Evaluation:
         return self.log_shifted + self.log_scale
 
 
-def _evaluate(
-    lin: TwoSeasonLinearization, thetas, tol: float, second: bool = False
-) -> _Evaluation:
+def _evaluate(lin, thetas, tol: float, second: bool = False) -> _Evaluation:
     """The Floquet evaluator: log rho, (log rho)', (when asked) rho'' / rho,
     the Perron vectors and the shifted monodromies at each theta of a
     sequence, from one stacked exponential, one stacked Perron pair and one
     stacked bordered solve. Entry g has the bits of a call on theta[g] alone,
-    as perron_pair's entries do."""
+    as perron_pair's entries do.
+
+    lin is one TwoSeasonLinearization or a sequence of them of one
+    dimension, evaluated in the same three stacks: entry l * G + g is
+    linearization l at theta[g], with the bits of a call on it alone. When
+    the stack raises a typed error, the linearizations are evaluated one at
+    a time, in order, so the error raised is the one that loop stops at.
+    """
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    if isinstance(lin, TwoSeasonLinearization):
+        return _evaluate_rows(lin, thetas, tol, second)
+    if len({one.dimension for one in lin}) != 1:
+        raise InvalidInputError("expected a nonempty sequence of linearizations of one dimension")
+    try:
+        return _evaluate_rows(_stacked(lin, len(thetas)), np.tile(thetas, len(lin)), tol, second)
+    except TYPED_ERRORS:
+        for one in lin:
+            _evaluate_rows(one, thetas, tol, second)
+        raise
+
+
+def _evaluate_rows(lin, thetas: np.ndarray, tol: float, second: bool) -> _Evaluation:
+    """_evaluate's stacks on one linearization, or on _Stacked rows with
+    thetas[r] the theta of row r."""
     log_scale, shifted = _cycle(lin, thetas)
     pair = perron_pair(shifted, tol=tol)
     v, v_star = pair.v, pair.v_star
     t = lin.period_T
-    s = lin.s
+    s = lin.m1 - lin.m2
     sv = _matvec(s, v)
     r = _dot(sv, v_star)
     curvature = None
     if second:
         mixed = _dot(_matvec(lin.m2 @ s - s @ lin.m1, v), v_star)
         # (Pi - I) S^T V*, with Pi the projection x -> <x, V> V*
-        b = r[:, None] * v_star - _matvec(s.T, v_star)
+        b = r[:, None] * v_star - _matvec(s.swapaxes(-1, -2), v_star)
         # rho <x, SV> does not change when M and rho are divided by one number:
         # the solve runs on shifted / max(shifted), which is M / max(M)
         peak = shifted.max(axis=(1, 2))
@@ -370,19 +421,53 @@ def rho_profile(
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
     thetas = np.asarray(thetas, dtype=float)
-    ev = _evaluate(lin, thetas, tol, second)
+    return _profiles([lin], thetas, _evaluate(lin, thetas, tol, second))[0]
+
+
+def rho_profiles(lins, thetas, tol: float = DEFAULT_PERRON_TOL, second: bool = False) -> list:
+    """rho_profile(lin, thetas, tol, second) for each of a sequence of
+    linearizations, from one evaluation per dimension, each profile with the
+    bits of its own call. When an evaluation raises a typed error, the
+    profiles are made one at a time, in order, so the error raised is the one
+    that loop stops at."""
+    thetas = np.asarray(thetas, dtype=float)
+    groups = {}
+    for i, lin in enumerate(lins):
+        groups.setdefault(lin.dimension, []).append(i)
+    profiles = [None] * len(lins)
+    try:
+        for index in groups.values():
+            group = [lins[i] for i in index]
+            for i, profile in zip(index, _profiles(group, thetas, _evaluate(group, thetas, tol, second))):
+                profiles[i] = profile
+    except TYPED_ERRORS:
+        return [rho_profile(lin, thetas, tol, second) for lin in lins]
+    return profiles
+
+
+def _profiles(lins, thetas: np.ndarray, ev: _Evaluation) -> list:
+    """The RhoProfile of each linearization of an evaluation whose row
+    l * G + g is lins[l] at thetas[g]; InvalidInputError at the first row
+    where rho, a derivative or a monodromy leaves double range."""
     values, prime, curved = _scaled(ev)
-    return RhoProfile(
-        lin=lin,
-        thetas=thetas,
-        rho=values,
-        rho_prime=prime,
-        rho_second=curved,
-        v=ev.v,
-        v_star=ev.v_star,
-        monodromies=_unshift(ev.log_scale, ev.shifted, ev.thetas),
-        log_rho=ev.log_rho,
-    )
+    monodromies = _unshift(ev.log_scale, ev.shifted, ev.thetas)
+    log_rho = ev.log_rho
+    count = len(thetas)
+    profiles = []
+    for i, lin in enumerate(lins):
+        rows = slice(i * count, (i + 1) * count)
+        profiles.append(RhoProfile(
+            lin=lin,
+            thetas=thetas,
+            rho=values[rows],
+            rho_prime=prime[rows],
+            rho_second=None if curved is None else curved[rows],
+            v=ev.v[rows],
+            v_star=ev.v_star[rows],
+            monodromies=monodromies[rows],
+            log_rho=log_rho[rows],
+        ))
+    return profiles
 
 
 @dataclass(frozen=True)
@@ -599,22 +684,23 @@ def timescale_asymptotics(
     t_small: float = 1e-6,
     tol: float = DEFAULT_PERRON_TOL,
 ) -> TimescaleReport:
+    """rho at theta over the increasing periods t_values and at the short
+    period t_small, from one evaluation of lin's copies at those periods
+    (t_small its last row), each row with the bits of its own call."""
     t_values = np.asarray(t_values, dtype=float)
     if np.any(t_values <= 0.0) or np.any(np.diff(t_values) <= 0.0):
         raise InvalidInputError("t_values must be positive and increasing")
     mu1, mu2 = lin._shifted_seasons[:2]
     linear_rate = theta * mu1 + (1.0 - theta) * mu2
-
-    def evaluated_at(t: float) -> _Evaluation:
-        return _evaluate(lin.with_period(t), [theta], tol)
-
-    corrections = np.array([evaluated_at(t).log_shifted[0] for t in t_values])
+    # the copies share lin's season shifts
+    ev = _evaluate([lin.with_period(t) for t in [*t_values, t_small]], [theta], tol)
+    corrections = ev.log_shifted[:-1]
     log_rho_over_t = linear_rate + corrections / t_values
 
     (v1, v2), (v1s, v2s) = season_vectors(lin, tol=tol)
     limit = float(np.log((v2s @ v1) * (v1s @ v2)))
 
-    rho_small = float(np.exp(evaluated_at(t_small).log_rho[0]))
+    rho_small = float(np.exp(ev.log_rho[-1]))
     return TimescaleReport(
         theta=theta,
         t_values=t_values,

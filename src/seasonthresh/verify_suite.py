@@ -6,13 +6,21 @@ consistency, and the randomized oracle equivalences. Each check returns a
 row (name, status, detail) with status "pass", "fail", or "info".
 
 A check draws all its random problems first, then evaluates them in
-stacks: one rho_profile over every theta a linearization needs, one
-product stack per block count K. Each entry of a stack has the bits of
-its own per-problem call (rho, rho_prime, rho_second, split_monodromy,
-gelfand_bound_probe), so every row is what those calls give.
+stacks: one Floquet evaluation over every linearization of a dimension and
+every theta they need (floquet.rho_profiles), one over all the periods of
+the timescale check, one exp_products stack over every split schedule (the
+shorter ones padded with zero durations, whose exponentials are exactly
+the identity) and one product stack per (n, K) in the Gelfand probe. Each
+entry of a stack has the bits of its own per-problem call (rho, rho_prime,
+rho_second, split_monodromy, gelfand_bound_probe), so every row is what
+those calls give. A stacked evaluation that raises a typed error is made
+again one problem at a time, in draw order, so an error row is the one
+those calls give too.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,15 +53,28 @@ def random_metzler(rng, n: int, scale: float = 3.0) -> np.ndarray:
 
     Each try is one uniform (n, n) draw, kept when the digraph of its
     positive entries is strongly connected: the pattern the clamped matrix
-    has off the diagonal, so the test runs on Python lists and only the
-    accepted draw is clamped.
+    has off the diagonal, so only the accepted draw is clamped. The verdict
+    is looked up by the pattern's bytes.
     """
     while True:
         a = rng.uniform(-scale, scale, (n, n))
-        if strongly_connected((a > 0.0).tolist()):
-            off = ~np.eye(n, dtype=bool)
-            a[off] = np.maximum(a[off], 0.0)
-            return a
+        if _connected_pattern((a > 0.0).tobytes()):
+            return np.maximum(a, 0.0, out=a, where=_off_diagonal(n))
+
+
+@lru_cache(maxsize=4096)
+def _connected_pattern(pattern: bytes) -> bool:
+    """strongly_connected of the square boolean array with these bytes."""
+    n = math.isqrt(len(pattern))
+    return strongly_connected(np.frombuffer(pattern, dtype=bool).reshape(n, n).tolist())
+
+
+@lru_cache(maxsize=16)
+def _off_diagonal(n: int) -> np.ndarray:
+    """The read-only off-diagonal mask of an n x n matrix."""
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def run_verification(scenario: Scenario, seed: int = 0) -> list[VerifyRow]:
@@ -80,8 +101,8 @@ def _check_derivatives(scenario, rng) -> VerifyRow:
     worst = 0.0
     h = 1e-5
     thetas = (0.2, 0.5, 0.8)
-    for lin in _random_linearizations(rng, 8):
-        profile = floquet.rho_profile(lin, [th + d for d in (h, -h, 0.0) for th in thetas])
+    grid = [th + d for d in (h, -h, 0.0) for th in thetas]
+    for profile in floquet.rho_profiles(_random_linearizations(rng, 8), grid):
         up, down, _ = profile.rho.reshape(3, -1).tolist()
         for plus, minus, an in zip(up, down, profile.rho_prime.reshape(3, -1)[2].tolist()):
             fd = (plus - minus) / (2 * h)
@@ -93,8 +114,8 @@ def _check_second_derivatives(scenario, rng) -> VerifyRow:
     worst = 0.0
     h = 1e-4
     thetas = (0.3, 0.6)
-    for lin in _random_linearizations(rng, 5):
-        profile = floquet.rho_profile(lin, [th + d for d in (h, 0.0, -h) for th in thetas], second=True)
+    grid = [th + d for d in (h, 0.0, -h) for th in thetas]
+    for profile in floquet.rho_profiles(_random_linearizations(rng, 5), grid, second=True):
         up, mid, down = profile.rho.reshape(3, -1).tolist()
         for plus, at, minus, an in zip(up, mid, down, profile.rho_second.reshape(3, -1)[1].tolist()):
             fd = (plus - 2 * at + minus) / h**2
@@ -102,11 +123,21 @@ def _check_second_derivatives(scenario, rng) -> VerifyRow:
     return _row("second_derivative_vs_fd", worst <= 1e-4, f"worst rel gap {worst:.3e}")
 
 
+def _rhos(lin, thetas) -> list:
+    """floquet.rho(lin, theta)[0] at each theta, from one rho_profile; after a
+    typed error, from one rho call per theta in order, as a loop of them gives."""
+    try:
+        return floquet.rho_profile(lin, thetas).rho.tolist()
+    except floquet.TYPED_ERRORS:
+        return [floquet.rho(lin, th)[0] for th in thetas]
+
+
 def _check_endpoints(scenario, rng) -> VerifyRow:
     lin = linearization_from_scenario(scenario)
     t = lin.period_T
-    gap0 = abs(floquet.rho(lin, 0.0)[0] - np.exp(t * spectral_abscissa(lin.m2)))
-    gap1 = abs(floquet.rho(lin, 1.0)[0] - np.exp(t * spectral_abscissa(lin.m1)))
+    rho0, rho1 = _rhos(lin, [0.0, 1.0])
+    gap0 = abs(rho0 - np.exp(t * spectral_abscissa(lin.m2)))
+    gap1 = abs(rho1 - np.exp(t * spectral_abscissa(lin.m1)))
     worst = max(gap0, gap1)
     return _row("single_season_endpoints", worst <= 1e-9, f"worst gap {worst:.3e}")
 
@@ -130,8 +161,7 @@ def _check_threshold(scenario, rng) -> VerifyRow:
     if report.regime != "interior_root":
         return VerifyRow("threshold", "info", f"regime {report.regime}")
     delta = 10.0 * scenario.tolerances.bisect_tol
-    lo = floquet.rho(lin, max(0.0, report.theta_star - delta))[0]
-    hi = floquet.rho(lin, min(1.0, report.theta_star + delta))[0]
+    lo, hi = _rhos(lin, [max(0.0, report.theta_star - delta), min(1.0, report.theta_star + delta)])
     ok = lo > 1.0 > hi and abs(report.rho_at_theta_star - 1.0) <= scenario.tolerances.bisect_tol
     return _row("threshold", ok, f"theta*={report.theta_star:.12g}")
 
@@ -182,9 +212,10 @@ def _check_split_invariance(scenario, rng) -> VerifyRow:
     m1 = base - 1.5 * np.eye(2)
     m2 = base + 0.5 * np.eye(2)
     schedules = [splitting.random_schedule(0.4, int(rng.integers(1, 5)), rng) for _ in range(50)]
-    table, values = {}, []
-    for group in _grouped(schedules, lambda s: s.k):
-        values += spectral_radii(exp_products((m1, m2), [s.blocks for s in group], table)).tolist()
+    # exp(0) = I and I X = X exactly: zero durations at the end keep a product's bits
+    width = 2 * max(s.k for s in schedules)
+    rows = [s.blocks + [0.0] * (width - 2 * s.k) for s in schedules]
+    values = spectral_radii(exp_products((m1, m2), rows, {})).tolist()
     spread = (max(values) - min(values)) / max(values)
     return _row("split_invariance", spread <= 1e-9, f"relative spread {spread:.3e}")
 

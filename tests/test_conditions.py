@@ -125,6 +125,11 @@ class TestDecreaseLeft:
         with pytest.raises(InvalidInputError):
             check_decrease_left(rho_profile(insect_linearization, GRID7), p=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("check", [check_decrease_left, check_decrease_right])
+    def test_p_of_another_dimension_rejected(self, insect_linearization, check):
+        with pytest.raises(InvalidInputError, match="^p must match the system dimension$"):
+            check(rho_profile(insect_linearization, GRID7), p=np.eye(3))
+
     def test_holds_implies_rho_decreasing(self):
         rng = np.random.default_rng(47)
         confirmed = 0

@@ -397,6 +397,83 @@ class TestRhoProfile:
         assert slopes.max() < 10.0
 
 
+def profile_bytes(profile):
+    fields = ("thetas", "rho", "rho_prime", "rho_second", "v", "v_star", "monodromies", "log_rho")
+    return [None if getattr(profile, f) is None else getattr(profile, f).tobytes() for f in fields]
+
+
+def overflowing_pair(rng, n, shift):
+    """A random pair shifted up so far that rho leaves double range at T = 5."""
+    lin = random_metzler_pair(rng, n)
+    return TwoSeasonLinearization(lin.m1 + shift * np.eye(n), lin.m2 + shift * np.eye(n), 5.0)
+
+
+class TestRhoProfiles:
+    @pytest.mark.parametrize("second", [False, True])
+    @pytest.mark.parametrize("points", [1, 9])
+    def test_equal_per_linearization_profiles(self, points, second):
+        # n = 2 and 3 mixed, each pair at its own period
+        rng = np.random.default_rng(90 + points)
+        lins = [random_metzler_pair(rng, int(rng.integers(2, 4)), float(10.0 ** rng.uniform(-1, 1)))
+                for _ in range(30)]
+        grid = np.linspace(0.05, 0.95, points)
+        profiles = floquet.rho_profiles(lins, grid, second=second)
+        assert len(profiles) == len(lins)
+        for lin, profile in zip(lins, profiles):
+            assert profile.lin is lin
+            assert profile_bytes(profile) == profile_bytes(rho_profile(lin, grid, second=second))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_equal_per_linearization_profiles_past_n_3(self, n):
+        # some monodromies have complex eigenvalues from n = 4
+        rng = np.random.default_rng(120 + n)
+        lins = [random_metzler_pair(rng, n) for _ in range(6)]
+        grid = np.linspace(0.0, 1.0, 9)
+        for lin, profile in zip(lins, floquet.rho_profiles(lins, grid, second=True)):
+            assert profile_bytes(profile) == profile_bytes(rho_profile(lin, grid, second=True))
+
+    @pytest.mark.parametrize("points", [1, 9])
+    def test_raises_the_error_of_a_loop_in_order(self, points):
+        # the n = 2 stack, evaluated first, fails on `later`; a loop of
+        # rho_profile calls stops at `first`, and so does the stacked call
+        rng = np.random.default_rng(7)
+        grid = np.linspace(0.1, 0.9, points)
+        first, later = overflowing_pair(rng, 3, 300.0), overflowing_pair(rng, 2, 400.0)
+        lins = [random_metzler_pair(rng, 2), first, random_metzler_pair(rng, 3), later]
+        messages = []
+        for lin in (first, later):
+            with pytest.raises(InvalidInputError) as alone:
+                rho_profile(lin, grid, second=True)
+            messages.append(str(alone.value))
+        assert messages[0] != messages[1]
+        with pytest.raises(InvalidInputError) as stacked:
+            floquet.rho_profiles(lins, grid, second=True)
+        assert str(stacked.value) == messages[0]
+
+    def test_evaluation_takes_one_dimension(self):
+        rng = np.random.default_rng(8)
+        for lins in ([], [random_metzler_pair(rng, 2), random_metzler_pair(rng, 3)]):
+            with pytest.raises(InvalidInputError, match="one dimension"):
+                floquet._evaluate(lins, [0.5], floquet.DEFAULT_PERRON_TOL)
+
+    def test_evaluation_raises_the_error_of_a_loop_in_order(self):
+        # at a Perron tolerance of 1e-300 `first` fails the residual check;
+        # `later`, at a period so short that its monodromy is near I, fails
+        # the separation check, which a stack makes for every row first
+        rng = np.random.default_rng(9)
+        first, between = random_metzler_pair(rng, 2), random_metzler_pair(rng, 2)
+        later = random_metzler_pair(rng, 2, period=1e-15)
+        messages = []
+        for lin in (first, later):
+            with pytest.raises(floquet.ConvergenceError) as alone:
+                floquet._evaluate(lin, [0.5], 1e-300)
+            messages.append(str(alone.value))
+        assert "residual" in messages[0] and "separated" in messages[1]
+        with pytest.raises(floquet.ConvergenceError) as stacked:
+            floquet._evaluate([first, between, later], [0.5], 1e-300)
+        assert str(stacked.value) == messages[0]
+
+
 class TestLogConvexityProbe:
     def test_shared_eigenvector_affine(self, shifted_pair):
         report = log_convexity_probe(shifted_pair, np.linspace(0.0, 1.0, 21))
@@ -446,6 +523,32 @@ class TestTimescale:
     def test_t_values_must_increase(self, shifted_pair):
         with pytest.raises(InvalidInputError):
             timescale_asymptotics(shifted_pair, [2.0, 1.0])
+
+    def test_one_evaluation_with_the_bits_of_one_per_period(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        lin = random_metzler_pair(rng, 3)
+        t_values = [1.0, 2.0, 4.0, 8.0, 16.0]
+        alone = [floquet._evaluate(lin.with_period(t), [0.5], floquet.DEFAULT_PERRON_TOL)
+                 for t in [*t_values, 1e-6]]
+        calls = []
+        original = floquet._evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(floquet, "_evaluate", counted)
+        report = timescale_asymptotics(lin, t_values, theta=0.5)
+        assert len(calls) == 1 and [one.period_T for one in calls[0]] == [*t_values, 1e-6]
+        assert report.corrections.tobytes() == np.array([ev.log_shifted[0] for ev in alone[:-1]]).tobytes()
+        assert report.rho_at_t_small == float(np.exp(alone[-1].log_rho[0]))
+
+    def test_with_period_keeps_the_season_shifts(self, insect_linearization):
+        shifts = insect_linearization._shifted_seasons
+        copy = insect_linearization.with_period(7.0)
+        assert copy.period_T == 7.0 and copy._shifted_seasons is shifts
+        with pytest.raises(InvalidInputError):
+            insect_linearization.with_period(0.0)
 
 
 def season_pair_alone(m):

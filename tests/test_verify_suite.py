@@ -2,9 +2,9 @@
 
 Each reference below is a check written one problem at a time with the
 public calls (rho, rho_prime, rho_second, split_monodromy,
-gelfand_bound_probe, left_eigenvector_order), on the same random draws in
-the same order, each drawn one numpy try at a time (reference_metzler,
-reference_schedule).
+gelfand_bound_probe, left_eigenvector_order) or one evaluation per period,
+on the same random draws in the same order, each drawn one numpy try at a
+time (reference_metzler, reference_schedule).
 """
 
 from pathlib import Path
@@ -53,6 +53,27 @@ def second_derivatives(scenario, rng):
             an = floquet.rho_second(lin, th)
             worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
     return _row("second_derivative_vs_fd", worst <= 1e-4, f"worst rel gap {worst:.3e}")
+
+
+def endpoints(scenario, rng):
+    lin = linearization_from_scenario(scenario)
+    t = lin.period_T
+    gap0 = abs(floquet.rho(lin, 0.0)[0] - np.exp(t * spectral_abscissa(lin.m2)))
+    gap1 = abs(floquet.rho(lin, 1.0)[0] - np.exp(t * spectral_abscissa(lin.m1)))
+    worst = max(gap0, gap1)
+    return _row("single_season_endpoints", worst <= 1e-9, f"worst gap {worst:.3e}")
+
+
+def threshold(scenario, rng):
+    lin = linearization_from_scenario(scenario)
+    tol = scenario.tolerances.bisect_tol
+    report = floquet.find_threshold(lin, tol=tol)
+    if report.regime != "interior_root":
+        return VerifyRow("threshold", "info", f"regime {report.regime}")
+    lo = floquet.rho(lin, max(0.0, report.theta_star - 10.0 * tol))[0]
+    hi = floquet.rho(lin, min(1.0, report.theta_star + 10.0 * tol))[0]
+    ok = lo > 1.0 > hi and abs(report.rho_at_theta_star - 1.0) <= tol
+    return _row("threshold", ok, f"theta*={report.theta_star:.12g}")
 
 
 def shared_eigenvector_form(scenario, rng):
@@ -107,14 +128,31 @@ def gelfand(scenario, rng):
     return VerifyRow("gelfand_probe", "info", f"{count} bound violations / 200 (informational)")
 
 
+def timescale(scenario, rng):
+    lin = linearization_from_scenario(scenario)
+
+    def at(t):
+        return floquet._evaluate(lin.with_period(t), [0.5], floquet.DEFAULT_PERRON_TOL)
+
+    corrections = [at(t).log_shifted[0] for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
+    (v1, v2), (v1s, v2s) = floquet.season_vectors(lin)
+    final_gap = abs(corrections[-1] - float(np.log((v2s @ v1) * (v1s @ v2))))
+    small_gap = abs(float(np.exp(at(1e-6).log_rho[0])) - 1.0)
+    ok = final_gap <= 1e-3 and small_gap <= 1e-4
+    return _row("timescale_limits", ok, f"correction gap {final_gap:.3e}, rho(T->0) gap {small_gap:.3e}")
+
+
 REFERENCES = {
     verify_suite._check_derivatives: derivatives,
     verify_suite._check_second_derivatives: second_derivatives,
+    verify_suite._check_endpoints: endpoints,
     verify_suite._check_shared_eigenvector_form: shared_eigenvector_form,
+    verify_suite._check_threshold: threshold,
     verify_suite._check_poincare_consistency: poincare_consistency,
     verify_suite._check_left_order: left_order,
     verify_suite._check_split_invariance: split_invariance,
     verify_suite._check_gelfand: gelfand,
+    verify_suite._check_timescale: timescale,
 }
 
 
@@ -146,3 +184,33 @@ def test_random_metzler_matches_one_try_reference(n, scale):
             a = random_metzler(drawn, n, scale)
             assert a.tobytes() == reference_metzler(reference, n, scale).tobytes()
         assert drawn.bit_generator.state == reference.bit_generator.state
+
+
+def counted_calls(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_verify_evaluates_in_stacks(monkeypatch):
+    # seed 0 on insect_nonshared: one evaluation per dimension in each
+    # derivative check, one in each other check but the threshold's, which
+    # adds find_threshold's grid and Newton steps (29 one call at a time)
+    scenario = load_scenario(SCENARIOS / "insect_nonshared.json")
+    calls = counted_calls(monkeypatch, floquet, "_evaluate")
+    rows = verify_suite.run_verification(scenario, seed=0)
+    assert all(row.status != "error" for row in rows)
+    assert len(calls) == 13
+
+
+def test_split_check_is_one_product_stack(monkeypatch):
+    scenario = load_scenario(SCENARIOS / "insect_nonshared.json")
+    calls = counted_calls(monkeypatch, verify_suite, "exp_products")
+    verify_suite._check_split_invariance(scenario, np.random.default_rng(0))
+    assert len(calls) == 1 and len(calls[0][1]) == 50
