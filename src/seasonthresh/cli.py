@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import conditions, floquet, simulate, splitting
-from .errors import InvalidInputError, ScenarioError
+from .errors import ERRORS, ScenarioError
 from .linalg import spectral_abscissa, spectral_radius
 from .scenario import Scenario, linearization_from_scenario, load_scenario, system_from_scenario
 from .verify_suite import run_verification
@@ -385,7 +385,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         row_errors = _DISPATCH[args.command](scenario, args, out)
-    except (ScenarioError, InvalidInputError) as exc:
+    except ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if row_errors else 0

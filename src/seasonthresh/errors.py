@@ -69,3 +69,8 @@ class InconsistencyError(RuntimeError):
 
 class ScenarioError(ValueError):
     """Scenario file is missing, malformed, or violates the schema."""
+
+
+# every error class above: cli.main reports each as one line and exit 2
+ERRORS = (InvalidInputError, StructureError, ConvergenceError, ConditioningError, CertificateError,
+          DegenerateDiagonalizationError, DivergenceError, InconsistencyError, ScenarioError)

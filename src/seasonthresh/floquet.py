@@ -76,8 +76,7 @@ class TwoSeasonLinearization:
         m2 = as_square_matrix(self.m2)
         if m1.shape != m2.shape:
             raise InvalidInputError(f"season shapes differ: {m1.shape} vs {m2.shape}")
-        if not (self.period_T > 0.0 and np.isfinite(self.period_T)):
-            raise InvalidInputError(f"period_T must be positive, got {self.period_T}")
+        _require_period(self.period_T)
         for name, m in (("m1", m1), ("m2", m2)):
             if not is_metzler(m):
                 raise InvalidInputError(f"{name} is not Metzler")
@@ -96,11 +95,11 @@ class TwoSeasonLinearization:
         return self.m1.shape[0]
 
     def with_period(self, period_T: float) -> "TwoSeasonLinearization":
-        """The same seasons at another period; their shifts, which do not
-        depend on the period, carry over once computed."""
-        copy = TwoSeasonLinearization(self.m1, self.m2, period_T)
-        if "_shifted_seasons" in self.__dict__:
-            copy.__dict__["_shifted_seasons"] = self._shifted_seasons
+        """The same seasons at another period, which alone is checked; the
+        seasons and, once computed, their period-free shifts carry over."""
+        _require_period(period_T)
+        copy = object.__new__(TwoSeasonLinearization)
+        copy.__dict__.update(self.__dict__, period_T=period_T)
         return copy
 
     @cached_property
@@ -111,6 +110,11 @@ class TwoSeasonLinearization:
         mu2 = spectral_abscissa(self.m2)
         eye = np.eye(self.dimension)
         return mu1, mu2, self.m1 - mu1 * eye, self.m2 - mu2 * eye
+
+
+def _require_period(period_T):
+    if not (period_T > 0.0 and np.isfinite(period_T)):
+        raise InvalidInputError(f"period_T must be positive, got {period_T}")
 
 
 @dataclass(frozen=True)
@@ -202,7 +206,7 @@ class _Evaluation:
         return self.log_shifted + self.log_scale
 
 
-def _evaluate(lin, thetas, tol: float, second: bool = False) -> _Evaluation:
+def _evaluate(lin, thetas, tol: float, second: bool = False, retry: bool = True) -> _Evaluation:
     """The Floquet evaluator: log rho, (log rho)', (when asked) rho'' / rho,
     the Perron vectors and the shifted monodromies at each theta of a
     sequence, from one stacked exponential, one stacked Perron pair and one
@@ -213,7 +217,8 @@ def _evaluate(lin, thetas, tol: float, second: bool = False) -> _Evaluation:
     dimension, evaluated in the same three stacks: entry l * G + g is
     linearization l at theta[g], with the bits of a call on it alone. When
     the stack raises a typed error, the linearizations are evaluated one at
-    a time, in order, so the error raised is the one that loop stops at.
+    a time, in order, so the error raised is the one that loop stops at;
+    with retry False the stack's error is raised as it is.
     """
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     if isinstance(lin, TwoSeasonLinearization):
@@ -223,8 +228,9 @@ def _evaluate(lin, thetas, tol: float, second: bool = False) -> _Evaluation:
     try:
         return _evaluate_rows(_stacked(lin, len(thetas)), np.tile(thetas, len(lin)), tol, second)
     except TYPED_ERRORS:
-        for one in lin:
-            _evaluate_rows(one, thetas, tol, second)
+        if retry:
+            for one in lin:
+                _evaluate_rows(one, thetas, tol, second)
         raise
 
 
@@ -426,10 +432,10 @@ def rho_profile(
 
 def rho_profiles(lins, thetas, tol: float = DEFAULT_PERRON_TOL, second: bool = False) -> list:
     """rho_profile(lin, thetas, tol, second) for each of a sequence of
-    linearizations, from one evaluation per dimension, each profile with the
-    bits of its own call. When an evaluation raises a typed error, the
-    profiles are made one at a time, in order, so the error raised is the one
-    that loop stops at."""
+    linearizations, from one stacked evaluation per dimension, each profile
+    with the bits of its own call. When a stack raises a typed error, the
+    profiles not yet made are made one at a time, in order, so the error
+    raised is the one a loop of rho_profile calls stops at."""
     thetas = np.asarray(thetas, dtype=float)
     groups = {}
     for i, lin in enumerate(lins):
@@ -438,10 +444,12 @@ def rho_profiles(lins, thetas, tol: float = DEFAULT_PERRON_TOL, second: bool = F
     try:
         for index in groups.values():
             group = [lins[i] for i in index]
-            for i, profile in zip(index, _profiles(group, thetas, _evaluate(group, thetas, tol, second))):
+            ev = _evaluate(group, thetas, tol, second, retry=False)
+            for i, profile in zip(index, _profiles(group, thetas, ev)):
                 profiles[i] = profile
     except TYPED_ERRORS:
-        return [rho_profile(lin, thetas, tol, second) for lin in lins]
+        return [rho_profile(lin, thetas, tol, second) if profile is None else profile
+                for lin, profile in zip(lins, profiles)]
     return profiles
 
 

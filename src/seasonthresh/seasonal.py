@@ -43,7 +43,7 @@ class AutonomousPiece:
 
     @classmethod
     def linear(cls, a) -> "LinearPiece":
-        """Piece with linear dynamics x' = A x, on a state or a (B, n) stack."""
+        """Piece with linear dynamics x' = A x."""
         m = as_square_matrix(a)
         return LinearPiece(
             vector_field=lambda x, _m=m: _linear_field(_m, x),
@@ -58,7 +58,8 @@ class LinearPiece(AutonomousPiece):
 
 
 def _linear_field(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a state, row by row for a (B, n) stack."""
+    """m @ x, taken as the one-column product m @ x[:, None], whose bits
+    the tests pin: m @ x itself may round differently."""
     return (m @ x[..., None])[..., 0]
 
 

@@ -1,18 +1,11 @@
 """Fixed-step integration of seasonal systems, the period map, and the
 classification of long-run behavior.
 
-The stepper is classical RK4 with mandatory mesh points at every season
-boundary, so the piecewise-autonomous right-hand side is never evaluated
-across a discontinuity inside a step. Within a chunk the active piece is
-resolved once, at the chunk midpoint. The step is fixed within a call: the
-caller's, or one sized from the system's own fields (see _sized_step).
-
-A pass steps one system, on a state of shape (n,) or, with linear pieces
-only, on a (B, n) stack of states. Each row of a stack takes exactly the
-steps, and the arithmetic, of a pass from that state alone, so it has that
-pass's bits. A stack stops at the first step where any row passes the
-divergence bound, with the error of the lowest such row, which is the
-error that row's one-state pass raises.
+The stepper is classical RK4 on one state, with mandatory mesh points at
+every season boundary, so the piecewise-autonomous right-hand side is never
+evaluated across a discontinuity inside a step. Within a chunk the active
+piece is resolved once, at the chunk midpoint. The step is fixed within a
+call: the caller's, or one sized from the system's fields (see _sized_step).
 
 At zero the variational pass is linear, so DP(0) takes no pass: it is the
 product of RK4's stability polynomial at each chunk's h*A, raised to the
@@ -154,9 +147,9 @@ def _check_stability(system: SeasonalSystem, step: float):
 def _rk4(system: SeasonalSystem, x, t0, t1, step, rhs, settle):
     """Classical RK4 from t0 to t1 in equal steps that land on every season knot.
 
-    x is a state of shape (n,) or a (B, n) stack of states. rhs(piece) is
-    the field used on that piece's chunks, for either shape; settle(t, x)
-    runs after every step and returns the state the next step starts from.
+    x is one state of shape (n,). rhs(piece) is the field used on that
+    piece's chunks; settle(t, x) runs after every step and returns the state
+    the next step starts from.
     A pass whose result leaves double range is an InvalidInputError.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
@@ -507,33 +500,6 @@ def _state_pass(system: SeasonalSystem, x: np.ndarray, t0, t1, step, clamp: _Cla
     return x
 
 
-def _joint_pass(system: SeasonalSystem, x: np.ndarray, step: float, settle):
-    """P(x) and DP(x) from one RK4 pass of the joint variational system.
-
-    The base state and the fundamental matrix share the augmented pass, so
-    both see identical season boundaries; the base part takes the steps
-    poincare_map takes, without its clamp. On a (B, n) stack of states P is
-    (B, n) and DP (B, n, n). settle is _rk4's, on the augmented state.
-    """
-    n = x.shape[-1]
-    lead = x.shape[:-1]
-
-    def joint_field(piece):
-        f, jac = piece.vector_field, piece.jacobian
-
-        def rhs(z):
-            base = z[..., :n]
-            dfund = jac(base) @ z[..., n:].reshape(lead + (n, n))
-            return np.concatenate([f(base), dfund.reshape(lead + (n * n,))], axis=-1)
-
-        return rhs
-
-    fund0 = np.broadcast_to(np.eye(n).ravel(), lead + (n * n,))
-    aug0 = np.concatenate([x, fund0], axis=-1)
-    aug = _rk4(system, aug0, 0.0, system.period_T, step, joint_field, settle)
-    return aug[..., :n], aug[..., n:].reshape(lead + (n, n))
-
-
 def _variational(
     system: SeasonalSystem,
     x: np.ndarray,
@@ -547,11 +513,22 @@ def _variational(
 
 def _variational_row(system: SeasonalSystem, x: np.ndarray, step: float, bound: float) -> tuple:
     """_variational's P(x) and DP(x), and the least raw base component over
-    the start and every step."""
+    the start and every step, from one RK4 pass of the joint variational
+    system: the base state and the fundamental matrix share its steps, the
+    ones poincare_map takes, without its clamp."""
     if _on_floats(system):
         return _float_joint_pass(system, x, step, bound)
     n = len(x)
     least = float(x.min())
+
+    def joint_field(piece):
+        f, jac = piece.vector_field, piece.jacobian
+
+        def rhs(z):
+            base = z[:n]
+            return np.concatenate([f(base), (jac(base) @ z[n:].reshape(n, n)).reshape(n * n)])
+
+        return rhs
 
     def settle(t, z):
         nonlocal least
@@ -561,47 +538,30 @@ def _variational_row(system: SeasonalSystem, x: np.ndarray, step: float, bound: 
             raise DivergenceError(_BASE_DIVERGED, time=t, state=base)
         return z
 
-    return (*_joint_pass(system, x, step, settle), least)
+    aug0 = np.concatenate([x, np.eye(n).reshape(n * n)])
+    aug = _rk4(system, aug0, 0.0, system.period_T, step, joint_field, settle)
+    return aug[:n], aug[n:].reshape(n, n), least
 
 
 def _variational_stack(
     system: SeasonalSystem, states: np.ndarray, step: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """P and DP at each row of a (B, n) stack of states, and the least raw
-    base component over the starts and every step.
-
-    A system of linear pieces makes one pass, which raises at the first step
-    where a row's base state passes DEFAULT_DIVERGENCE_BOUND, with that
-    step's time and the base state of the lowest such row: the error of that
-    row's one-state pass. Any other system takes one pass per row, which
-    gives the same.
-    """
-    n = states.shape[1]
+    """P and DP at each row of a (B, n) stack of states, one pass a row, and
+    the least raw base component over the starts and every step. Of the rows
+    that pass DEFAULT_DIVERGENCE_BOUND, the one that passes it at the
+    earliest step, the lowest on a tie, raises its error."""
     least = float(states.min())
-    if not all(isinstance(piece, LinearPiece) for piece in system.pieces):
-        rows, first = [], None
-        for x in states:
-            try:
-                rows.append(_variational_row(system, x, step, DEFAULT_DIVERGENCE_BOUND))
-            except DivergenceError as exc:
-                if first is None or exc.time < first.time:
-                    first = exc
-        if first is not None:
-            raise first
-        mapped, dp, lows = zip(*rows)
-        return np.array(mapped), np.array(dp), min(least, *lows)
-
-    def settle(t, z):
-        nonlocal least
-        base = z[:, :n]
-        least = min(least, float(base.min()))
-        over = np.sqrt((base * base).sum(axis=1)) > DEFAULT_DIVERGENCE_BOUND
-        if over.any():
-            raise DivergenceError(_BASE_DIVERGED, time=t, state=base[over.argmax()].copy())
-        return z
-
-    mapped, dp = _joint_pass(system, states, step, settle)
-    return mapped, dp, least
+    rows, first = [], None
+    for x in states:
+        try:
+            rows.append(_variational_row(system, x, step, DEFAULT_DIVERGENCE_BOUND))
+        except DivergenceError as exc:
+            if first is None or exc.time < first.time:
+                first = exc
+    if first is not None:
+        raise first
+    mapped, dp, lows = zip(*rows)
+    return np.array(mapped), np.array(dp), min(least, *lows)
 
 
 def _offset(e: np.ndarray) -> tuple:

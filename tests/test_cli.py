@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_json
-from seasonthresh import cli, conditions, floquet, simulate
+from seasonthresh import cli, conditions, errors, floquet, simulate
 from seasonthresh.cli import main, run_sweep
 from seasonthresh.errors import ScenarioError
 from seasonthresh.scenario import load_scenario, scenario_from_dict
@@ -347,6 +347,41 @@ class TestCommands:
             assert main(argv) == 2
         err = capsys.readouterr().err
         assert "RK4 propagator at zero overflowed double precision" in err
+
+    @pytest.mark.parametrize("command", ["threshold", "check"])
+    def test_unseparated_perron_solve_is_one_error_line(self, tmp_path, capsys, command):
+        # at T = 1e-14 the monodromy is the identity to rounding, so the
+        # Perron solve's ConvergenceError ends the run: one line, exit 2
+        payload = json.loads((SCENARIOS / "insect_two_season.json").read_text())
+        scenario_path = write_scenario(tmp_path, {**payload, "period_T": 1e-14})
+        assert main([command, "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dominant eigenvalue modulus is not separated")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("error", errors.ERRORS, ids=lambda error: error.__name__)
+    def test_every_package_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("made to fail")
+
+        monkeypatch.setattr(floquet, "find_threshold", fail)
+        scenario_path = write_scenario(tmp_path, INSECT)
+        assert main(["threshold", "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: made to fail\n"
+
+    def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("made to fail")
+
+        monkeypatch.setattr(floquet, "find_threshold", fail)
+        scenario_path = write_scenario(tmp_path, INSECT)
+        with pytest.raises(ZeroDivisionError):
+            main(["threshold", "--scenario", str(scenario_path), "--out", str(tmp_path)])
+
+    def test_errors_lists_every_error_class(self):
+        classes = {value for value in vars(errors).values()
+                   if isinstance(value, type) and value.__module__ == errors.__name__}
+        assert set(errors.ERRORS) == classes and len(errors.ERRORS) == len(classes)
 
     def test_floquet_overflow_fails_only_its_row(self, tmp_path, monkeypatch):
         # the spectral side works at theta 0.4-0.9 at T = 800, but the DP(0) of

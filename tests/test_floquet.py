@@ -450,6 +450,39 @@ class TestRhoProfiles:
             floquet.rho_profiles(lins, grid, second=True)
         assert str(stacked.value) == messages[0]
 
+    @pytest.mark.parametrize("case", ["overflow", "separation"])
+    def test_makes_each_profile_alone_at_most_once(self, monkeypatch, case):
+        # "overflow" takes the inputs above: the n = 2 stack's profiles
+        # overflow on `later`, and the loop stops at `first`. "separation":
+        # the stack's evaluation itself raises on `later`, whose period puts
+        # its monodromy near I, and the loop stops there
+        if case == "overflow":
+            rng = np.random.default_rng(7)
+            first, later = overflowing_pair(rng, 3, 300.0), overflowing_pair(rng, 2, 400.0)
+            lins = [random_metzler_pair(rng, 2), first, random_metzler_pair(rng, 3), later]
+            error, alone, grid = InvalidInputError, lins[:2], np.linspace(0.1, 0.9, 9)
+        else:
+            rng = np.random.default_rng(9)
+            lins = [random_metzler_pair(rng, 2), random_metzler_pair(rng, 2),
+                    random_metzler_pair(rng, 2, period=1e-15)]
+            error, alone, grid = floquet.ConvergenceError, lins, [0.5]
+        with pytest.raises(error) as looped:
+            for lin in lins:
+                rho_profile(lin, grid, second=True)
+        evaluated = []
+        original = floquet._evaluate_rows
+
+        def counted(lin, *args):
+            evaluated.append(lin)
+            return original(lin, *args)
+
+        monkeypatch.setattr(floquet, "_evaluate_rows", counted)
+        with pytest.raises(error) as stacked:
+            floquet.rho_profiles(lins, grid, second=True)
+        assert str(stacked.value) == str(looped.value)
+        assert isinstance(evaluated[0], floquet._Stacked)
+        assert [id(lin) for lin in evaluated[1:]] == [id(lin) for lin in alone]
+
     def test_evaluation_takes_one_dimension(self):
         rng = np.random.default_rng(8)
         for lins in ([], [random_metzler_pair(rng, 2), random_metzler_pair(rng, 3)]):
@@ -543,12 +576,29 @@ class TestTimescale:
         assert report.corrections.tobytes() == np.array([ev.log_shifted[0] for ev in alone[:-1]]).tobytes()
         assert report.rho_at_t_small == float(np.exp(alone[-1].log_rho[0]))
 
-    def test_with_period_keeps_the_season_shifts(self, insect_linearization):
+    def test_with_period_keeps_the_season_shifts(self, insect_linearization, monkeypatch):
         shifts = insect_linearization._shifted_seasons
+        fresh = TwoSeasonLinearization(insect_linearization.m1, insect_linearization.m2, 7.0)
+        checks = []
+        irreducible = floquet.is_irreducible
+        monkeypatch.setattr(floquet, "is_irreducible", lambda m: checks.append(m) or irreducible(m))
         copy = insect_linearization.with_period(7.0)
         assert copy.period_T == 7.0 and copy._shifted_seasons is shifts
+        # only the period is checked, and the seasons keep a fresh copy's bits
+        assert checks == []
+        for name in ("m1", "m2"):
+            ours, theirs = getattr(copy, name), getattr(fresh, name)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+        assert type(copy.period_T) is type(fresh.period_T)
         with pytest.raises(InvalidInputError):
             insect_linearization.with_period(0.0)
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(InvalidInputError) as made:
+                TwoSeasonLinearization(insect_linearization.m1, insect_linearization.m2, bad)
+            with pytest.raises(InvalidInputError) as copied:
+                insect_linearization.with_period(bad)
+            assert str(copied.value) == str(made.value)
 
 
 def season_pair_alone(m):

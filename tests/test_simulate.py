@@ -350,6 +350,21 @@ class TestStack:
             assert np.array_equal(mapped[row], p)
             assert np.array_equal(jac[row], dp)
 
+    @pytest.mark.parametrize("count", [3, 7])
+    def test_linear_stack_takes_one_pass_per_row(self, monkeypatch, count, pi_unfavorable,
+                                                  pi_favorable):
+        system = two_season_system("linear", pi_unfavorable, pi_favorable)
+        states = np.random.default_rng(count).uniform(0.0, 2.0, (count, 2))
+        rows, passes = [], []
+        row_pass, rk4 = simulate._variational_row, simulate._rk4
+        monkeypatch.setattr(simulate, "_variational_row",
+                            lambda system, x, *args: rows.append(x) or row_pass(system, x, *args))
+        monkeypatch.setattr(simulate, "_rk4", lambda system, x, *args: passes.append(x.shape)
+                            or rk4(system, x, *args))
+        simulate._variational_stack(system, states, system.period_T / 200)
+        assert len(rows) == count and all(map(np.array_equal, rows, states))
+        assert passes == [(2 + 2 * 2,)] * count
+
     @pytest.mark.parametrize("period_map", [poincare_map, poincare_jacobian])
     @pytest.mark.parametrize(
         "steps", [[0.01], [0.01, 0.01, 0.01], [0.01, -0.01], [0.01, float("inf")], [0.01, None],
