@@ -19,10 +19,12 @@ once, on one linearization or on a sequence of them of one dimension. It
 never forms M: each season is shifted by its spectral abscissa mu_k, so
 M = exp(T (theta mu1 + (1 - theta) mu2)) P with P the product of the
 shifted exponentials, whose entries stay within double range at any period,
-and log rho = log rho(P) + T (theta mu1 + (1 - theta) mu2). rho, rho' and
-rho'' themselves are formed only where a caller asks for them.
+and log rho = log rho(P) + T (theta mu1 + (1 - theta) mu2). Its answer is
+one record, a RhoProfile, in that log form; rho, rho', rho'' and the
+monodromies are formed on the record's first read of them.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -183,15 +185,19 @@ def monodromy(lin: TwoSeasonLinearization, theta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Evaluation:
-    """The evaluator's answer at G values of theta.
+class RhoProfile:
+    """The Floquet evaluator's record of lin at G values of theta.
 
     log rho = log_shifted + log_scale, with log_shifted = log rho(shifted);
     log_rho_prime = (log rho)' = T <S V, V*>; curvature = rho'' / rho (None
     unless asked for); v and v_star stack the Perron vectors as (G, n); the
     monodromies are exp(log_scale) * shifted, shifted of shape (G, n, n).
+    rho, rho_prime, rho_second and the monodromies are formed on first read,
+    once, and raise InvalidInputError at the first theta where one leaves
+    double precision range; the rest reads at any period.
     """
 
+    lin: TwoSeasonLinearization
     thetas: np.ndarray
     log_shifted: np.ndarray
     log_scale: np.ndarray
@@ -201,17 +207,62 @@ class _Evaluation:
     v_star: np.ndarray
     shifted: np.ndarray
 
-    @property
+    @cached_property
     def log_rho(self) -> np.ndarray:
         return self.log_shifted + self.log_scale
 
+    @cached_property
+    def _scaled(self) -> tuple:
+        """(rho, rho', rho'' or None); InvalidInputError at the first theta
+        where one of them leaves double precision range."""
+        log_rho = self.log_rho
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.exp(log_rho)
+            prime = values * self.log_rho_prime
+            second = None if self.curvature is None else values * self.curvature
+        ok = (values >= _TINY) & np.isfinite(values) & np.isfinite(prime)
+        if second is not None:
+            ok &= np.isfinite(second)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            g = bad[0]
+            raise InvalidInputError(
+                f"rho at theta = {self.thetas[g]:.17g} is exp({log_rho[g]:.6g}); it or a "
+                "derivative leaves double precision range"
+            )
+        return values, prime, second
 
-def _evaluate(lin, thetas, tol: float, second: bool = False, retry: bool = True) -> _Evaluation:
+    rho = property(lambda self: self._scaled[0])
+    rho_prime = property(lambda self: self._scaled[1])
+    rho_second = property(lambda self: self._scaled[2])
+
+    @cached_property
+    def monodromies(self) -> np.ndarray:
+        return _unshift(self.log_scale, self.shifted, self.thetas)
+
+    @property
+    def strictly_decreasing(self) -> bool:
+        return not self.violations()
+
+    def violations(self) -> list:
+        """Grid cells (theta_i, theta_{i+1}) where rho fails to strictly
+        decrease, read from log rho and its slope; none means the grid
+        certifies it."""
+        log_rho, slope = self.log_rho, self.log_rho_prime
+        failed = ~((log_rho[1:] < log_rho[:-1]) & (slope[:-1] < 0.0))
+        out = [(float(self.thetas[i]), float(self.thetas[i + 1])) for i in np.flatnonzero(failed)]
+        if slope[-1] >= 0.0:
+            out.append((float(self.thetas[-1]), float(self.thetas[-1])))
+        return out
+
+
+def _evaluate(lin, thetas, tol: float, second: bool = False, retry: bool = True) -> RhoProfile:
     """The Floquet evaluator: log rho, (log rho)', (when asked) rho'' / rho,
     the Perron vectors and the shifted monodromies at each theta of a
-    sequence, from one stacked exponential, one stacked Perron pair and one
-    stacked bordered solve. Entry g has the bits of a call on theta[g] alone,
-    as perron_pair's entries do.
+    nonempty 1-D sequence (any other thetas is an InvalidInputError), from
+    one stacked exponential, one stacked Perron pair and one stacked
+    bordered solve. Entry g has the bits of a call on theta[g] alone, as
+    perron_pair's entries do.
 
     lin is one TwoSeasonLinearization or a sequence of them of one
     dimension, evaluated in the same three stacks: entry l * G + g is
@@ -220,7 +271,9 @@ def _evaluate(lin, thetas, tol: float, second: bool = False, retry: bool = True)
     a time, in order, so the error raised is the one that loop stops at;
     with retry False the stack's error is raised as it is.
     """
-    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1 or not thetas.size:
+        raise InvalidInputError(f"thetas must be a nonempty 1-D array, got shape {thetas.shape}")
     if isinstance(lin, TwoSeasonLinearization):
         return _evaluate_rows(lin, thetas, tol, second)
     if len({one.dimension for one in lin}) != 1:
@@ -234,7 +287,7 @@ def _evaluate(lin, thetas, tol: float, second: bool = False, retry: bool = True)
         raise
 
 
-def _evaluate_rows(lin, thetas: np.ndarray, tol: float, second: bool) -> _Evaluation:
+def _evaluate_rows(lin, thetas: np.ndarray, tol: float, second: bool) -> RhoProfile:
     """_evaluate's stacks on one linearization, or on _Stacked rows with
     thetas[r] the theta of row r."""
     log_scale, shifted = _cycle(lin, thetas)
@@ -255,28 +308,7 @@ def _evaluate_rows(lin, thetas: np.ndarray, tol: float, second: bool) -> _Evalua
         ratio = pair.rho / peak
         x = constrained_resolvent(shifted / peak[:, None, None], ratio, v, v_star, b, side="adjoint")
         curvature = t * t * (2.0 * r * r + mixed + 2.0 * ratio * _dot(x, sv))
-    return _Evaluation(thetas, np.log(pair.rho), log_scale, t * r, curvature, v, v_star, shifted)
-
-
-def _scaled(ev: _Evaluation) -> tuple:
-    """(rho, rho', rho'' or None) of an evaluation; InvalidInputError at the
-    first theta where one of them leaves double precision range."""
-    log_rho = ev.log_rho
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.exp(log_rho)
-        prime = values * ev.log_rho_prime
-        second = None if ev.curvature is None else values * ev.curvature
-    ok = (values >= _TINY) & np.isfinite(values) & np.isfinite(prime)
-    if second is not None:
-        ok &= np.isfinite(second)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        g = bad[0]
-        raise InvalidInputError(
-            f"rho at theta = {ev.thetas[g]:.17g} is exp({log_rho[g]:.6g}); it or a derivative "
-            "leaves double precision range"
-        )
-    return values, prime, second
+    return RhoProfile(lin, thetas, np.log(pair.rho), log_scale, t * r, curvature, v, v_star, shifted)
 
 
 def rho(
@@ -284,18 +316,18 @@ def rho(
 ) -> tuple[float, PerronPair]:
     """Dominant Floquet multiplier of the linearization with its Perron pair."""
     ev = _evaluate(lin, [theta], tol)
-    value = float(_scaled(ev)[0][0])
+    value = float(ev.rho[0])
     return value, PerronPair(rho=value, v=ev.v[0], v_star=ev.v_star[0])
 
 
 def rho_prime(lin: TwoSeasonLinearization, theta: float, tol: float = DEFAULT_PERRON_TOL) -> float:
     """d rho / d theta = T rho <S V, V*>, from the Perron pair of the monodromy matrix."""
-    return float(_scaled(_evaluate(lin, [theta], tol))[1][0])
+    return float(_evaluate(lin, [theta], tol).rho_prime[0])
 
 
 def rho_second(lin: TwoSeasonLinearization, theta: float, tol: float = DEFAULT_PERRON_TOL) -> float:
     """d^2 rho / d theta^2 via the constrained resolvent on the Perron complement."""
-    return float(_scaled(_evaluate(lin, [theta], tol, second=True))[2][0])
+    return float(_evaluate(lin, [theta], tol, second=True).rho_second[0])
 
 
 def constrained_resolvent(
@@ -372,46 +404,11 @@ def constrained_resolvent(
     return x.reshape(shape)
 
 
-def _violations(thetas: np.ndarray, log_rho: np.ndarray, slope: np.ndarray) -> list:
-    """Grid cells (theta_i, theta_{i+1}) where rho fails to strictly decrease,
-    read from log rho and its slope; none means the grid certifies it."""
-    failed = ~((log_rho[1:] < log_rho[:-1]) & (slope[:-1] < 0.0))
-    out = [(float(thetas[i]), float(thetas[i + 1])) for i in np.flatnonzero(failed)]
-    if len(thetas) and slope[-1] >= 0.0:
-        out.append((float(thetas[-1]), float(thetas[-1])))
-    return out
-
-
 def _above_one(log_rho) -> np.ndarray:
     """rho > 1, with rho = exp(log rho) rounded as `rho` reports it; an
     exponential past double range keeps its side of 1."""
     with np.errstate(over="ignore"):
         return np.exp(log_rho) > 1.0
-
-
-@dataclass(frozen=True)
-class RhoProfile:
-    """rho, log rho and the first two theta-derivatives of rho on a grid of
-    lin, with the Perron vectors v and v_star (stacked as (G, n)) and the
-    monodromies (stacked as (G, n, n)) they come from."""
-
-    lin: TwoSeasonLinearization
-    thetas: np.ndarray
-    rho: np.ndarray
-    rho_prime: np.ndarray
-    rho_second: np.ndarray | None
-    v: np.ndarray
-    v_star: np.ndarray
-    monodromies: np.ndarray
-    log_rho: np.ndarray
-
-    @property
-    def strictly_decreasing(self) -> bool:
-        return not self.violations()
-
-    def violations(self) -> list:
-        """Grid cells (theta_i, theta_{i+1}) where rho fails to strictly decrease."""
-        return _violations(self.thetas, self.log_rho, self.rho_prime)
 
 
 def rho_profile(
@@ -420,14 +417,13 @@ def rho_profile(
     tol: float = DEFAULT_PERRON_TOL,
     second: bool = False,
 ) -> RhoProfile:
-    """rho and its derivatives on a theta grid, from one evaluation, entry g
-    with the bits of rho, rho_prime and rho_second at theta[g] as _evaluate's
-    entries have them. InvalidInputError when one of them or a monodromy
-    leaves double range."""
+    """rho and its derivatives on a nonempty 1-D theta grid, from one
+    evaluation, entry g with the bits of rho, rho_prime and rho_second at
+    theta[g] as _evaluate's entries have them. InvalidInputError when one of
+    them or a monodromy leaves double range."""
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    thetas = np.asarray(thetas, dtype=float)
-    return _profiles([lin], thetas, _evaluate(lin, thetas, tol, second))[0]
+    return _rows(_evaluate(lin, thetas, tol, second), [lin])[0]
 
 
 def rho_profiles(lins, thetas, tol: float = DEFAULT_PERRON_TOL, second: bool = False) -> list:
@@ -436,7 +432,6 @@ def rho_profiles(lins, thetas, tol: float = DEFAULT_PERRON_TOL, second: bool = F
     with the bits of its own call. When a stack raises a typed error, the
     profiles not yet made are made one at a time, in order, so the error
     raised is the one a loop of rho_profile calls stops at."""
-    thetas = np.asarray(thetas, dtype=float)
     groups = {}
     for i, lin in enumerate(lins):
         groups.setdefault(lin.dimension, []).append(i)
@@ -444,8 +439,8 @@ def rho_profiles(lins, thetas, tol: float = DEFAULT_PERRON_TOL, second: bool = F
     try:
         for index in groups.values():
             group = [lins[i] for i in index]
-            ev = _evaluate(group, thetas, tol, second, retry=False)
-            for i, profile in zip(index, _profiles(group, thetas, ev)):
+            stacked = _evaluate(group, thetas, tol, second, retry=False)
+            for i, profile in zip(index, _rows(stacked, group)):
                 profiles[i] = profile
     except TYPED_ERRORS:
         return [rho_profile(lin, thetas, tol, second) if profile is None else profile
@@ -453,29 +448,25 @@ def rho_profiles(lins, thetas, tol: float = DEFAULT_PERRON_TOL, second: bool = F
     return profiles
 
 
-def _profiles(lins, thetas: np.ndarray, ev: _Evaluation) -> list:
-    """The RhoProfile of each linearization of an evaluation whose row
-    l * G + g is lins[l] at thetas[g]; InvalidInputError at the first row
-    where rho, a derivative or a monodromy leaves double range."""
-    values, prime, curved = _scaled(ev)
-    monodromies = _unshift(ev.log_scale, ev.shifted, ev.thetas)
-    log_rho = ev.log_rho
-    count = len(thetas)
-    profiles = []
+def _rows(stacked: RhoProfile, lins) -> list:
+    """Views of the rows of each linearization of a stacked record, row
+    l * G + g being lins[l] at theta[g]. rho and its derivatives, then the
+    monodromies, are formed first on the whole stack, so they raise here."""
+
+    def cut(value, rows):
+        if isinstance(value, tuple):  # the formed (rho, rho', rho'')
+            return tuple(cut(part, rows) for part in value)
+        return value[rows] if isinstance(value, np.ndarray) else value
+
+    stacked.rho, stacked.monodromies  # formed now, in this order
+    count = len(stacked.thetas) // len(lins)
+    records = []
     for i, lin in enumerate(lins):
         rows = slice(i * count, (i + 1) * count)
-        profiles.append(RhoProfile(
-            lin=lin,
-            thetas=thetas,
-            rho=values[rows],
-            rho_prime=prime[rows],
-            rho_second=None if curved is None else curved[rows],
-            v=ev.v[rows],
-            v_star=ev.v_star[rows],
-            monodromies=monodromies[rows],
-            log_rho=log_rho[rows],
-        ))
-    return profiles
+        record = object.__new__(RhoProfile)
+        record.__dict__.update({k: cut(v, rows) for k, v in vars(stacked).items()}, lin=lin)
+        records.append(record)
+    return records
 
 
 @dataclass(frozen=True)
@@ -522,15 +513,17 @@ def find_threshold(
     Without a strict-decrease certificate the function still classifies the
     all-above-one and all-below-one cases; an interior crossing with a failed
     certificate raises CertificateError unless override_monotonic is set.
-    A grid needs both ends, so grid_points < 2 raises InvalidInputError.
+    A grid needs both ends: grid_points must be an int, not a bool, >= 2.
     rho_at_theta_star of the one-sided regimes may lie past double range
     (inf or 0).
     """
+    if isinstance(grid_points, bool) or not isinstance(grid_points, numbers.Integral):
+        raise InvalidInputError(f"grid_points must be an int, got {grid_points!r}")
     if grid_points < 2:
         raise InvalidInputError(f"grid_points must be >= 2, got {grid_points}")
     grid = _evaluate(lin, np.linspace(0.0, 1.0, grid_points), perron_tol)
     log_rho, slope = grid.log_rho, grid.log_rho_prime
-    violations = _violations(grid.thetas, log_rho, slope)
+    violations = grid.violations()
     certificate = not violations
     above = _above_one(log_rho)
 

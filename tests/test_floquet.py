@@ -311,6 +311,16 @@ class TestFindThreshold:
         with pytest.raises(InvalidInputError, match="grid_points must be >= 2"):
             find_threshold(insect_linearization, grid_points=points)
 
+    @pytest.mark.parametrize("points", [2.5, True, np.float64(11.0)])
+    def test_grid_points_must_be_an_int(self, insect_linearization, points):
+        # a float reached np.linspace and a bool was read as 1
+        with pytest.raises(InvalidInputError, match="grid_points must be an int"):
+            find_threshold(insect_linearization, grid_points=points)
+
+    def test_grid_points_takes_a_numpy_int(self, insect_linearization):
+        report = find_threshold(insect_linearization, grid_points=np.int64(11))
+        assert report == find_threshold(insect_linearization, grid_points=11)
+
     def test_increasing_profile_raises(self):
         lin = TwoSeasonLinearization(K + 1.0 * np.eye(2), K - 2.0 * np.eye(2), 1.0)
         with pytest.raises(CertificateError) as excinfo:
@@ -389,6 +399,16 @@ class TestRhoProfile:
         assert profile.monodromies.shape == (5, 2, 2)
         for th, m in zip(grid, profile.monodromies):
             assert np.array_equal(m, monodromy(insect_linearization, float(th)))
+
+    @pytest.mark.parametrize(
+        "thetas, shape", [([[0.1, 0.2]], "(1, 2)"), (0.3, "()"), ([], "(0,)")]
+    )
+    def test_grid_must_be_nonempty_and_1d(self, insect_linearization, thetas, shape):
+        # a 2-D grid lost its second row, a scalar raised TypeError and an
+        # empty grid a message about matrix shapes
+        with pytest.raises(InvalidInputError) as excinfo:
+            rho_profile(insect_linearization, thetas)
+        assert str(excinfo.value) == f"thetas must be a nonempty 1-D array, got shape {shape}"
 
     def test_continuity_no_jumps(self, insect_linearization):
         thetas = np.linspace(0.0, 1.0, 201)
@@ -483,6 +503,20 @@ class TestRhoProfiles:
         assert isinstance(evaluated[0], floquet._Stacked)
         assert [id(lin) for lin in evaluated[1:]] == [id(lin) for lin in alone]
 
+    def test_grid_must_be_1d(self):
+        # a 2-D grid gave the second profile the first's rho at theta = 0.2
+        lins = [bundled_linearization("insect_nonshared"), bundled_linearization("insect_two_season")]
+        with pytest.raises(InvalidInputError, match=r"1-D array, got shape \(1, 2\)"):
+            floquet.rho_profiles(lins, [[0.1, 0.2]])
+
+    def test_profiles_are_views_of_one_formed_stack(self):
+        rng = np.random.default_rng(10)
+        lins = [random_metzler_pair(rng, 2) for _ in range(3)]
+        profiles = floquet.rho_profiles(lins, np.linspace(0.0, 1.0, 5), second=True)
+        for name in ("rho", "rho_prime", "rho_second", "monodromies", "v", "log_rho"):
+            stack = getattr(profiles[0], name).base
+            assert stack is not None and all(getattr(p, name).base is stack for p in profiles)
+
     def test_evaluation_takes_one_dimension(self):
         rng = np.random.default_rng(8)
         for lins in ([], [random_metzler_pair(rng, 2), random_metzler_pair(rng, 3)]):
@@ -505,6 +539,37 @@ class TestRhoProfiles:
         with pytest.raises(floquet.ConvergenceError) as stacked:
             floquet._evaluate([first, between, later], [0.5], 1e-300)
         assert str(stacked.value) == messages[0]
+
+
+class TestEvaluatorRecord:
+    def test_reads_in_log_form_past_double_range(self, insect_linearization):
+        # at T = 5000 rho(0) = exp(2500): the record's log-form fields read,
+        # and its formed values raise what rho_profile and monodromy raise
+        lin = insect_linearization.with_period(5000.0)
+        grid = np.linspace(0.0, 1.0, 11)
+        record = floquet._evaluate(lin, grid, floquet.DEFAULT_PERRON_TOL)
+        assert isinstance(record, floquet.RhoProfile) and record.lin is lin
+        assert record.log_rho[0] == pytest.approx(2500.0) and np.isfinite(record.log_rho).all()
+        assert record.v.shape == record.v_star.shape == (11, 2)
+        assert record.shifted.shape == (11, 2, 2) and np.isfinite(record.shifted).all()
+        assert record.violations() == [] and record.strictly_decreasing
+        with pytest.raises(InvalidInputError) as alone:
+            rho_profile(lin, grid)
+        with pytest.raises(InvalidInputError) as formed:
+            record.rho
+        assert str(formed.value) == str(alone.value)
+        with pytest.raises(InvalidInputError) as alone:
+            monodromy(lin, 0.0)
+        with pytest.raises(InvalidInputError) as formed:
+            record.monodromies
+        assert str(formed.value) == str(alone.value)
+
+    def test_forms_each_value_once(self, insect_linearization):
+        grid = np.linspace(0.0, 1.0, 5)
+        record = floquet._evaluate(insect_linearization, grid, floquet.DEFAULT_PERRON_TOL, second=True)
+        for name in ("log_rho", "rho", "rho_prime", "rho_second", "monodromies"):
+            assert getattr(record, name) is getattr(record, name)
+        assert profile_bytes(record) == profile_bytes(rho_profile(insect_linearization, grid, second=True))
 
 
 class TestLogConvexityProbe:
