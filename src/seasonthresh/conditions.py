@@ -6,7 +6,8 @@ seen; a certificate only holds when every required margin clears the
 strictness floor (open conditions with hair-thin margins are reported but
 not certified). The grid certificates judge a floquet.RhoProfile: its (G, n)
 Perron vectors and (G, n, n) monodromies are computed once, and each
-certificate reads them in stacked products.
+certificate reads them in stacked products. None reads rho, so they judge at
+any period: past double range the shifted products stand in for monodromies.
 """
 
 import math
@@ -242,20 +243,32 @@ def left_eigenvector_order(s) -> LeftOrderResult:
 def left_order_certificate(profile: RhoProfile) -> ConditionCertificate:
     """Left-vector ordering of the profile's 2x2 cycle matrices across its grid.
 
-    Margins are the column-sum gaps; holds when the eigenvector ordering
-    (w2 > w1) is confirmed at every grid theta and the two oracles agree.
+    Margins are the column-sum gaps (the shifted products' where a monodromy
+    leaves double range); holds when the eigenvector ordering (w2 > w1) is
+    confirmed at every grid theta and the two oracles agree.
     """
     if profile.lin.dimension != 2:
         raise InvalidInputError("left-order certificate is specific to 2x2 systems")
-    result = left_eigenvector_order(profile.monodromies)
+    cycle, scaled_out = _cycle_matrices(profile)
+    result = left_eigenvector_order(cycle)
     agree = result.disagreements == 0
     return ConditionCertificate(
         condition="left_order",
         holds=bool(result.eigen_order.all()) and agree,
         margins=result.column_gap,
         theta_grid=profile.thetas,
-        details={"oracles_agree": agree},
+        details={"oracles_agree": agree, **scaled_out},
     )
+
+
+def _cycle_matrices(profile: RhoProfile) -> tuple[np.ndarray, dict]:
+    """The monodromies, or when one leaves double range the shifted products
+    (each a positive multiple of its monodromy, so signs and left-vector
+    orders are the same) with the details key that says so."""
+    try:
+        return profile.monodromies, {}
+    except InvalidInputError:
+        return profile.shifted, {"column_gaps_of": "shifted_products"}
 
 
 @dataclass(frozen=True)
@@ -359,7 +372,7 @@ def insect_threshold_certificate(
     (6) analytic negativity of its partial derivatives past (1, 1);
     (7) negativity of the form at the seasonal weight ratios on the grid;
     (8) sign agreement of stage 7 with the column-sum gap of the profile's
-    cycle matrices.
+    cycle matrices (its shifted products where one leaves double range).
     """
     u, f = pi_unfavorable, pi_favorable
     lin = profile.lin
@@ -442,7 +455,7 @@ def insect_threshold_certificate(
         )
     )
 
-    m = profile.monodromies
+    m, scaled_out = _cycle_matrices(profile)
     column_gaps = m[:, 0, 1] + m[:, 1, 1] - m[:, 0, 0] - m[:, 1, 0]
     agree = (column_gaps > 0.0) == (form_values < 0.0)
     stages.append(
@@ -458,6 +471,7 @@ def insect_threshold_certificate(
     details["alpha"] = u.b * f.b / math.sqrt(denom_u * denom_f)
     details["form_values"] = form_values
     details["column_gaps"] = column_gaps
+    details.update(scaled_out)
     details["stages"] = {stage.name: stage for stage in stages}
     return ConditionCertificate(
         condition="insect_threshold",

@@ -21,11 +21,13 @@ M = exp(T (theta mu1 + (1 - theta) mu2)) P with P the product of the
 shifted exponentials, whose entries stay within double range at any period,
 and log rho = log rho(P) + T (theta mu1 + (1 - theta) mu2). Its answer is
 one record, a RhoProfile, in that log form; rho, rho', rho'' and the
-monodromies are formed on the record's first read of them.
+monodromies are formed on the record's first read of them, so a reader that
+never reads them works at any period. rho_profiles cuts a stacked record into
+one per linearization, and makes a stack that raises one call at a time.
 """
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -193,8 +195,8 @@ class RhoProfile:
     unless asked for); v and v_star stack the Perron vectors as (G, n); the
     monodromies are exp(log_scale) * shifted, shifted of shape (G, n, n).
     rho, rho_prime, rho_second and the monodromies are formed on first read,
-    once, and raise InvalidInputError at the first theta where one leaves
-    double precision range; the rest reads at any period.
+    not before, once, and raise InvalidInputError at the first theta where
+    one leaves double precision range; the rest reads at any period.
     """
 
     lin: TwoSeasonLinearization
@@ -256,7 +258,7 @@ class RhoProfile:
         return out
 
 
-def _evaluate(lin, thetas, tol: float, second: bool = False, retry: bool = True) -> RhoProfile:
+def _evaluate(lin, thetas, tol: float, second: bool = False) -> RhoProfile:
     """The Floquet evaluator: log rho, (log rho)', (when asked) rho'' / rho,
     the Perron vectors and the shifted monodromies at each theta of a
     nonempty 1-D sequence (any other thetas is an InvalidInputError), from
@@ -266,10 +268,9 @@ def _evaluate(lin, thetas, tol: float, second: bool = False, retry: bool = True)
 
     lin is one TwoSeasonLinearization or a sequence of them of one
     dimension, evaluated in the same three stacks: entry l * G + g is
-    linearization l at theta[g], with the bits of a call on it alone. When
-    the stack raises a typed error, the linearizations are evaluated one at
-    a time, in order, so the error raised is the one that loop stops at;
-    with retry False the stack's error is raised as it is.
+    linearization l at theta[g], with the bits of a call on it alone. The
+    stack's record has a _Stacked lin, and its errors are raised as they
+    are; rho_profiles makes a loop's error of them.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or not thetas.size:
@@ -278,13 +279,7 @@ def _evaluate(lin, thetas, tol: float, second: bool = False, retry: bool = True)
         return _evaluate_rows(lin, thetas, tol, second)
     if len({one.dimension for one in lin}) != 1:
         raise InvalidInputError("expected a nonempty sequence of linearizations of one dimension")
-    try:
-        return _evaluate_rows(_stacked(lin, len(thetas)), np.tile(thetas, len(lin)), tol, second)
-    except TYPED_ERRORS:
-        if retry:
-            for one in lin:
-                _evaluate_rows(one, thetas, tol, second)
-        raise
+    return _evaluate_rows(_stacked(lin, len(thetas)), np.tile(thetas, len(lin)), tol, second)
 
 
 def _evaluate_rows(lin, thetas: np.ndarray, tol: float, second: bool) -> RhoProfile:
@@ -417,56 +412,39 @@ def rho_profile(
     tol: float = DEFAULT_PERRON_TOL,
     second: bool = False,
 ) -> RhoProfile:
-    """rho and its derivatives on a nonempty 1-D theta grid, from one
-    evaluation, entry g with the bits of rho, rho_prime and rho_second at
-    theta[g] as _evaluate's entries have them. InvalidInputError when one of
-    them or a monodromy leaves double range."""
+    """The evaluator's record of lin on a nonempty 1-D theta grid (101
+    points on [0, 1] by default), entry g with the bits of rho, rho_prime
+    and rho_second at theta[g]. Nothing is formed before it returns: rho,
+    its derivatives and the monodromies raise where they are read."""
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    return _rows(_evaluate(lin, thetas, tol, second), [lin])[0]
+    return _evaluate(lin, thetas, tol, second)
 
 
 def rho_profiles(lins, thetas, tol: float = DEFAULT_PERRON_TOL, second: bool = False) -> list:
     """rho_profile(lin, thetas, tol, second) for each of a sequence of
     linearizations, from one stacked evaluation per dimension, each profile
-    with the bits of its own call. When a stack raises a typed error, the
-    profiles not yet made are made one at a time, in order, so the error
-    raised is the one a loop of rho_profile calls stops at."""
+    with the bits of its own call and views of its stack's rows; like those
+    calls, it forms nothing before it returns. A dimension whose stack
+    raises a typed error is left unmade, and each unmade profile is made
+    alone, in order, so the error raised is the one a loop of rho_profile
+    calls stops at."""
     groups = {}
     for i, lin in enumerate(lins):
         groups.setdefault(lin.dimension, []).append(i)
     profiles = [None] * len(lins)
-    try:
-        for index in groups.values():
-            group = [lins[i] for i in index]
-            stacked = _evaluate(group, thetas, tol, second, retry=False)
-            for i, profile in zip(index, _rows(stacked, group)):
-                profiles[i] = profile
-    except TYPED_ERRORS:
-        return [rho_profile(lin, thetas, tol, second) if profile is None else profile
-                for lin, profile in zip(lins, profiles)]
-    return profiles
-
-
-def _rows(stacked: RhoProfile, lins) -> list:
-    """Views of the rows of each linearization of a stacked record, row
-    l * G + g being lins[l] at theta[g]. rho and its derivatives, then the
-    monodromies, are formed first on the whole stack, so they raise here."""
-
-    def cut(value, rows):
-        if isinstance(value, tuple):  # the formed (rho, rho', rho'')
-            return tuple(cut(part, rows) for part in value)
-        return value[rows] if isinstance(value, np.ndarray) else value
-
-    stacked.rho, stacked.monodromies  # formed now, in this order
-    count = len(stacked.thetas) // len(lins)
-    records = []
-    for i, lin in enumerate(lins):
-        rows = slice(i * count, (i + 1) * count)
-        record = object.__new__(RhoProfile)
-        record.__dict__.update({k: cut(v, rows) for k, v in vars(stacked).items()}, lin=lin)
-        records.append(record)
-    return records
+    for index in groups.values():
+        try:
+            stacked = _evaluate([lins[i] for i in index], thetas, tol, second)
+        except TYPED_ERRORS:
+            continue
+        values = [getattr(stacked, f.name) for f in fields(RhoProfile)[1:]]
+        count = len(stacked.thetas) // len(index)
+        for k, i in enumerate(index):
+            rows = slice(k * count, (k + 1) * count)
+            profiles[i] = RhoProfile(lins[i], *(None if v is None else v[rows] for v in values))
+    return [rho_profile(lin, thetas, tol, second) if profile is None else profile
+            for lin, profile in zip(lins, profiles)]
 
 
 @dataclass(frozen=True)
@@ -513,7 +491,8 @@ def find_threshold(
     Without a strict-decrease certificate the function still classifies the
     all-above-one and all-below-one cases; an interior crossing with a failed
     certificate raises CertificateError unless override_monotonic is set.
-    A grid needs both ends: grid_points must be an int, not a bool, >= 2.
+    A grid needs both ends: grid_points must be an int, not a bool, >= 2;
+    tol must be positive.
     rho_at_theta_star of the one-sided regimes may lie past double range
     (inf or 0).
     """
@@ -521,6 +500,8 @@ def find_threshold(
         raise InvalidInputError(f"grid_points must be an int, got {grid_points!r}")
     if grid_points < 2:
         raise InvalidInputError(f"grid_points must be >= 2, got {grid_points}")
+    if not tol > 0.0:
+        raise InvalidInputError(f"tol must be positive, got {tol}")
     grid = _evaluate(lin, np.linspace(0.0, 1.0, grid_points), perron_tol)
     log_rho, slope = grid.log_rho, grid.log_rho_prime
     violations = grid.violations()
@@ -540,24 +521,18 @@ def find_threshold(
             grid_points=grid_points,
         )
 
-    if certificate:
-        if not above[0]:
-            return report(0.0, "always_extinct", None, log_rho[0])
-        if above[-1]:
-            return report(1.0, "always_persistent", None, log_rho[-1])
-        idx = int(np.nonzero(above)[0][-1])
-    else:
-        if above.all():
-            return report(1.0, "always_persistent", None, log_rho[-1])
-        if not above.any():
-            return report(0.0, "always_extinct", None, log_rho[0])
-        if not override_monotonic:
-            raise CertificateError(
-                "rho is not strictly decreasing on the grid; "
-                "pass override_monotonic=True to solve for the crossing anyway",
-                violations=violations,
-            )
-        idx = int(np.nonzero(above[:-1] != above[1:])[0][0])
+    # with the certificate, above is a prefix of True: its first crossing is the one
+    if above.all():
+        return report(1.0, "always_persistent", None, log_rho[-1])
+    if not above.any():
+        return report(0.0, "always_extinct", None, log_rho[0])
+    if not certificate and not override_monotonic:
+        raise CertificateError(
+            "rho is not strictly decreasing on the grid; "
+            "pass override_monotonic=True to solve for the crossing anyway",
+            violations=violations,
+        )
+    idx = int(np.nonzero(above[:-1] != above[1:])[0][0])
 
     # each end of the bracket as [theta, log rho, (log rho)']
     ends = [[float(grid.thetas[i]), float(log_rho[i]), float(slope[i])] for i in (idx, idx + 1)]
@@ -686,22 +661,22 @@ def timescale_asymptotics(
     tol: float = DEFAULT_PERRON_TOL,
 ) -> TimescaleReport:
     """rho at theta over the increasing periods t_values and at the short
-    period t_small, from one evaluation of lin's copies at those periods
-    (t_small its last row), each row with the bits of its own call."""
+    period t_small, from one rho_profiles call on lin's copies at those
+    periods (t_small the last), each with the bits of its own call."""
     t_values = np.asarray(t_values, dtype=float)
     if np.any(t_values <= 0.0) or np.any(np.diff(t_values) <= 0.0):
         raise InvalidInputError("t_values must be positive and increasing")
     mu1, mu2 = lin._shifted_seasons[:2]
     linear_rate = theta * mu1 + (1.0 - theta) * mu2
     # the copies share lin's season shifts
-    ev = _evaluate([lin.with_period(t) for t in [*t_values, t_small]], [theta], tol)
-    corrections = ev.log_shifted[:-1]
+    profiles = rho_profiles([lin.with_period(t) for t in [*t_values, t_small]], [theta], tol)
+    corrections = np.array([profile.log_shifted[0] for profile in profiles[:-1]])
     log_rho_over_t = linear_rate + corrections / t_values
 
     (v1, v2), (v1s, v2s) = season_vectors(lin, tol=tol)
     limit = float(np.log((v2s @ v1) * (v1s @ v2)))
 
-    rho_small = float(np.exp(ev.log_rho[-1]))
+    rho_small = float(np.exp(profiles[-1].log_rho[0]))
     return TimescaleReport(
         theta=theta,
         t_values=t_values,

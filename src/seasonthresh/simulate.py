@@ -754,12 +754,14 @@ def empirical_threshold(
     Labels theta persistent when the simulated dominant multiplier at zero,
     the spectral radius of poincare_jacobian(family(theta), 0), exceeds 1.
     Requires the labels to be monotone (persistent below, extinct above),
-    then bisects the boundary cell down to tol. Returns 1.0 and 0.0 for the
-    all-persistent and all-extinct families.
+    then bisects the boundary cell down to tol, which must be positive.
+    Returns 1.0 and 0.0 for the all-persistent and all-extinct families.
     """
     grid = sorted(float(g) for g in grid)
     if len(grid) < 3:
         raise InvalidInputError("grid must contain at least 3 points")
+    if not tol > 0.0:
+        raise InvalidInputError(f"tol must be positive, got {tol}")
 
     def persistent(theta):
         system = _system(family(theta))

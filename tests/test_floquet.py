@@ -321,6 +321,13 @@ class TestFindThreshold:
         report = find_threshold(insect_linearization, grid_points=np.int64(11))
         assert report == find_threshold(insect_linearization, grid_points=11)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_tol_must_be_positive(self, insect_linearization, tol):
+        # -1 and nan spent all DEFAULT_MAX_BISECT evaluations and still
+        # reported an interior root
+        with pytest.raises(InvalidInputError, match="tol must be positive"):
+            find_threshold(insect_linearization, tol=tol)
+
     def test_increasing_profile_raises(self):
         lin = TwoSeasonLinearization(K + 1.0 * np.eye(2), K - 2.0 * np.eye(2), 1.0)
         with pytest.raises(CertificateError) as excinfo:
@@ -454,8 +461,10 @@ class TestRhoProfiles:
 
     @pytest.mark.parametrize("points", [1, 9])
     def test_raises_the_error_of_a_loop_in_order(self, points):
-        # the n = 2 stack, evaluated first, fails on `later`; a loop of
-        # rho_profile calls stops at `first`, and so does the stacked call
+        # rho overflows on `first` and on `later`, in the n = 3 and the n = 2
+        # stack, and raises where it is read: reading it from a loop of
+        # rho_profile calls stops at `first`, and so does reading the stacked
+        # call's profiles in order
         rng = np.random.default_rng(7)
         grid = np.linspace(0.1, 0.9, points)
         first, later = overflowing_pair(rng, 3, 300.0), overflowing_pair(rng, 2, 400.0)
@@ -463,24 +472,26 @@ class TestRhoProfiles:
         messages = []
         for lin in (first, later):
             with pytest.raises(InvalidInputError) as alone:
-                rho_profile(lin, grid, second=True)
+                rho_profile(lin, grid, second=True).rho
             messages.append(str(alone.value))
         assert messages[0] != messages[1]
+        profiles = floquet.rho_profiles(lins, grid, second=True)
         with pytest.raises(InvalidInputError) as stacked:
-            floquet.rho_profiles(lins, grid, second=True)
+            for profile in profiles:
+                profile.rho
         assert str(stacked.value) == messages[0]
 
     @pytest.mark.parametrize("case", ["overflow", "separation"])
     def test_makes_each_profile_alone_at_most_once(self, monkeypatch, case):
-        # "overflow" takes the inputs above: the n = 2 stack's profiles
-        # overflow on `later`, and the loop stops at `first`. "separation":
-        # the stack's evaluation itself raises on `later`, whose period puts
-        # its monodromy near I, and the loop stops there
+        # "overflow" takes the inputs above: both stacks evaluate, so none
+        # is made alone, and reading rho in order stops at `first`.
+        # "separation": the stack's evaluation itself raises on `later`,
+        # whose period puts its monodromy near I, and the loop stops there
         if case == "overflow":
             rng = np.random.default_rng(7)
             first, later = overflowing_pair(rng, 3, 300.0), overflowing_pair(rng, 2, 400.0)
             lins = [random_metzler_pair(rng, 2), first, random_metzler_pair(rng, 3), later]
-            error, alone, grid = InvalidInputError, lins[:2], np.linspace(0.1, 0.9, 9)
+            error, alone, grid = InvalidInputError, [], np.linspace(0.1, 0.9, 9)
         else:
             rng = np.random.default_rng(9)
             lins = [random_metzler_pair(rng, 2), random_metzler_pair(rng, 2),
@@ -488,7 +499,7 @@ class TestRhoProfiles:
             error, alone, grid = floquet.ConvergenceError, lins, [0.5]
         with pytest.raises(error) as looped:
             for lin in lins:
-                rho_profile(lin, grid, second=True)
+                rho_profile(lin, grid, second=True).rho
         evaluated = []
         original = floquet._evaluate_rows
 
@@ -498,10 +509,12 @@ class TestRhoProfiles:
 
         monkeypatch.setattr(floquet, "_evaluate_rows", counted)
         with pytest.raises(error) as stacked:
-            floquet.rho_profiles(lins, grid, second=True)
+            for profile in floquet.rho_profiles(lins, grid, second=True):
+                profile.rho
         assert str(stacked.value) == str(looped.value)
         assert isinstance(evaluated[0], floquet._Stacked)
-        assert [id(lin) for lin in evaluated[1:]] == [id(lin) for lin in alone]
+        made_alone = [lin for lin in evaluated if not isinstance(lin, floquet._Stacked)]
+        assert [id(lin) for lin in made_alone] == [id(lin) for lin in alone]
 
     def test_grid_must_be_1d(self):
         # a 2-D grid gave the second profile the first's rho at theta = 0.2
@@ -513,9 +526,13 @@ class TestRhoProfiles:
         rng = np.random.default_rng(10)
         lins = [random_metzler_pair(rng, 2) for _ in range(3)]
         profiles = floquet.rho_profiles(lins, np.linspace(0.0, 1.0, 5), second=True)
-        for name in ("rho", "rho_prime", "rho_second", "monodromies", "v", "log_rho"):
+        for name in ("thetas", "log_shifted", "v", "v_star", "shifted"):
             stack = getattr(profiles[0], name).base
             assert stack is not None and all(getattr(p, name).base is stack for p in profiles)
+        # the formed values are each profile's own, formed on its first read
+        for profile in profiles:
+            assert "_scaled" not in vars(profile) and "monodromies" not in vars(profile)
+            assert profile.rho is profile.rho and profile.monodromies is profile.monodromies
 
     def test_evaluation_takes_one_dimension(self):
         rng = np.random.default_rng(8)
@@ -537,14 +554,15 @@ class TestRhoProfiles:
             messages.append(str(alone.value))
         assert "residual" in messages[0] and "separated" in messages[1]
         with pytest.raises(floquet.ConvergenceError) as stacked:
-            floquet._evaluate([first, between, later], [0.5], 1e-300)
+            floquet.rho_profiles([first, between, later], [0.5], 1e-300)
         assert str(stacked.value) == messages[0]
 
 
 class TestEvaluatorRecord:
     def test_reads_in_log_form_past_double_range(self, insect_linearization):
         # at T = 5000 rho(0) = exp(2500): the record's log-form fields read,
-        # and its formed values raise what rho_profile and monodromy raise
+        # rho_profile returns, and the formed values raise where they are
+        # read, what rho_profile's rho and monodromy raise
         lin = insect_linearization.with_period(5000.0)
         grid = np.linspace(0.0, 1.0, 11)
         record = floquet._evaluate(lin, grid, floquet.DEFAULT_PERRON_TOL)
@@ -553,8 +571,9 @@ class TestEvaluatorRecord:
         assert record.v.shape == record.v_star.shape == (11, 2)
         assert record.shifted.shape == (11, 2, 2) and np.isfinite(record.shifted).all()
         assert record.violations() == [] and record.strictly_decreasing
+        profile = rho_profile(lin, grid)
         with pytest.raises(InvalidInputError) as alone:
-            rho_profile(lin, grid)
+            profile.rho
         with pytest.raises(InvalidInputError) as formed:
             record.rho
         assert str(formed.value) == str(alone.value)

@@ -84,10 +84,25 @@ def test_threshold_command_at_long_periods(tmp_path, period):
 
 
 @pytest.mark.parametrize("period", LONG_PERIODS)
-def test_check_at_long_periods_is_typed_error(tmp_path, capsys, period):
-    # the certificates read the monodromies themselves, which leave double range
-    assert run_cli(tmp_path, "check", period) == 2
-    assert "leaves double precision range" in capsys.readouterr().err
+@pytest.mark.parametrize("name", ["insect_two_season", "insect_nonshared"])
+def test_check_at_long_periods_keeps_the_verdicts(tmp_path, name, period):
+    # no certificate reads rho; where the monodromies leave double range the
+    # cycle-matrix certificates read the shifted products, a positive
+    # multiple of them, and say so
+    certs = {}
+    for t in (800.0, period):
+        raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+        out = tmp_path / f"T{t:g}"
+        out.mkdir()
+        (out / "scenario.json").write_text(json.dumps({**raw, "period_T": t}))
+        assert main(["check", "--scenario", str(out / "scenario.json"), "--out", str(out)]) == 0
+        certs[t] = {c["condition"]: c for c in json.loads((out / "certificates.json").read_text())}
+    assert {k: c["holds"] for k, c in certs[period].items()} == {
+        k: c["holds"] for k, c in certs[800.0].items()
+    }
+    assert "column_gaps_of" not in certs[800.0]["left_order"]["details"]
+    for condition in ("left_order", "insect_threshold"):
+        assert certs[period][condition]["details"]["column_gaps_of"] == "shifted_products"
 
 
 @pytest.mark.parametrize("period", LONG_PERIODS)

@@ -634,6 +634,15 @@ class TestEmpiricalThreshold:
         with pytest.raises(InvalidInputError):
             empirical_threshold(family, [0.0, 1.0])
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_tol_must_be_positive(self, tol):
+        # 0 and -1 bisected forever once the midpoint stopped shrinking the
+        # cell, and nan returned the midpoint of the unrefined cell
+        simulated = []
+        with pytest.raises(InvalidInputError, match="tol must be positive"):
+            empirical_threshold(simulated.append, [0.0, 0.25, 0.5, 0.75, 1.0], tol=tol)
+        assert simulated == []
+
 
 class TestFlowProperties:
     def test_insect_system_all_pass(self, pi_unfavorable, pi_favorable):
