@@ -141,7 +141,7 @@ def run_sweep(scenario: Scenario, with_simulation: bool = False) -> list[SweepRo
     thetas = [float(th) for th in scenario.grid_array()]
     try:
         rows = _sweep_rows(floquet.rho_profile(lin, thetas, tol=tol, second=True))
-    except floquet.TYPED_ERRORS:
+    except ERRORS:
         rows = []
         for th in thetas:
             try:
@@ -194,6 +194,8 @@ def _cmd_threshold(scenario, args, out: Path):
     lin = linearization_from_scenario(scenario)
     tol = args.tol if args.tol is not None else scenario.tolerances.bisect_tol
     grid_points = args.grid if args.grid is not None else len(scenario.theta_grid)
+    if args.grid is None and grid_points < 2:
+        raise ScenarioError(f"theta_grid: threshold needs at least 2 points, got {grid_points}")
     report = floquet.find_threshold(
         lin, tol=tol, grid_points=grid_points, perron_tol=scenario.tolerances.perron_tol
     )

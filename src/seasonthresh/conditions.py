@@ -276,25 +276,13 @@ class DiagonalizationData:
     """Eigenvalues and eigenvector slopes of one season's linearization at 0.
 
     The eigenvector for lambda_plus is (1, x_plus), for lambda_minus
-    (1, x_minus); weights(d) are the exponential factors over a stretch of
-    length d.
+    (1, x_minus).
     """
 
     lambda_plus: float
     lambda_minus: float
     x_plus: float
     x_minus: float
-
-    def eigenvector_matrix(self) -> np.ndarray:
-        return np.array([[1.0, 1.0], [self.x_plus, self.x_minus]])
-
-    def reconstruct(self) -> np.ndarray:
-        p = self.eigenvector_matrix()
-        d = np.diag([self.lambda_plus, self.lambda_minus])
-        return p @ d @ np.linalg.inv(p)
-
-    def weights(self, duration: float) -> tuple[float, float]:
-        return math.exp(self.lambda_plus * duration), math.exp(self.lambda_minus * duration)
 
     def weight_ratio(self, duration: float) -> float:
         """exp((lambda_plus - lambda_minus) d), or inf past the double range."""

@@ -33,11 +33,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ERRORS,
     CertificateError,
     ConditioningError,
     ConvergenceError,
     InvalidInputError,
-    StructureError,
 )
 from .linalg import (
     PerronPair,
@@ -59,8 +59,6 @@ DEFAULT_MAX_BISECT = 200
 _ORTHO_TOL = 1e-9  # relative size of <b, v_star> that counts as orthogonal
 DEFAULT_GRID_POINTS = 101
 _TINY = np.finfo(float).tiny  # below it a double has lost precision
-# the errors a batched evaluation raises for a theta it cannot evaluate
-TYPED_ERRORS = (InvalidInputError, StructureError, ConvergenceError, ConditioningError)
 
 
 @dataclass(frozen=True)
@@ -241,10 +239,6 @@ class RhoProfile:
     @cached_property
     def monodromies(self) -> np.ndarray:
         return _unshift(self.log_scale, self.shifted, self.thetas)
-
-    @property
-    def strictly_decreasing(self) -> bool:
-        return not self.violations()
 
     def violations(self) -> list:
         """Grid cells (theta_i, theta_{i+1}) where rho fails to strictly
@@ -436,7 +430,7 @@ def rho_profiles(lins, thetas, tol: float = DEFAULT_PERRON_TOL, second: bool = F
     for index in groups.values():
         try:
             stacked = _evaluate([lins[i] for i in index], thetas, tol, second)
-        except TYPED_ERRORS:
+        except ERRORS:
             continue
         values = [getattr(stacked, f.name) for f in fields(RhoProfile)[1:]]
         count = len(stacked.thetas) // len(index)

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidInputError, StructureError
 
 _SERIES_MAX_TERMS = 64
+_SERIES_TOL = 1e-12  # mat_exp's entrywise error bound, relative to e^{||A||}
 # entries of a stack mat_exp takes at once: its stored series terms stay small
 _STACK_ENTRIES = 1 << 14
 # a relative gap 1 - |lambda_2| / rho at roundoff level: the dominant root is not isolated
@@ -39,13 +40,13 @@ def as_matrix_stack(a) -> np.ndarray:
     return m.reshape((-1,) + m.shape[-2:])
 
 
-def mat_exp(a, tol: float = 1e-12) -> np.ndarray:
+def mat_exp(a) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring of a truncated power series.
 
-    The series is summed until the next term falls below ``tol`` scaled by the
-    number of squarings, so the entrywise error stays below tol * e^{||A||}.
-    Exact (up to roundoff) on diagonal and nilpotent inputs because the series
-    then terminates.
+    The series is summed until the next term falls below _SERIES_TOL (1e-12)
+    scaled by the number of squarings, so the entrywise error stays below
+    1e-12 * e^{||A||}. Exact (up to roundoff) on diagonal and nilpotent
+    inputs because the series then terminates.
 
     ``a`` is one matrix or a (G, n, n) stack, exponentiated entry by entry:
     each matrix keeps its own squaring count and series length (a finished
@@ -53,21 +54,19 @@ def mat_exp(a, tol: float = 1e-12) -> np.ndarray:
     as in any stack.
     """
     m = as_matrix_stack(a)
-    if not (0.0 < tol <= 1e-6):
-        raise InvalidInputError(f"tol must lie in (0, 1e-6], got {tol}")
     chunk = max(1, _STACK_ENTRIES // m.shape[-1] ** 2)
     if len(m) > chunk:  # bounds the memory the stored series terms take
-        parts = [mat_exp(m[i:i + chunk], tol) for i in range(0, len(m), chunk)]
+        parts = [mat_exp(m[i:i + chunk]) for i in range(0, len(m), chunk)]
         return np.concatenate(parts).reshape(np.shape(a))
     norm = np.abs(m).sum(axis=-1).max(axis=-1)
     top = float(norm.max())
     if top > 0.5:  # some matrix is scaled down by 2^squarings, then squared back
         squarings = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)).astype(int)
         b = np.ldexp(m, -squarings[:, None, None])
-        cutoff = np.ldexp(tol, -1 - squarings)
+        cutoff = np.ldexp(_SERIES_TOL, -1 - squarings)
         top, floor = float(np.ldexp(norm, -squarings).max()), float(cutoff.min())
     else:
-        squarings, b, cutoff, floor = None, m, tol / 2.0, tol / 2.0
+        squarings, b, cutoff, floor = None, m, _SERIES_TOL / 2.0, _SERIES_TOL / 2.0
     # the terms b^k / k!: their entries are at most top^k / k!, top the
     # largest row-sum norm in b, so they run as far as that bound needs, then
     # on while rounding keeps a matrix's last term above its cutoff

@@ -92,12 +92,15 @@ def _check_keys(mapping: dict, allowed: set, where: str):
 
 
 def _float(value, where: str) -> float:
-    """A checked number as a float; a JSON integer beyond the float range is
-    refused with its key, not left to raise OverflowError."""
+    """A checked number as a finite float, refused with its key otherwise: a
+    JSON integer beyond the float range would raise OverflowError, and the
+    JSON reader turns a literal past it, such as 1e400, into inf."""
     try:
-        return float(value)
+        value = float(value)
     except OverflowError as exc:
         raise ScenarioError(f"{where}: too large for a float") from exc
+    _require(math.isfinite(value), f"{where}: must be finite, got {value}")
+    return value
 
 
 def _parse_params(raw: dict, where: str) -> InsectParams:
@@ -110,7 +113,6 @@ def _parse_params(raw: dict, where: str) -> InsectParams:
         _require(is_number(value), f"{where}.{key}: expected a number")
         _require(value >= 0.0, f"{where}.{key}: must be >= 0, got {value}")
         values[key] = _float(value, f"{where}.{key}")
-        _require(math.isfinite(values[key]), f"{where}.{key}: must be finite, got {value}")
     return InsectParams(**values)
 
 

@@ -114,9 +114,6 @@ class SeasonalSystem:
     def period_T(self) -> float:
         return self.schedule.period_T
 
-    def piece_at(self, t: float) -> AutonomousPiece:
-        return self.pieces[season_index(self.schedule, t) - 1]
-
 
 def season_index(schedule: SeasonalSchedule, t: float) -> int:
     """1-based season index active at time t (right-continuous at breakpoints).

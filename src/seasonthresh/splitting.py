@@ -381,10 +381,6 @@ class GelfandProbeReport:
     mu1: float
     mu2: float
 
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
-
 
 def factor_bound(mu1: float, mu2: float, theta: float) -> float:
     """exp(theta mu1 + (1 - theta) mu2), the product of the factors' bounds,

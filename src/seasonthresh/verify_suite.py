@@ -2,8 +2,10 @@
 
 Desk-scale versions of the package's cross-cutting invariants: analytic
 derivatives against finite differences, closed forms, spectral/simulation
-consistency, and the randomized oracle equivalences. Each check returns a
-row (name, status, detail) with status "pass", "fail", or "info".
+consistency, and the randomized oracle equivalences. CHECKS holds them as
+(name, check) pairs in run order, the one place a check's name is stated.
+A check returns (verdict, detail): a True, False or None verdict gives a
+"pass", "fail" or "info" row, and a check that raises an "error" row.
 
 A check draws all its random problems first, then evaluates them in
 stacks: one Floquet evaluation over every linearization of a dimension and
@@ -25,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import conditions, floquet, insect, simulate, splitting
+from .errors import ERRORS
 from .linalg import (
     exp_products,
     mat_exp,
@@ -42,10 +45,6 @@ class VerifyRow:
     name: str
     status: str
     detail: str
-
-
-def _row(name, ok, detail) -> VerifyRow:
-    return VerifyRow(name=name, status="pass" if ok else "fail", detail=detail)
 
 
 def random_metzler(rng, n: int, scale: float = 3.0) -> np.ndarray:
@@ -80,11 +79,13 @@ def _off_diagonal(n: int) -> np.ndarray:
 def run_verification(scenario: Scenario, seed: int = 0) -> list[VerifyRow]:
     rng = np.random.default_rng(seed)
     rows: list[VerifyRow] = []
-    for check in CHECKS:  # each draws from rng after the one before it
+    for name, check in CHECKS:  # each draws from rng after the one before it
         try:
-            rows.append(check(scenario, rng))
+            verdict, detail = check(scenario, rng)
+            status = "info" if verdict is None else "pass" if verdict else "fail"
         except Exception as exc:  # surface, never hide, per-check failures
-            rows.append(VerifyRow(check.__name__.lstrip("_"), "error", repr(exc)))
+            status, detail = "error", repr(exc)
+        rows.append(VerifyRow(name, status, detail))
     return rows
 
 
@@ -97,7 +98,7 @@ def _random_linearizations(rng, count: int) -> list:
     return out
 
 
-def _check_derivatives(scenario, rng) -> VerifyRow:
+def _check_derivatives(scenario, rng) -> tuple:
     worst = 0.0
     h = 1e-5
     thetas = (0.2, 0.5, 0.8)
@@ -107,10 +108,10 @@ def _check_derivatives(scenario, rng) -> VerifyRow:
         for plus, minus, an in zip(up, down, profile.rho_prime.reshape(3, -1)[2].tolist()):
             fd = (plus - minus) / (2 * h)
             worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
-    return _row("derivative_vs_fd", worst <= 1e-6, f"worst rel gap {worst:.3e}")
+    return worst <= 1e-6, f"worst rel gap {worst:.3e}"
 
 
-def _check_second_derivatives(scenario, rng) -> VerifyRow:
+def _check_second_derivatives(scenario, rng) -> tuple:
     worst = 0.0
     h = 1e-4
     thetas = (0.3, 0.6)
@@ -120,7 +121,7 @@ def _check_second_derivatives(scenario, rng) -> VerifyRow:
         for plus, at, minus, an in zip(up, mid, down, profile.rho_second.reshape(3, -1)[1].tolist()):
             fd = (plus - 2 * at + minus) / h**2
             worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
-    return _row("second_derivative_vs_fd", worst <= 1e-4, f"worst rel gap {worst:.3e}")
+    return worst <= 1e-4, f"worst rel gap {worst:.3e}"
 
 
 def _rhos(lin, thetas) -> list:
@@ -128,21 +129,21 @@ def _rhos(lin, thetas) -> list:
     typed error, from one rho call per theta in order, as a loop of them gives."""
     try:
         return floquet.rho_profile(lin, thetas).rho.tolist()
-    except floquet.TYPED_ERRORS:
+    except ERRORS:
         return [floquet.rho(lin, th)[0] for th in thetas]
 
 
-def _check_endpoints(scenario, rng) -> VerifyRow:
+def _check_endpoints(scenario, rng) -> tuple:
     lin = linearization_from_scenario(scenario)
     t = lin.period_T
     rho0, rho1 = _rhos(lin, [0.0, 1.0])
     gap0 = abs(rho0 - np.exp(t * spectral_abscissa(lin.m2)))
     gap1 = abs(rho1 - np.exp(t * spectral_abscissa(lin.m1)))
     worst = max(gap0, gap1)
-    return _row("single_season_endpoints", worst <= 1e-9, f"worst gap {worst:.3e}")
+    return worst <= 1e-9, f"worst gap {worst:.3e}"
 
 
-def _check_shared_eigenvector_form(scenario, rng) -> VerifyRow:
+def _check_shared_eigenvector_form(scenario, rng) -> tuple:
     base = random_metzler(rng, 3)
     lin = floquet.TwoSeasonLinearization(base - 2.0 * np.eye(3), base + 1.0 * np.eye(3), 1.0)
     mu1 = spectral_abscissa(lin.m1)
@@ -152,50 +153,49 @@ def _check_shared_eigenvector_form(scenario, rng) -> VerifyRow:
     for th, value in zip(thetas, floquet.rho_profile(lin, thetas).rho.tolist()):
         closed = np.exp(th * mu1 + (1.0 - th) * mu2)
         worst = max(worst, abs(value - closed) / closed)
-    return _row("shared_eigenvector_closed_form", worst <= 1e-10, f"worst rel gap {worst:.3e}")
+    return worst <= 1e-10, f"worst rel gap {worst:.3e}"
 
 
-def _check_threshold(scenario, rng) -> VerifyRow:
+def _check_threshold(scenario, rng) -> tuple:
     lin = linearization_from_scenario(scenario)
     report = floquet.find_threshold(lin, tol=scenario.tolerances.bisect_tol)
     if report.regime != "interior_root":
-        return VerifyRow("threshold", "info", f"regime {report.regime}")
+        return None, f"regime {report.regime}"
     delta = 10.0 * scenario.tolerances.bisect_tol
     lo, hi = _rhos(lin, [max(0.0, report.theta_star - delta), min(1.0, report.theta_star + delta)])
     ok = lo > 1.0 > hi and abs(report.rho_at_theta_star - 1.0) <= scenario.tolerances.bisect_tol
-    return _row("threshold", ok, f"theta*={report.theta_star:.12g}")
+    return ok, f"theta*={report.theta_star:.12g}"
 
 
-def _check_poincare_consistency(scenario, rng) -> VerifyRow:
+def _check_poincare_consistency(scenario, rng) -> tuple:
     lin = linearization_from_scenario(scenario)
     thetas = (0.1, 0.3, 0.5, 0.7, 0.9)
     worst = 0.0
     for th, value in zip(thetas, floquet.rho_profile(lin, thetas).rho.tolist()):
         dp = simulate.poincare_jacobian(system_from_scenario(scenario, th), np.zeros(lin.dimension))
         worst = max(worst, abs(spectral_radius(dp) - value) / value)
-    return _row("poincare_vs_monodromy", worst <= 1e-6, f"worst rel gap {worst:.3e}")
+    return worst <= 1e-6, f"worst rel gap {worst:.3e}"
 
 
-def _check_flow_properties(scenario, rng) -> VerifyRow:
+def _check_flow_properties(scenario, rng) -> tuple:
     if scenario.mode != "insect":
-        return VerifyRow("flow_properties", "info", "linear dynamics: strict concavity not expected")
+        return None, "linear dynamics: strict concavity not expected"
     theta = scenario.theta if scenario.theta is not None else 0.5
     system = system_from_scenario(scenario, theta)
     report = simulate.verify_flow_properties(system)
-    return _row(
-        "flow_properties",
+    return (
         report.all_ok,
         f"order margin {report.order_margin:.3e}, monotone margin {report.derivative_monotone_margin:.3e}",
     )
 
 
-def _check_left_order(scenario, rng) -> VerifyRow:
+def _check_left_order(scenario, rng) -> tuple:
     # one (500, 2, 2) draw is the stream of 500 (2, 2) draws
     disagreements = conditions.left_eigenvector_order(rng.uniform(0.05, 5.0, (500, 2, 2))).disagreements
-    return _row("left_order_equivalence", disagreements == 0, f"{disagreements} disagreements / 500")
+    return disagreements == 0, f"{disagreements} disagreements / 500"
 
 
-def _check_equilibria(scenario, rng) -> VerifyRow:
+def _check_equilibria(scenario, rng) -> tuple:
     worst = 0.0
     for _ in range(100):
         pi = insect.InsectParams(*(rng.uniform(0.2, 4.0, 5)))
@@ -204,10 +204,10 @@ def _check_equilibria(scenario, rng) -> VerifyRow:
             continue
         res = np.linalg.norm(insect.vector_field(pi, report.s1))
         worst = max(worst, res / (1.0 + np.linalg.norm(report.s1)))
-    return _row("equilibrium_identity", worst <= 1e-12, f"worst scaled residual {worst:.3e}")
+    return worst <= 1e-12, f"worst scaled residual {worst:.3e}"
 
 
-def _check_split_invariance(scenario, rng) -> VerifyRow:
+def _check_split_invariance(scenario, rng) -> tuple:
     base = random_metzler(rng, 2)
     m1 = base - 1.5 * np.eye(2)
     m2 = base + 0.5 * np.eye(2)
@@ -217,7 +217,7 @@ def _check_split_invariance(scenario, rng) -> VerifyRow:
     rows = [s.blocks + [0.0] * (width - 2 * s.k) for s in schedules]
     values = spectral_radii(exp_products((m1, m2), rows, {})).tolist()
     spread = (max(values) - min(values)) / max(values)
-    return _row("split_invariance", spread <= 1e-9, f"relative spread {spread:.3e}")
+    return spread <= 1e-9, f"relative spread {spread:.3e}"
 
 
 def _grouped(items, key) -> list:
@@ -228,7 +228,7 @@ def _grouped(items, key) -> list:
     return list(groups.values())
 
 
-def _check_gelfand(scenario, rng) -> VerifyRow:
+def _check_gelfand(scenario, rng) -> tuple:
     total = 200
     problems = []
     for _ in range(total):
@@ -249,29 +249,29 @@ def _check_gelfand(scenario, rng) -> VerifyRow:
         mu1s, mu2s = (spectral_abscissa(stack).tolist() for stack in seasons)
         for value, mu1, mu2, schedule in zip(values, mu1s, mu2s, schedules):
             count += splitting.bound_violated(value, splitting.factor_bound(mu1, mu2, schedule.theta))
-    return VerifyRow("gelfand_probe", "info", f"{count} bound violations / {total} (informational)")
+    return None, f"{count} bound violations / {total} (informational)"
 
 
-def _check_timescale(scenario, rng) -> VerifyRow:
+def _check_timescale(scenario, rng) -> tuple:
     lin = linearization_from_scenario(scenario)
     report = floquet.timescale_asymptotics(lin, [1.0, 2.0, 4.0, 8.0, 16.0], theta=0.5)
     final_gap = abs(report.corrections[-1] - report.limit_correction)
     small_gap = abs(report.rho_at_t_small - 1.0)
     ok = final_gap <= 1e-3 and small_gap <= 1e-4
-    return _row("timescale_limits", ok, f"correction gap {final_gap:.3e}, rho(T->0) gap {small_gap:.3e}")
+    return ok, f"correction gap {final_gap:.3e}, rho(T->0) gap {small_gap:.3e}"
 
 
 CHECKS = (
-    _check_derivatives,
-    _check_second_derivatives,
-    _check_endpoints,
-    _check_shared_eigenvector_form,
-    _check_threshold,
-    _check_poincare_consistency,
-    _check_flow_properties,
-    _check_left_order,
-    _check_equilibria,
-    _check_split_invariance,
-    _check_gelfand,
-    _check_timescale,
+    ("derivative_vs_fd", _check_derivatives),
+    ("second_derivative_vs_fd", _check_second_derivatives),
+    ("single_season_endpoints", _check_endpoints),
+    ("shared_eigenvector_closed_form", _check_shared_eigenvector_form),
+    ("threshold", _check_threshold),
+    ("poincare_vs_monodromy", _check_poincare_consistency),
+    ("flow_properties", _check_flow_properties),
+    ("left_order_equivalence", _check_left_order),
+    ("equilibrium_identity", _check_equilibria),
+    ("split_invariance", _check_split_invariance),
+    ("gelfand_probe", _check_gelfand),
+    ("timescale_limits", _check_timescale),
 )

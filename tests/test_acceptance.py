@@ -123,7 +123,7 @@ def test_criterion_3_insect_certificate_end_to_end():
         assert cert.holds
         assert all(stage.holds for stage in cert.details["stages"].values())
 
-        assert profile.strictly_decreasing
+        assert not profile.violations()
 
         report = find_threshold(lin, tol=1e-10)
         assert report.regime == "interior_root"
@@ -238,7 +238,7 @@ def test_criterion_9_split_invariance_and_gelfand():
         assert spread <= 1e-9
 
         report = gelfand_bound_probe(m1, m2, schedules)
-        assert report.violation_count == 0
+        assert len(report.violations) == 0
         assert np.abs(report.rho_values - report.bounds).max() <= 1e-10
 
         violations = 0
@@ -247,7 +247,7 @@ def test_criterion_9_split_invariance_and_gelfand():
             a = random_metzler(rng, n)
             b = random_metzler(rng, n)
             schedule = random_schedule(float(rng.uniform(0.1, 0.9)), int(rng.integers(1, 4)), rng)
-            violations += gelfand_bound_probe(a, b, [schedule]).violation_count
+            violations += len(gelfand_bound_probe(a, b, [schedule]).violations)
         # informational: the bound is not a theorem for generic pairs
         print(f"  gelfand probe: {violations} violations / 1000 random pairs")
 

@@ -130,6 +130,25 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=f"^{where}: "):
             scenario_from_dict({**MATRICES, **patch})
 
+    @pytest.mark.parametrize("key", [
+        "period_T", "tolerances.perron_tol", "tolerances.bisect_tol", "tolerances.ode_step",
+        "tolerances.extinction_threshold", "tolerances.divergence_bound",
+    ])
+    def test_infinite_number_names_its_key(self, tmp_path, capsys, key):
+        # the JSON reader turns 1e400 into inf, which passes the > 0 checks;
+        # an inf extinction_threshold called a persistent orbit extinct
+        payload = json.loads(json.dumps(INSECT))
+        section, _, name = key.rpartition(".")
+        (payload[section] if section else payload)[name] = "INFINITE"
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(payload).replace('"INFINITE"', "1e400"))
+        message = f"{key}: must be finite, got inf"
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(scenario_path)
+        assert str(caught.value) == message
+        assert main(["poincare", "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_both_sections_rejected(self, tmp_path):
         payload = dict(INSECT)
         payload["matrices"] = MATRICES["matrices"]
@@ -513,11 +532,14 @@ class TestCommands:
         assert not out.exists()
 
     def test_threshold_one_point_grid_is_usage_error(self, tmp_path, capsys):
+        # threshold reads only the grid's count; the error names the key the
+        # user set, not find_threshold's grid_points
         scenario_path = write_scenario(tmp_path, {**INSECT, "theta_grid": [0.3]})
         out = tmp_path / "out"
         assert main(["threshold", "--scenario", str(scenario_path), "--out", str(out)]) == 2
-        assert "grid_points must be >= 2, got 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: theta_grid: threshold needs at least 2 points, got 1\n"
         assert not (out / "threshold.json").exists()
+        assert main(["threshold", "--scenario", str(scenario_path), "--out", str(out), "--grid", "5"]) == 0
 
     @pytest.mark.parametrize("scenario, flow_status", [
         ("matrices", "info"), ("insect_two_season", "pass"), ("insect_nonshared", "pass"),

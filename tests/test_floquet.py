@@ -346,7 +346,7 @@ class TestFindThreshold:
 class TestRhoProfile:
     def test_grid_shapes_and_monotonicity(self, insect_linearization):
         profile = rho_profile(insect_linearization, np.linspace(0.0, 1.0, 21), second=True)
-        assert profile.strictly_decreasing
+        assert not profile.violations()
         assert profile.rho_second.shape == (21,)
         assert len(profile.v) == 21
 
@@ -570,7 +570,7 @@ class TestEvaluatorRecord:
         assert record.log_rho[0] == pytest.approx(2500.0) and np.isfinite(record.log_rho).all()
         assert record.v.shape == record.v_star.shape == (11, 2)
         assert record.shifted.shape == (11, 2, 2) and np.isfinite(record.shifted).all()
-        assert record.violations() == [] and record.strictly_decreasing
+        assert record.violations() == []
         profile = rho_profile(lin, grid)
         with pytest.raises(InvalidInputError) as alone:
             profile.rho

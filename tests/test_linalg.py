@@ -65,10 +65,6 @@ class TestMatExp:
         with pytest.raises(InvalidInputError):
             mat_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(InvalidInputError):
-            mat_exp(np.eye(2), tol=1e-3)
-
 
 class TestSpectra:
     def test_radius_diagonal(self):

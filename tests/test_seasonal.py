@@ -97,5 +97,6 @@ class TestSystemConstruction:
         system = as_seasonal_system(pi_unfavorable, pi_favorable, 0.4, 1.0)
         assert season_index(system.schedule, 0.39) == 1
         assert season_index(system.schedule, 0.4) == 2
-        assert system.piece_at(0.39).linearization_at_zero[0, 1] == pi_unfavorable.b
-        assert system.piece_at(0.4).linearization_at_zero[0, 1] == pi_favorable.b
+        unfavorable, favorable = (system.pieces[season_index(system.schedule, t) - 1] for t in (0.39, 0.4))
+        assert unfavorable.linearization_at_zero[0, 1] == pi_unfavorable.b
+        assert favorable.linearization_at_zero[0, 1] == pi_favorable.b

@@ -941,7 +941,7 @@ class TestGelfandProbe:
         schedules = [random_schedule(float(rng.uniform(0.1, 0.9)), int(rng.integers(1, 4)), rng)
                      for _ in range(20)]
         report = gelfand_bound_probe(SHARED_M1, SHARED_M2, schedules)
-        assert report.violation_count == 0
+        assert len(report.violations) == 0
         assert np.abs(report.rho_values - report.bounds).max() <= 1e-10
 
     def test_violations_are_collected_not_hidden(self):
@@ -952,7 +952,7 @@ class TestGelfandProbe:
             m2 = random_metzler(rng, 2)
             schedule = random_schedule(0.5, 1, rng)
             report = gelfand_bound_probe(m1, m2, [schedule])
-            found += report.violation_count
+            found += len(report.violations)
             for _, value, bound in report.violations:
                 assert value > bound + 1e-9
         # the bound genuinely fails for generic pairs; the probe must say so

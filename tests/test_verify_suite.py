@@ -7,6 +7,7 @@ on the same random draws in the same order, each drawn one numpy try at a
 time (reference_metzler, reference_schedule).
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,6 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 BUNDLED = ("insect_two_season", "insect_nonshared", "matrices_shared_eigenvector")
 
 
-def _row(name, ok, detail):
-    return VerifyRow(name, "pass" if ok else "fail", detail)
-
-
 def derivatives(scenario, rng):
     worst = 0.0
     for _ in range(8):
@@ -38,7 +35,7 @@ def derivatives(scenario, rng):
             fd = (floquet.rho(lin, th + h)[0] - floquet.rho(lin, th - h)[0]) / (2 * h)
             an = floquet.rho_prime(lin, th)
             worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
-    return _row("derivative_vs_fd", worst <= 1e-6, f"worst rel gap {worst:.3e}")
+    return worst <= 1e-6, f"worst rel gap {worst:.3e}"
 
 
 def second_derivatives(scenario, rng):
@@ -52,7 +49,7 @@ def second_derivatives(scenario, rng):
                   + floquet.rho(lin, th - h)[0]) / h**2
             an = floquet.rho_second(lin, th)
             worst = max(worst, abs(an - fd) / max(1.0, abs(an)))
-    return _row("second_derivative_vs_fd", worst <= 1e-4, f"worst rel gap {worst:.3e}")
+    return worst <= 1e-4, f"worst rel gap {worst:.3e}"
 
 
 def endpoints(scenario, rng):
@@ -61,7 +58,7 @@ def endpoints(scenario, rng):
     gap0 = abs(floquet.rho(lin, 0.0)[0] - np.exp(t * spectral_abscissa(lin.m2)))
     gap1 = abs(floquet.rho(lin, 1.0)[0] - np.exp(t * spectral_abscissa(lin.m1)))
     worst = max(gap0, gap1)
-    return _row("single_season_endpoints", worst <= 1e-9, f"worst gap {worst:.3e}")
+    return worst <= 1e-9, f"worst gap {worst:.3e}"
 
 
 def threshold(scenario, rng):
@@ -69,11 +66,11 @@ def threshold(scenario, rng):
     tol = scenario.tolerances.bisect_tol
     report = floquet.find_threshold(lin, tol=tol)
     if report.regime != "interior_root":
-        return VerifyRow("threshold", "info", f"regime {report.regime}")
+        return None, f"regime {report.regime}"
     lo = floquet.rho(lin, max(0.0, report.theta_star - 10.0 * tol))[0]
     hi = floquet.rho(lin, min(1.0, report.theta_star + 10.0 * tol))[0]
     ok = lo > 1.0 > hi and abs(report.rho_at_theta_star - 1.0) <= tol
-    return _row("threshold", ok, f"theta*={report.theta_star:.12g}")
+    return ok, f"theta*={report.theta_star:.12g}"
 
 
 def shared_eigenvector_form(scenario, rng):
@@ -84,7 +81,7 @@ def shared_eigenvector_form(scenario, rng):
     for th in np.linspace(0.0, 1.0, 21):
         closed = np.exp(th * mu1 + (1.0 - th) * mu2)
         worst = max(worst, abs(floquet.rho(lin, float(th))[0] - closed) / closed)
-    return _row("shared_eigenvector_closed_form", worst <= 1e-10, f"worst rel gap {worst:.3e}")
+    return worst <= 1e-10, f"worst rel gap {worst:.3e}"
 
 
 def poincare_consistency(scenario, rng):
@@ -94,7 +91,7 @@ def poincare_consistency(scenario, rng):
         dp = simulate.poincare_jacobian(system_from_scenario(scenario, th), np.zeros(lin.dimension))
         gap = abs(spectral_radius(dp) - floquet.rho(lin, th)[0]) / floquet.rho(lin, th)[0]
         worst = max(worst, gap)
-    return _row("poincare_vs_monodromy", worst <= 1e-6, f"worst rel gap {worst:.3e}")
+    return worst <= 1e-6, f"worst rel gap {worst:.3e}"
 
 
 def left_order(scenario, rng):
@@ -103,7 +100,7 @@ def left_order(scenario, rng):
         result = conditions.left_eigenvector_order(rng.uniform(0.05, 5.0, (2, 2)))
         if not result.boundary and result.eigen_order != result.sum_order:
             disagreements += 1
-    return _row("left_order_equivalence", disagreements == 0, f"{disagreements} disagreements / 500")
+    return disagreements == 0, f"{disagreements} disagreements / 500"
 
 
 def split_invariance(scenario, rng):
@@ -114,7 +111,7 @@ def split_invariance(scenario, rng):
         schedule = reference_schedule(0.4, int(rng.integers(1, 5)), rng)
         values.append(spectral_radius(split_monodromy(m1, m2, schedule)))
     spread = (max(values) - min(values)) / max(values)
-    return _row("split_invariance", spread <= 1e-9, f"relative spread {spread:.3e}")
+    return spread <= 1e-9, f"relative spread {spread:.3e}"
 
 
 def gelfand(scenario, rng):
@@ -124,8 +121,8 @@ def gelfand(scenario, rng):
         m1 = reference_metzler(rng, n)
         m2 = reference_metzler(rng, n)
         schedule = reference_schedule(float(rng.uniform(0.2, 0.8)), int(rng.integers(1, 4)), rng)
-        count += gelfand_bound_probe(m1, m2, [schedule]).violation_count
-    return VerifyRow("gelfand_probe", "info", f"{count} bound violations / 200 (informational)")
+        count += len(gelfand_bound_probe(m1, m2, [schedule]).violations)
+    return None, f"{count} bound violations / 200 (informational)"
 
 
 def timescale(scenario, rng):
@@ -139,20 +136,20 @@ def timescale(scenario, rng):
     final_gap = abs(corrections[-1] - float(np.log((v2s @ v1) * (v1s @ v2))))
     small_gap = abs(float(np.exp(at(1e-6).log_rho[0])) - 1.0)
     ok = final_gap <= 1e-3 and small_gap <= 1e-4
-    return _row("timescale_limits", ok, f"correction gap {final_gap:.3e}, rho(T->0) gap {small_gap:.3e}")
+    return ok, f"correction gap {final_gap:.3e}, rho(T->0) gap {small_gap:.3e}"
 
 
 REFERENCES = {
-    verify_suite._check_derivatives: derivatives,
-    verify_suite._check_second_derivatives: second_derivatives,
-    verify_suite._check_endpoints: endpoints,
-    verify_suite._check_shared_eigenvector_form: shared_eigenvector_form,
-    verify_suite._check_threshold: threshold,
-    verify_suite._check_poincare_consistency: poincare_consistency,
-    verify_suite._check_left_order: left_order,
-    verify_suite._check_split_invariance: split_invariance,
-    verify_suite._check_gelfand: gelfand,
-    verify_suite._check_timescale: timescale,
+    "derivative_vs_fd": derivatives,
+    "second_derivative_vs_fd": second_derivatives,
+    "single_season_endpoints": endpoints,
+    "shared_eigenvector_closed_form": shared_eigenvector_form,
+    "threshold": threshold,
+    "poincare_vs_monodromy": poincare_consistency,
+    "left_order_equivalence": left_order,
+    "split_invariance": split_invariance,
+    "gelfand_probe": gelfand,
+    "timescale_limits": timescale,
 }
 
 
@@ -164,11 +161,11 @@ def test_stacked_checks_match_per_problem_calls(name, seed):
     scenario = load_scenario(SCENARIOS / f"{name}.json")
     stacked, reference = np.random.default_rng(seed), np.random.default_rng(seed)
     compared = 0
-    for check in verify_suite.CHECKS:
-        if check in REFERENCES:
-            assert check(scenario, stacked) == REFERENCES[check](scenario, reference)
+    for check_name, check in verify_suite.CHECKS:
+        if check_name in REFERENCES:
+            assert check(scenario, stacked) == REFERENCES[check_name](scenario, reference)
             compared += 1
-        elif check is not verify_suite._check_flow_properties:
+        elif check_name != "flow_properties":
             assert check(scenario, stacked) == check(scenario, reference)
         assert stacked.bit_generator.state == reference.bit_generator.state
     assert compared == len(REFERENCES)
@@ -214,3 +211,29 @@ def test_split_check_is_one_product_stack(monkeypatch):
     calls = counted_calls(monkeypatch, verify_suite, "exp_products")
     verify_suite._check_split_invariance(scenario, np.random.default_rng(0))
     assert len(calls) == 1 and len(calls[0][1]) == 50
+
+
+def test_a_raising_check_gives_an_error_row_under_its_table_name(monkeypatch):
+    scenario = load_scenario(SCENARIOS / "matrices_shared_eigenvector.json")
+    names = [row.name for row in verify_suite.run_verification(scenario, seed=0)]
+
+    def raising(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(simulate, "poincare_jacobian", raising)
+    rows = verify_suite.run_verification(scenario, seed=0)
+    assert [row for row in rows if row.status == "error"] == [
+        VerifyRow("poincare_vs_monodromy", "error", "RuntimeError('boom')")
+    ]
+    assert [row.name for row in rows] == names
+    assert names == [name for name, _ in verify_suite.CHECKS]
+
+
+def test_long_period_error_rows_carry_their_table_names():
+    # at T = 5000 rho(0) leaves double range, and the flow check's default
+    # step is refused: three error rows, each named as its pass row is
+    scenario = load_scenario(SCENARIOS / "insect_two_season.json")
+    rows = verify_suite.run_verification(dataclasses.replace(scenario, period_T=5000.0), seed=0)
+    errors = [row.name for row in rows if row.status == "error"]
+    assert errors == ["single_season_endpoints", "poincare_vs_monodromy", "flow_properties"]
+    assert [row.name for row in rows] == [name for name, _ in verify_suite.CHECKS]
